@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 
 import pytest
@@ -128,6 +129,16 @@ def test_runs_are_byte_identical():
     assert report_to_json(first.report) == report_to_json(second.report)
     assert [c.tip_hash for c in first.supply.all_chains()] == \
            [c.tip_hash for c in second.supply.all_chains()]
+
+
+# Any change to these bytes must be made on purpose: update the hash with it.
+@pytest.mark.parametrize("path,sha256", [
+    (HAPPY, "a72baf188f737ab6fda0dc7575829e3fbbadafcf78e0ea328a3caeeda1fda6dc"),
+    (FAULTED, "e262be214f070b366bab67d8fcaf3918d6aa0a29baacc754a553ec19f3d74324"),
+])
+def test_report_bytes_are_pinned(path, sha256):
+    text = report_to_json(run_scenario_file(path).report)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_seed_override_changes_chains_consistently():
