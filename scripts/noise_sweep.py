@@ -11,6 +11,7 @@ Usage:
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -29,33 +30,13 @@ def main() -> int:
     base = scenario.load_scenario(SCENARIO)
     print(f"{'amplitude':>9} {'violations':>10} {'accurate':>9}")
     for amplitude in range(args.max_amplitude + 1):
-        batches = []
-        for batch in base.batches:
-            hops = tuple(
-                scenario.HopSpec(
-                    seller=h.seller, buyer=h.buyer, price=h.price, quantity=h.quantity,
-                    accept_method=h.accept_method, passphrase=h.passphrase,
-                    telemetry=scenario.TelemetrySpec(
-                        duration=h.telemetry.duration,
-                        noise_amplitude=amplitude,
-                        kinds=h.telemetry.kinds,
-                        extra_setpoints=h.telemetry.extra_setpoints,
-                        faults=h.telemetry.faults,
-                        max_silence_ticks=h.telemetry.max_silence_ticks,
-                    ),
-                )
+        swept = replace(base, name=f"{base.name}-amp{amplitude}", batches=tuple(
+            replace(batch, hops=tuple(
+                replace(h, telemetry=replace(h.telemetry, noise_amplitude=amplitude))
                 for h in batch.hops
-            )
-            batches.append(scenario.BatchSpec(
-                batch_id=batch.batch_id, oil_name=batch.oil_name,
-                setpoints=batch.setpoints, hops=hops,
             ))
-        swept = scenario.Scenario(
-            name=f"{base.name}-amp{amplitude}", seed=base.seed,
-            validator_count=base.validator_count,
-            faulty_validators=base.faulty_validators,
-            roles=base.roles, batches=tuple(batches), eth_usd=base.eth_usd,
-        )
+            for batch in base.batches
+        ))
         result = scenario.run_scenario(swept, seed=args.seed)
         violations = sum(
             sum(b["violation_totals"].values()) for b in result.report["batches"]

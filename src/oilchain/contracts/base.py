@@ -9,8 +9,14 @@ anything so a revert leaves state untouched.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import operator
+from enum import Enum, IntEnum
+from typing import Callable, get_type_hints
+
 from ..errors import UnknownFunction
-from ..identity import ADDRESS_LEN
+from ..identity import ADDRESS_LEN, address_hex
 
 Emission = tuple[str, tuple[tuple[str, str | int], ...]]
 
@@ -32,7 +38,37 @@ class ContractBase:
         return handler(args, caller, tick)
 
     def snapshot(self) -> dict:
-        raise NotImplementedError
+        """The contract's kind, then every field in declaration order, rendered
+        by declared type: addresses as 0x-hex, stages by label, other enums by
+        value."""
+        state = {"kind": self.KIND}
+        for name, render in _renderers(type(self)):
+            value = getattr(self, name)
+            state[name] = value if render is None else render(value)
+        return state
+
+
+def stage_label(stage: IntEnum) -> str:
+    """A stage's display label: AT_DRILLER -> "AtDriller"."""
+    return stage.name.title().replace("_", "")
+
+
+@functools.cache
+def _renderers(cls: type) -> tuple[tuple[str, Callable | None], ...]:
+    hints = get_type_hints(cls)
+    renderers = []
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if kind is bytes:
+            render = address_hex
+        elif issubclass(kind, IntEnum):
+            render = stage_label
+        elif issubclass(kind, Enum):
+            render = operator.attrgetter("value")
+        else:
+            render = None
+        renderers.append((f.name, render))
+    return tuple(renderers)
 
 
 def require_address(value, label: str) -> bytes:

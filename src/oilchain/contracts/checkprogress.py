@@ -174,23 +174,3 @@ class CheckProgress(ContractBase):
             (("addr", address_hex(caller)), ("msg", message)),
         )
         return message, [emission]
-
-    def snapshot(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "owner": address_hex(self.owner),
-            "data_source": address_hex(self.data_source),
-            "tolerance": self.tolerance,
-            "initialized": self.initialized,
-            "oil_name": self.oil_name,
-            "oil_id": self.oil_id,
-            "amount": self.amount,
-            "total_price": self.total_price,
-            "accurate_temp": self.accurate_temp,
-            "accurate_hum": self.accurate_hum,
-            "accurate_press": self.accurate_press,
-            "temp_stage": self.temp_stage.name.title(),
-            "humidity_stage": self.humidity_stage.name.title(),
-            "pressure_stage": self.pressure_stage.name.title(),
-            "violation_type": self.violation_type.value,
-        }

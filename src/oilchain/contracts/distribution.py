@@ -25,15 +25,6 @@ class TraceStage(IntEnum):
     SOLD = 5
 
 
-STAGE_LABEL = {
-    TraceStage.CREATED: "Created",
-    TraceStage.AT_DRILLER: "AtDriller",
-    TraceStage.AT_FACTORY: "AtFactory",
-    TraceStage.AT_STORAGE: "AtStorage",
-    TraceStage.AT_PUMP: "AtPump",
-    TraceStage.SOLD: "Sold",
-}
-
 MSG_TO_FACTORY = "Crude Oil is Ready to go to the Factory."
 MSG_TO_STORAGE = "Refined Oil is Ready to go to the Storage."
 MSG_IN_STORAGE = "Oil is stored in the Oil Storage."
@@ -151,29 +142,3 @@ class OilDistribution(ContractBase):
     def _emit(self, event: str, actor: bytes, message: str):
         emission: Emission = (event, (("ad", address_hex(actor)), ("msg", message)))
         return message, [emission]
-
-    def snapshot(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "owner": address_hex(self.owner),
-            "driller_address": address_hex(self.driller_address),
-            "factory_address": address_hex(self.factory_address),
-            "storage_address": address_hex(self.storage_address),
-            "pump_address": address_hex(self.pump_address),
-            "accurate_hum": self.accurate_hum,
-            "current_trace": STAGE_LABEL[self.current_trace],
-            "oil_id": self.oil_id,
-            "oil_name": self.oil_name,
-            "drilling_date": self.drilling_date,
-            "factory_dist_start_date": self.factory_dist_start_date,
-            "refiner_start_date": self.refiner_start_date,
-            "pump_start_date": self.pump_start_date,
-            "drill_price": self.drill_price,
-            "factory_price": self.factory_price,
-            "storage_price": self.storage_price,
-            "pump_price": self.pump_price,
-            "driller_sold_amount": self.driller_sold_amount,
-            "factory_sold_amount": self.factory_sold_amount,
-            "storage_sold_amount": self.storage_sold_amount,
-            "pump_sold_amount": self.pump_sold_amount,
-        }

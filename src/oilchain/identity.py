@@ -9,6 +9,7 @@ Addresses are the last 20 bytes of SHA-256 over the raw public key.
 from __future__ import annotations
 
 import hashlib
+import hmac
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -150,7 +151,7 @@ def check_passphrase(stored: Credential, attempt: str) -> bool:
         return False
     salt, dig = stored.payload[:-32], stored.payload[-32:]
     got = hashlib.pbkdf2_hmac("sha256", attempt.encode("utf-8"), salt, _PBKDF2_ITERATIONS)
-    return got == dig
+    return hmac.compare_digest(got, dig)
 
 
 def signature_credential(signature: bytes) -> Credential:

@@ -142,16 +142,79 @@ def _deployment_records(chain: ledger.Chain):
 
 def build_report(chain: ledger.Chain, batch_id: str) -> ProvenanceReport:
     """Assemble the batch's report by walking predecessor links backwards."""
-    tracking_meta: dict[bytes, dict] = {}
-    distribution_contract: bytes | None = None
+    return build_reports(chain, [batch_id])[0]
+
+
+def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceReport]:
+    """Reports for distinct batch ids, in the order given, from one scan of the chain."""
+    tracking_meta: dict[str, dict[bytes, dict]] = {b: {} for b in batch_ids}
+    distribution_of: dict[str, bytes] = {}
     for meta, address in _deployment_records(chain):
-        if meta.get("batch") != batch_id:
+        batch_id = meta.get("batch")
+        if not isinstance(batch_id, str) or batch_id not in tracking_meta:
             continue
         if meta.get("record") == "tracking":
-            tracking_meta[address] = meta
+            tracking_meta[batch_id][address] = meta
         elif meta.get("record") == "distribution":
-            distribution_contract = address
+            distribution_of[batch_id] = address
 
+    reports: list[ProvenanceReport] = []
+    by_tracking: dict[bytes, tuple[HopSummary, dict[str, int]]] = {}
+    for batch_id in batch_ids:
+        report = ProvenanceReport(
+            batch_id=batch_id, hops=[], clean=True,
+            violation_totals={"Temperature": 0, "Humidity": 0, "Pressure": 0},
+        )
+        for addr in _hop_order(batch_id, tracking_meta[batch_id]):
+            meta = tracking_meta[batch_id][addr]
+            summary = HopSummary(
+                index=meta["hop"],
+                seller_role=meta["seller_role"],
+                buyer_role=meta["buyer_role"],
+                seller=address_hex(meta["seller"]),
+                buyer=address_hex(meta["buyer"]),
+                product_contract=address_hex(meta["product"]),
+                tracking_contract=address_hex(addr),
+                predecessor=address_hex(meta["predecessor"]) if meta["predecessor"] else None,
+            )
+            report.hops.append(summary)
+            by_tracking[addr] = (summary, report.violation_totals)
+        reports.append(report)
+    by_distribution = {
+        distribution_of[r.batch_id]: {s.seller_role: s for s in r.hops}
+        for r in reports if r.batch_id in distribution_of
+    }
+
+    for block, _tx, event in ledger.iter_events(chain):
+        if event.name in VIOLATION_EVENTS and event.emitter in by_tracking:
+            message = str(event.arg("msg"))
+            stage = _STAGE_FROM_WORD[message.split(" ", 1)[0]]
+            summary, totals = by_tracking[event.emitter]
+            if stage == "Accurate":
+                summary.accurate_readings += 1
+            else:
+                kind = VIOLATION_EVENTS[event.name]
+                summary.violations.append(ViolationEntry(
+                    kind=kind, stage=stage, tick=block.timestamp, message=message,
+                ))
+                totals[kind] += 1
+        elif event.name in DISTRIBUTION_EVENTS and event.emitter in by_distribution:
+            summary = by_distribution[event.emitter].get(_EVENT_SELLER_ROLE[event.name])
+            if summary is not None:
+                summary.distribution_events.append(DistributionEntry(
+                    name=event.name,
+                    tick=block.timestamp,
+                    actor=str(event.arg("ad")),
+                    message=str(event.arg("msg")),
+                ))
+
+    for report in reports:
+        report.clean = not any(report.violation_totals.values())
+    return reports
+
+
+def _hop_order(batch_id: str, tracking_meta: dict[bytes, dict]) -> list[bytes]:
+    """The batch's tracking contracts, first hop first, checked to form one chain."""
     if not tracking_meta:
         raise UnknownBatch(f"no hops recorded for batch {batch_id!r}")
 
@@ -181,51 +244,4 @@ def build_report(chain: ledger.Chain, batch_id: str) -> ProvenanceReport:
             f"batch {batch_id!r} has hops unreachable from the final hop"
         )
     ordered.reverse()
-
-    summaries = []
-    by_tracking: dict[bytes, HopSummary] = {}
-    for addr in ordered:
-        meta = tracking_meta[addr]
-        summary = HopSummary(
-            index=meta["hop"],
-            seller_role=meta["seller_role"],
-            buyer_role=meta["buyer_role"],
-            seller=address_hex(meta["seller"]),
-            buyer=address_hex(meta["buyer"]),
-            product_contract=address_hex(meta["product"]),
-            tracking_contract=address_hex(addr),
-            predecessor=address_hex(meta["predecessor"]) if meta["predecessor"] else None,
-        )
-        summaries.append(summary)
-        by_tracking[addr] = summary
-    by_seller_role = {s.seller_role: s for s in summaries}
-
-    totals = {"Temperature": 0, "Humidity": 0, "Pressure": 0}
-    for block, _tx, event in ledger.iter_events(chain):
-        if event.name in VIOLATION_EVENTS and event.emitter in by_tracking:
-            message = str(event.arg("msg"))
-            stage = _STAGE_FROM_WORD[message.split(" ", 1)[0]]
-            summary = by_tracking[event.emitter]
-            if stage == "Accurate":
-                summary.accurate_readings += 1
-            else:
-                kind = VIOLATION_EVENTS[event.name]
-                summary.violations.append(ViolationEntry(
-                    kind=kind, stage=stage, tick=block.timestamp, message=message,
-                ))
-                totals[kind] += 1
-        elif (event.name in DISTRIBUTION_EVENTS
-              and distribution_contract is not None
-              and event.emitter == distribution_contract):
-            summary = by_seller_role.get(_EVENT_SELLER_ROLE[event.name])
-            if summary is not None:
-                summary.distribution_events.append(DistributionEntry(
-                    name=event.name,
-                    tick=block.timestamp,
-                    actor=str(event.arg("ad")),
-                    message=str(event.arg("msg")),
-                ))
-
-    clean = not any(totals.values())
-    return ProvenanceReport(batch_id=batch_id, hops=summaries,
-                            violation_totals=totals, clean=clean)
+    return ordered

@@ -58,14 +58,6 @@ _GAS_INDEX = {name.lower(): cost for name, cost in GAS_TABLE.items()}
 _PLUMBING = GasCost(PLUMBING_EXECUTION_GAS, PLUMBING_TRANSACTION_GAS)
 
 
-def gas_cost(function: str) -> GasCost:
-    """Strict table lookup; raises UnknownFunction for names off the table."""
-    try:
-        return _GAS_INDEX[function.lower()]
-    except KeyError:
-        raise UnknownFunction(f"no gas entry for function {function!r}") from None
-
-
 def metered_cost(function: str) -> GasCost:
     """Table lookup with the plumbing default for untabulated functions."""
     return _GAS_INDEX.get(function.lower(), _PLUMBING)

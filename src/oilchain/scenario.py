@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import identity, runtime, telemetry
+from .contracts.base import stage_label
+from .encoding import canon_decode
 from .errors import OilchainError, ParseError, ValidationError
 from .identity import Role, address_hex
+from .provenance import build_reports
 from .telemetry import FaultSpec, ReadingKind, SensorProfile
-from .workflow import Setpoints, SupplyChain, TermSheet, Topology
+from .workflow import SETTLEMENT_FUNCTION, Setpoints, SupplyChain, TermSheet, Topology
 
 SCENARIO_SCHEMA_VERSION = 1
 RUN_REPORT_SCHEMA_VERSION = 1
@@ -75,20 +78,31 @@ class RunResult:
 
 # --- parsing ---------------------------------------------------------------------
 
-def _need(mapping: dict, key: str, where: str):
+_TYPE_NAME = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise ValidationError(f"{where}: expected {_TYPE_NAME[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _need(mapping: dict, key: str, where: str, kind: type | None = None):
     if key not in mapping:
         raise ValidationError(f"{where}: missing required field {key!r}")
+    if kind is not None:
+        _typed(mapping[key], kind, f"{where}.{key}")
     return mapping[key]
 
 
 def _role(name, where: str) -> Role:
-    if name not in _ROLE_BY_NAME:
+    if not isinstance(name, str) or name not in _ROLE_BY_NAME:
         raise ValidationError(f"{where}: unknown role {name!r}")
     return _ROLE_BY_NAME[name]
 
 
 def _kind(name, where: str) -> ReadingKind:
-    if name not in _KIND_BY_NAME:
+    if not isinstance(name, str) or name not in _KIND_BY_NAME:
         raise ValidationError(f"{where}: unknown reading kind {name!r}")
     return _KIND_BY_NAME[name]
 
@@ -125,7 +139,7 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
     name = _need(doc, "name", where)
     seed = _positive_int(_need(doc, "seed", where), f"{where}.seed")
 
-    topo = _need(doc, "topology", where)
+    topo = _need(doc, "topology", where, dict)
     validators = _positive_int(_need(topo, "validators", f"{where}.topology"),
                                f"{where}.topology.validators", minimum=1)
     if (validators - 1) % 3 != 0:
@@ -136,15 +150,16 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
                            f"{where}.topology.faulty_validators")
     roles = tuple(
         _role(r, f"{where}.topology.roles[{i}]")
-        for i, r in enumerate(_need(topo, "roles", f"{where}.topology"))
+        for i, r in enumerate(_need(topo, "roles", f"{where}.topology", list))
     )
     if len(set(roles)) != len(roles):
         raise ValidationError(f"{where}.topology.roles: duplicate role")
 
     batches = []
-    for bi, batch_doc in enumerate(_need(doc, "batches", where)):
+    for bi, batch_doc in enumerate(_need(doc, "batches", where, list)):
         bw = f"{where}.batches[{bi}]"
-        setp = _need(batch_doc, "setpoints", bw)
+        _typed(batch_doc, dict, bw)
+        setp = _need(batch_doc, "setpoints", bw, dict)
         setpoints = Setpoints(
             temperature=_positive_int(_need(setp, "temperature", f"{bw}.setpoints"),
                                       f"{bw}.setpoints.temperature"),
@@ -154,15 +169,18 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
                                    f"{bw}.setpoints.pressure"),
         )
         hops = []
-        for hi, hop_doc in enumerate(_need(batch_doc, "hops", bw)):
+        for hi, hop_doc in enumerate(_need(batch_doc, "hops", bw, list)):
             hw = f"{bw}.hops[{hi}]"
-            accept = hop_doc.get("accept", {"method": "signature"})
+            _typed(hop_doc, dict, hw)
+            accept = _typed(hop_doc.get("accept", {}), dict, f"{hw}.accept")
             method = accept.get("method", "signature")
             if method not in ("signature", "passphrase"):
                 raise ValidationError(f"{hw}.accept.method: unknown method {method!r}")
             passphrase = accept.get("passphrase")
             if method == "passphrase" and not passphrase:
                 raise ValidationError(f"{hw}.accept: passphrase method needs a passphrase")
+            if passphrase is not None:
+                _typed(passphrase, str, f"{hw}.accept.passphrase")
             hops.append(HopSpec(
                 seller=_role(_need(hop_doc, "seller", hw), f"{hw}.seller"),
                 buyer=_role(_need(hop_doc, "buyer", hw), f"{hw}.buyer"),
@@ -170,19 +188,20 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
                 quantity=_positive_int(_need(hop_doc, "quantity", hw), f"{hw}.quantity"),
                 accept_method=method,
                 passphrase=passphrase,
-                telemetry=_parse_telemetry(_need(hop_doc, "telemetry", hw),
+                telemetry=_parse_telemetry(_need(hop_doc, "telemetry", hw, dict),
                                            f"{hw}.telemetry"),
             ))
         batches.append(BatchSpec(
             batch_id=str(_need(batch_doc, "batch_id", bw)),
-            oil_name=_need(batch_doc, "oil_name", bw),
+            oil_name=_need(batch_doc, "oil_name", bw, str),
             setpoints=setpoints,
             hops=tuple(hops),
         ))
     if not batches:
         raise ValidationError(f"{where}.batches: at least one batch required")
 
-    eth_usd = doc.get("report", {}).get("eth_usd", runtime.DEFAULT_ETH_USD)
+    report = _typed(doc.get("report", {}), dict, f"{where}.report")
+    eth_usd = report.get("eth_usd", runtime.DEFAULT_ETH_USD)
     if not isinstance(eth_usd, (int, float)) or eth_usd <= 0:
         raise ValidationError(f"{where}.report.eth_usd: must be a positive number")
 
@@ -201,10 +220,12 @@ def _parse_telemetry(doc: dict, where: str) -> TelemetrySpec:
     duration = _positive_int(_need(doc, "duration", where), f"{where}.duration", minimum=1)
     amplitude = _positive_int(doc.get("noise_amplitude", 0), f"{where}.noise_amplitude")
     kinds = tuple(
-        _kind(k, f"{where}.kinds[{i}]") for i, k in enumerate(_need(doc, "kinds", where))
+        _kind(k, f"{where}.kinds[{i}]")
+        for i, k in enumerate(_need(doc, "kinds", where, list))
     )
     extra = {}
-    for key, value in doc.get("extra_setpoints", {}).items():
+    extra_doc = _typed(doc.get("extra_setpoints", {}), dict, f"{where}.extra_setpoints")
+    for key, value in extra_doc.items():
         kind = _kind(key, f"{where}.extra_setpoints")
         if kind is ReadingKind.LOCATION:
             if (not isinstance(value, list) or len(value) != 2
@@ -216,8 +237,9 @@ def _parse_telemetry(doc: dict, where: str) -> TelemetrySpec:
         else:
             extra[kind] = _positive_int(value, f"{where}.extra_setpoints.{key}")
     faults = []
-    for fi, fault_doc in enumerate(doc.get("faults", [])):
+    for fi, fault_doc in enumerate(_typed(doc.get("faults", []), list, f"{where}.faults")):
         fw = f"{where}.faults[{fi}]"
+        _typed(fault_doc, dict, fw)
         offset = _need(fault_doc, "offset", fw)
         if not isinstance(offset, int) or isinstance(offset, bool):
             raise ValidationError(f"{fw}.offset: expected an integer")
@@ -331,6 +353,10 @@ def run_scenario_file(path: str | Path, seed: int | None = None,
 def build_run_report(scenario: Scenario, supply: SupplyChain, seed: int,
                      eth_usd: float) -> dict:
     chains = []
+    total_tx_gas = 0
+    total_exec_gas = 0
+    calls = 0
+    settlements = []
     for chain in supply.all_chains():
         chains.append({
             "name": chain.name,
@@ -338,29 +364,49 @@ def build_run_report(scenario: Scenario, supply: SupplyChain, seed: int,
             "blocks": len(chain),
             "tip_hash": chain.tip_hash.hex(),
         })
+        for block in chain.blocks:
+            for tx in block.transactions:
+                calls += 1
+                total_tx_gas += tx.gas_used
+                total_exec_gas += runtime.metered_cost(tx.function).execution
+                if tx.function == SETTLEMENT_FUNCTION:
+                    record = canon_decode(tx.args)
+                    settlements.append({
+                        "batch_id": record["batch"],
+                        "hop": record["hop"],
+                        "payer": address_hex(record["payer"]),
+                        "payee": address_hex(record["payee"]),
+                        "amount": record["amount"],
+                        "tick": block.timestamp,
+                    })
+    # ticks come from the clock all chains share, so this is acceptance order
+    settlements.sort(key=lambda s: s["tick"])
+    settlement_tick = {(s["batch_id"], s["hop"]): s["tick"] for s in settlements}
+    fiat = {
+        speed: runtime.fiat_cost(total_exec_gas, price, eth_usd)
+        for speed, price in runtime.GAS_PRICES_GWEI.items()
+    }
 
     batches = []
-    for batch_spec in scenario.batches:
-        batch = supply.batches[batch_spec.batch_id]
-        trace = supply.trace(batch.batch_id)
-        trace_by_index = {h.index: h for h in trace.hops}
+    for trace in build_reports(supply.consortium_chain,
+                               [b.batch_id for b in scenario.batches]):
+        batch = supply.batches[trace.batch_id]
         hops = []
-        for hop in batch.hops:
-            summary = trace_by_index[hop.index]
+        for hop, summary in zip(batch.hops, trace.hops, strict=True):
             tracking_state = supply.consortium_rt.state_of(hop.tracking_contract)
             hops.append({
-                "index": hop.index,
-                "seller_role": hop.seller.role.value,
-                "buyer_role": hop.buyer.role.value,
-                "seller": address_hex(hop.seller.address),
-                "buyer": address_hex(hop.buyer.address),
-                "status": hop.status.name.title().replace("_", ""),
-                "product_contract": address_hex(hop.product_contract),
-                "tracking_contract": address_hex(hop.tracking_contract),
-                "predecessor": address_hex(hop.predecessor) if hop.predecessor else None,
+                "index": summary.index,
+                "seller_role": summary.seller_role,
+                "buyer_role": summary.buyer_role,
+                "seller": summary.seller,
+                "buyer": summary.buyer,
+                "status": stage_label(hop.status),
+                "product_contract": summary.product_contract,
+                "tracking_contract": summary.tracking_contract,
+                "predecessor": summary.predecessor,
                 "readings_fed": hop.readings_fed,
                 "weight_delta": hop.weight_delta,
-                "settlement_tick": hop.settlement_tick,
+                "settlement_tick": settlement_tick.get((batch.batch_id, summary.index)),
                 "final_state": {
                     "temperature": tracking_state["temp_stage"],
                     "humidity": tracking_state["humidity_stage"],
@@ -379,32 +425,6 @@ def build_run_report(scenario: Scenario, supply: SupplyChain, seed: int,
             "distribution_state": supply.distribution_state(batch.batch_id),
             "hops": hops,
         })
-
-    total_tx_gas = 0
-    total_exec_gas = 0
-    calls = 0
-    for chain in supply.all_chains():
-        for block in chain.blocks:
-            for tx in block.transactions:
-                calls += 1
-                total_tx_gas += tx.gas_used
-                total_exec_gas += runtime.metered_cost(tx.function).execution
-    fiat = {
-        speed: runtime.fiat_cost(total_exec_gas, price, eth_usd)
-        for speed, price in runtime.GAS_PRICES_GWEI.items()
-    }
-
-    settlements = [
-        {
-            "batch_id": s.batch_id,
-            "hop": s.hop_index,
-            "payer": address_hex(s.payer),
-            "payee": address_hex(s.payee),
-            "amount": s.amount,
-            "tick": s.tick,
-        }
-        for s in supply.settlements
-    ]
 
     return {
         "schema_version": RUN_REPORT_SCHEMA_VERSION,

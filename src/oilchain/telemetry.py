@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 from . import ledger
 from .encoding import canon_decode, digest
 from .errors import StaleTelemetry, Unauthorized, WindowOutOfRange, WrongStatus
+from .runtime import CallStatus
 
 if TYPE_CHECKING:
     from .workflow import Hop, SupplyChain
@@ -154,8 +155,9 @@ def feed(readings: Sequence[SensorReading], hop: "Hop", supply: "SupplyChain",
 
     Checked kinds become tracking-contract calls made by the gateway
     address; everything else is recorded on the seller's private chain. The
-    hop moves to InTransit on its first feed. Returns the per-check call
-    results in dispatch order.
+    hop moves to InTransit on its first feed, and `readings_fed` counts the
+    readings committed to a ledger (a reverted check is not). Returns the
+    per-check call results in dispatch order.
     """
     from .workflow import HopStatus
 
@@ -193,6 +195,8 @@ def feed(readings: Sequence[SensorReading], hop: "Hop", supply: "SupplyChain",
                 caller=hop.data_address,
             )
             results.append(result)
+            if result.status is not CallStatus.OK:
+                continue
         else:
             value = list(r.value) if isinstance(r.value, tuple) else r.value
             seller_rt.record(

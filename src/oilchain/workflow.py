@@ -57,6 +57,9 @@ _DELIVERY_TRANSITION = {
 
 _REQUIRED_ROLES = (Role.DRILLER, Role.REFINERY, Role.STORAGE, Role.PUMP)
 
+# function name of the payment record acceptance writes to the seller's chain
+SETTLEMENT_FUNCTION = "settlement"
+
 
 @dataclass(frozen=True)
 class Setpoints:
@@ -95,8 +98,6 @@ class Hop:
     queued_readings: list[telemetry.SensorReading] = dc_field(default_factory=list)
     readings_fed: int = 0
     weight_delta: int | None = None
-    settlement_tick: int | None = None
-    delivery_tick: int | None = None
 
     @property
     def data_address(self) -> bytes:
@@ -110,16 +111,6 @@ class BatchRecord:
     setpoints: Setpoints
     distribution_contract: bytes
     hops: list[Hop] = dc_field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class Settlement:
-    batch_id: str
-    hop_index: int
-    payer: bytes
-    payee: bytes
-    amount: int
-    tick: int
 
 
 @dataclass
@@ -149,7 +140,6 @@ class SupplyChain:
         self.seed = seed
         self.clock = LogicalClock()
         self.batches: dict[str, BatchRecord] = {}
-        self.settlements: list[Settlement] = []
 
         validator_keys = list(topology.validators)
         faulty = frozenset(faulty_validators)
@@ -370,7 +360,7 @@ class SupplyChain:
         seller_rt.record(
             caller=hop.buyer.address,
             contract=hop.product_contract,
-            function="settlement",
+            function=SETTLEMENT_FUNCTION,
             payload={
                 "batch": hop.batch_id,
                 "hop": hop.index,
@@ -379,16 +369,6 @@ class SupplyChain:
                 "amount": hop.terms.price,
             },
         )
-        tick = seller_rt.chain.blocks[-1].timestamp
-        self.settlements.append(Settlement(
-            batch_id=hop.batch_id,
-            hop_index=hop.index,
-            payer=hop.buyer.address,
-            payee=hop.seller.address,
-            amount=hop.terms.price,
-            tick=tick,
-        ))
-        hop.settlement_tick = tick
         hop.status = HopStatus.ACCEPTED
         return hop
 
@@ -440,7 +420,6 @@ class SupplyChain:
             )
             if result.status is not CallStatus.OK:
                 raise WrongStage(result.revert_reason)
-            hop.delivery_tick = self.clock.upcoming - 1
 
         weights = telemetry.telemetry_records(
             self.private_chain(hop.seller.address), hop.product_contract,
@@ -460,11 +439,6 @@ class SupplyChain:
         return hop
 
     # --- audit ---------------------------------------------------------------------
-
-    def trace(self, batch_id: str):
-        from .provenance import build_report
-
-        return build_report(self.consortium_chain, batch_id)
 
     def distribution_state(self, batch_id: str) -> dict:
         batch = self.batches[batch_id]

@@ -9,9 +9,16 @@ from pathlib import Path
 import pytest
 
 from oilchain import identity, ledger
+from oilchain.encoding import canon_decode
 from oilchain.identity import Role
 from oilchain.runtime import LogicalClock, Runtime
-from oilchain.workflow import Setpoints, SupplyChain, TermSheet, Topology
+from oilchain.workflow import (
+    SETTLEMENT_FUNCTION,
+    Setpoints,
+    SupplyChain,
+    TermSheet,
+    Topology,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -37,6 +44,16 @@ def standard_terms(setpoints: Setpoints, price: int = 100, quantity: int = 10,
                    passphrase: str | None = None) -> TermSheet:
     return TermSheet(oil_id="101", oil_name="Petrol", quantity=quantity,
                      price=price, setpoints=setpoints, passphrase=passphrase)
+
+
+def settlement_records(supply: SupplyChain) -> list[tuple[int, dict]]:
+    """(tick, decoded payload) of every settlement on the ledgers, by tick."""
+    return sorted(
+        ((block.timestamp, canon_decode(tx.args))
+         for chain in supply.all_chains() for block in chain.blocks
+         for tx in block.transactions if tx.function == SETTLEMENT_FUNCTION),
+        key=lambda record: record[0],
+    )
 
 
 def make_validators(count: int, seed: int = 99) -> list[identity.KeyPair]:

@@ -20,6 +20,7 @@ from conftest import (
     consortium_runtime,
     make_validators,
     mutate_chain,
+    settlement_records,
     standard_terms,
 )
 from oilchain import identity, ledger
@@ -27,7 +28,8 @@ from oilchain.contracts import CheckProgress
 from oilchain.encoding import canon_decode
 from oilchain.errors import BadCredential, QuorumNotMet, WrongStatus
 from oilchain.identity import Role
-from oilchain.runtime import CallStatus, fiat_cost, gas_cost
+from oilchain.provenance import build_report
+from oilchain.runtime import CallStatus, fiat_cost, metered_cost
 from oilchain.scenario import report_to_json, run_scenario_file
 from oilchain.workflow import HopStatus, Setpoints, SupplyChain, Topology
 
@@ -187,7 +189,7 @@ def test_c05_gas_table_and_fiat_costs():
     with criterion(5, "per-function gas is exact and USD costs sit within"
                       " $0.01 of the frozen cells"):
         for name, (execution, transaction) in GAS_EXPECTED.items():
-            cost = gas_cost(name)
+            cost = metered_cost(name)
             assert (cost.execution, cost.transaction) == (execution, transaction), name
         for name, cells in FROZEN_USD.items():
             execution = GAS_EXPECTED[name][0]
@@ -296,7 +298,7 @@ def test_c08_injected_fault_is_attributed_to_its_hop_alone():
                       " own violations, attributed to the faulted hop"):
         result = run_scenario_file(SCENARIO_DIR / "pressure_fault_hop2.json")
         assert result.violations_found
-        report = result.supply.trace("101")
+        report = build_report(result.supply.consortium_chain, "101")
         assert not report.clean
         assert report.violation_totals == {"Temperature": 0, "Humidity": 0,
                                            "Pressure": 3}
@@ -367,17 +369,17 @@ def test_c10_forged_credentials_never_settle():
             rejected += 1
         assert rejected == 100
         assert hop.status is HopStatus.PROPOSED
-        assert supply.settlements == []
+        assert settlement_records(supply) == []
         assert [c.tip_hash for c in supply.all_chains()] == tips_before
 
         genuine = identity.signature_credential(
             identity.sign(digest, hop.buyer.private_key))
         supply.accept_shipment(hop, genuine)
         assert hop.status is HopStatus.ACCEPTED
-        assert len(supply.settlements) == 1
+        assert len(settlement_records(supply)) == 1
         with pytest.raises(WrongStatus):
             supply.accept_shipment(hop, genuine)
-        assert len(supply.settlements) == 1
+        assert len(settlement_records(supply)) == 1
 
         # same property through the passphrase path
         second = supply.initiate_hop(batch, Role.REFINERY, Role.STORAGE,
@@ -387,4 +389,4 @@ def test_c10_forged_credentials_never_settle():
         with pytest.raises(BadCredential):
             supply.accept_shipment(second, identity.passphrase_attempt("gate-8"))
         supply.accept_shipment(second, identity.passphrase_attempt("gate-7"))
-        assert len(supply.settlements) == 2
+        assert len(settlement_records(supply)) == 2

@@ -8,13 +8,13 @@ from conftest import standard_terms
 from oilchain import identity, telemetry
 from oilchain.errors import CorruptLedger, UnknownBatch
 from oilchain.identity import Role
-from oilchain.provenance import build_report
+from oilchain.provenance import build_report, build_reports
 from oilchain.runtime import contract_address
 from oilchain.telemetry import FaultSpec, ReadingKind, SensorProfile
 
 
-def run_hops(supply, setpoints, count=2, feed_ticks=0, fault=None):
-    batch = supply.register_batch("101", "Petrol", setpoints)
+def run_hops(supply, setpoints, count=2, feed_ticks=0, fault=None, batch_id="101"):
+    batch = supply.register_batch(batch_id, "Petrol", setpoints)
     pairs = [(Role.DRILLER, Role.REFINERY), (Role.REFINERY, Role.STORAGE),
              (Role.STORAGE, Role.PUMP), (Role.PUMP, Role.CONSUMER)]
     predecessor = None
@@ -64,12 +64,17 @@ def test_report_reconstructs_hops_in_order(supply, setpoints):
     assert sale.actor == identity.address_hex(supply.actor(Role.PUMP).address)
 
 
-def test_report_is_rebuilt_from_chain_alone(supply, setpoints):
+def test_one_scan_equals_one_report_per_batch(supply, setpoints):
     run_hops(supply, setpoints, count=2)
-    # a fresh report built from only the chain equals the convenience path
-    direct = build_report(supply.consortium_chain, "101")
-    via_supply = supply.trace("101")
-    assert direct.to_dict() == via_supply.to_dict()
+    fault = FaultSpec(ReadingKind.PRESSURE, 0, 1, +4)
+    run_hops(supply, setpoints, count=3, feed_ticks=2, fault=(1, fault), batch_id="102")
+    chain = supply.consortium_chain
+    together = build_reports(chain, ["102", "101"])
+    assert [r.to_dict() for r in together] == [
+        build_report(chain, "102").to_dict(), build_report(chain, "101").to_dict()]
+    assert [r.clean for r in together] == [False, True]
+    with pytest.raises(UnknownBatch):
+        build_reports(chain, ["101", "103"])
 
 
 def test_violations_attributed_to_the_faulted_hop(supply, setpoints):

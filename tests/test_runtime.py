@@ -15,7 +15,6 @@ from oilchain.runtime import (
     Runtime,
     contract_address,
     fiat_cost,
-    gas_cost,
     gas_report,
     metered_cost,
 )
@@ -50,13 +49,8 @@ GAS_ROWS = [
 
 @pytest.mark.parametrize("name,execution,transaction", GAS_ROWS)
 def test_gas_table_values(name, execution, transaction):
-    assert gas_cost(name) == GasCost(execution, transaction)
-    assert gas_cost(name.lower()) == gas_cost(name.upper())
-
-
-def test_gas_cost_unknown_function_raises():
-    with pytest.raises(UnknownFunction):
-        gas_cost("settlement")
+    assert metered_cost(name) == GasCost(execution, transaction)
+    assert metered_cost(name.lower()) == metered_cost(name.upper())
 
 
 @pytest.mark.parametrize("name", ["constructor", "settlement", "recordTelemetry"])
@@ -65,7 +59,7 @@ def test_untabulated_functions_use_plumbing_cost(name):
 
 
 def test_metered_cost_prefers_table():
-    assert metered_cost("pumpsoldoil") == gas_cost("pumpSoldOil")
+    assert metered_cost("pumpsoldoil") == GasCost(68923, 90579)
 
 
 # --- fiat pricing ----------------------------------------------------------------

@@ -104,6 +104,12 @@ def broken(mutate):
         extra_setpoints={"Location": [1]}), "Location"),
     (lambda d: d.update(batches=[]), "batches"),
     (lambda d: d.update(report={"eth_usd": -3}), "eth_usd"),
+    (lambda d: d["batches"][0]["hops"][0].update(accept="sig"), "hops[0].accept"),
+    (lambda d: d["batches"][0].update(hops=3), "batches[0].hops"),
+    (lambda d: d.update(report=[]), "scenario.report"),
+    (lambda d: d["batches"][0].update(oil_name=2.5), "oil_name"),
+    (lambda d: d["batches"][0]["hops"][0].update(
+        accept={"method": "passphrase", "passphrase": 7}), "accept.passphrase"),
 ])
 def test_validation_errors_name_the_field(mutate, needle):
     with pytest.raises(ValidationError) as err:

@@ -191,6 +191,20 @@ def test_feed_moves_hop_in_transit_and_checks_each_reading(supply, setpoints):
         "Accurate Temperature", "Accurate Humidity", "Accurate Pressure"}
 
 
+def test_reverted_checks_are_not_counted_as_fed(supply, setpoints):
+    _batch, hop = accepted_hop(supply, setpoints)
+    tracking = supply.consortium_rt.contracts[hop.tracking_contract]
+    tracking.data_source = SOURCE       # the gateway may no longer feed checks
+    results = telemetry.feed(hop_stream(hop, duration=3), hop, supply)
+    assert len(results) == 9
+    assert all(r.status.value == "Reverted" for r in results)
+    records = telemetry.telemetry_records(supply.private_chain(hop.seller.address),
+                                          hop.product_contract,
+                                          querier=hop.seller.address)
+    assert len(records) == 6            # Location and Weight, three ticks each
+    assert hop.readings_fed == len(records)
+
+
 def test_unchecked_kinds_land_on_the_seller_private_chain(supply, setpoints):
     _batch, hop = accepted_hop(supply, setpoints)
     telemetry.feed(hop_stream(hop, duration=3), hop, supply)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import FIVE_ROLES, standard_terms
+from conftest import FIVE_ROLES, settlement_records, standard_terms
 from oilchain import identity, ledger
 from oilchain.encoding import canon_decode
 from oilchain.errors import (
@@ -18,6 +18,7 @@ from oilchain.errors import (
     WrongStatus,
 )
 from oilchain.identity import Role
+from oilchain.provenance import build_report
 from oilchain.telemetry import ReadingKind, SensorReading
 from oilchain.workflow import HopStatus, SupplyChain, Topology, format_party
 
@@ -188,22 +189,18 @@ def test_signature_acceptance_records_settlement(supply, setpoints):
     _batch, hop = proposed_hop(supply, setpoints, price=140)
     supply.accept_shipment(hop, sign_accept(supply, hop))
     assert hop.status is HopStatus.ACCEPTED
-    assert hop.settlement_tick is not None
-    assert len(supply.settlements) == 1
-    settlement = supply.settlements[0]
-    assert settlement.payer == hop.buyer.address
-    assert settlement.payee == hop.seller.address
-    assert settlement.amount == 140
-    assert settlement.tick == hop.settlement_tick
 
     private = supply.private_chain(hop.seller.address)
-    tx = private.blocks[-1].transactions[0]
+    block = private.blocks[-1]
+    tx = block.transactions[0]
     assert tx.function == "settlement"
     assert tx.caller == hop.buyer.address
     payload = canon_decode(tx.args)
     assert payload["amount"] == 140
     assert payload["payer"] == hop.buyer.address
+    assert payload["payee"] == hop.seller.address
     assert payload["hop"] == 1
+    assert settlement_records(supply) == [(block.timestamp, payload)]
 
 
 @pytest.mark.parametrize("forge", [
@@ -220,8 +217,7 @@ def test_bad_credentials_change_nothing(supply, setpoints, forge):
     with pytest.raises(BadCredential):
         supply.accept_shipment(hop, forge(supply, hop))
     assert hop.status is HopStatus.PROPOSED
-    assert hop.settlement_tick is None
-    assert supply.settlements == []
+    assert settlement_records(supply) == []
     assert tips(supply) == before
 
 
@@ -238,7 +234,7 @@ def test_double_accept_rejected(supply, setpoints):
     supply.accept_shipment(hop, sign_accept(supply, hop))
     with pytest.raises(WrongStatus):
         supply.accept_shipment(hop, sign_accept(supply, hop))
-    assert len(supply.settlements) == 1
+    assert len(settlement_records(supply)) == 1
 
 
 # --- delivery and settlement ------------------------------------------------------------
@@ -280,9 +276,8 @@ def test_delivery_advances_distribution_and_stamps_tick(supply, setpoints):
     assert state["current_trace"] == "AtDriller"
     assert state["oil_id"] == "101"
     assert state["drill_price"] == 100
-    assert state["drilling_date"] == hop.delivery_tick
     block = supply.consortium_chain.blocks[-1]
-    assert block.timestamp == hop.delivery_tick
+    assert state["drilling_date"] == block.timestamp
     assert block.transactions[0].function == "readyToFactory"
     assert block.transactions[0].caller == hop.seller.address
 
@@ -310,7 +305,7 @@ def test_full_path_reaches_sold(supply, setpoints):
     assert sale.caller == supply.actor(Role.CONSUMER).address
     assert sale.events[0].arg("ad") == identity.address_hex(
         supply.actor(Role.PUMP).address)
-    assert [s.hop_index for s in supply.settlements] == [1, 2, 3, 4]
+    assert [p["hop"] for _tick, p in settlement_records(supply)] == [1, 2, 3, 4]
     assert h4.status is HopStatus.SETTLED
 
 
@@ -374,11 +369,11 @@ def test_trace_is_read_only_and_checks_batch(supply, setpoints):
     batch = supply.register_batch("101", "Petrol", setpoints)
     advance(supply, batch, Role.DRILLER, Role.REFINERY, setpoints)
     before = tips(supply)
-    report = supply.trace("101")
+    report = build_report(supply.consortium_chain, "101")
     assert tips(supply) == before
     assert report.batch_id == "101"
     with pytest.raises(UnknownBatch):
-        supply.trace("999")
+        build_report(supply.consortium_chain, "999")
 
 
 def test_format_party(supply):
