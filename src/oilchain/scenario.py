@@ -172,7 +172,7 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
         for hi, hop_doc in enumerate(_need(batch_doc, "hops", bw, list)):
             hw = f"{bw}.hops[{hi}]"
             _typed(hop_doc, dict, hw)
-            accept = _typed(hop_doc.get("accept", {}), dict, f"{hw}.accept")
+            accept = _typed(hop_doc.get("accept", {"method": "signature"}), dict, f"{hw}.accept")
             method = accept.get("method", "signature")
             if method not in ("signature", "passphrase"):
                 raise ValidationError(f"{hw}.accept.method: unknown method {method!r}")

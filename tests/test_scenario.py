@@ -108,6 +108,8 @@ def broken(mutate):
     (lambda d: d["batches"][0].update(hops=3), "batches[0].hops"),
     (lambda d: d.update(report=[]), "scenario.report"),
     (lambda d: d["batches"][0].update(oil_name=2.5), "oil_name"),
+    (lambda d: d["topology"].update(roles=[["Driller"]]), "roles[0]"),
+    (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(kinds=[{}]), "kinds[0]"),
     (lambda d: d["batches"][0]["hops"][0].update(
         accept={"method": "passphrase", "passphrase": 7}), "accept.passphrase"),
 ])
