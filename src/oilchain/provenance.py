@@ -107,25 +107,31 @@ class ProvenanceReport:
         }
 
     def to_text(self) -> str:
-        lines = [
-            f"batch {self.batch_id}: {'CLEAN' if self.clean else 'VIOLATIONS FOUND'}",
-            "violation totals: "
-            + ", ".join(f"{k}={v}" for k, v in self.violation_totals.items()),
-        ]
-        for hop in self.hops:
-            lines.append(
-                f"  hop {hop.index}: {hop.seller_role} -> {hop.buyer_role}"
-                f"  tracking={hop.tracking_contract}"
-            )
-            lines.append(
-                f"    accurate readings: {hop.accurate_readings},"
-                f" violations: {len(hop.violations)}"
-            )
-            for v in hop.violations:
-                lines.append(f"    [tick {v.tick}] {v.kind} {v.stage}: {v.message}")
-            for d in hop.distribution_events:
-                lines.append(f"    [tick {d.tick}] {d.name}: {d.message}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(batch_text(self.to_dict())) + "\n"
+
+
+def batch_text(batch: dict) -> list[str]:
+    """Text lines for one batch, from `ProvenanceReport.to_dict` or a run
+    report batch, which carries the same fields."""
+    lines = [
+        f"batch {batch['batch_id']}: {'CLEAN' if batch['clean'] else 'VIOLATIONS FOUND'}",
+        "violation totals: "
+        + ", ".join(f"{k}={v}" for k, v in batch["violation_totals"].items()),
+    ]
+    for hop in batch["hops"]:
+        lines.append(
+            f"  hop {hop['index']}: {hop['seller_role']} -> {hop['buyer_role']}"
+            f"  tracking={hop['tracking_contract']}"
+        )
+        lines.append(
+            f"    accurate readings: {hop['accurate_readings']},"
+            f" violations: {len(hop['violations'])}"
+        )
+        for v in hop["violations"]:
+            lines.append(f"    [tick {v['tick']}] {v['kind']} {v['stage']}: {v['message']}")
+        for d in hop["distribution_events"]:
+            lines.append(f"    [tick {d['tick']}] {d['name']}: {d['message']}")
+    return lines
 
 
 def _deployment_records(chain: ledger.Chain):

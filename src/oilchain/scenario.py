@@ -10,6 +10,7 @@ of (scenario, seed) and is compared byte-for-byte in tests.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,12 +19,15 @@ from .contracts.base import stage_label
 from .encoding import canon_decode
 from .errors import OilchainError, ParseError, ValidationError
 from .identity import Role, address_hex
-from .provenance import build_reports
+from .provenance import batch_text, build_reports
 from .telemetry import FaultSpec, ReadingKind, SensorProfile
 from .workflow import SETTLEMENT_FUNCTION, Setpoints, SupplyChain, TermSheet, Topology
 
 SCENARIO_SCHEMA_VERSION = 1
 RUN_REPORT_SCHEMA_VERSION = 1
+
+# longest telemetry stream a hop may ask for; a stream is built whole in memory
+MAX_DURATION_TICKS = 10_000
 
 _ROLE_BY_NAME = {role.value: role for role in Role}
 _KIND_BY_NAME = {kind.value: kind for kind in ReadingKind}
@@ -202,8 +206,10 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
 
     report = _typed(doc.get("report", {}), dict, f"{where}.report")
     eth_usd = report.get("eth_usd", runtime.DEFAULT_ETH_USD)
-    if not isinstance(eth_usd, (int, float)) or eth_usd <= 0:
-        raise ValidationError(f"{where}.report.eth_usd: must be a positive number")
+    if not isinstance(eth_usd, (int, float)) or not 0 < eth_usd <= sys.float_info.max:
+        raise ValidationError(
+            f"{where}.report.eth_usd: must be a positive number up to {sys.float_info.max:g}"
+        )
 
     return Scenario(
         name=name,
@@ -218,6 +224,10 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
 
 def _parse_telemetry(doc: dict, where: str) -> TelemetrySpec:
     duration = _positive_int(_need(doc, "duration", where), f"{where}.duration", minimum=1)
+    if duration > MAX_DURATION_TICKS:
+        raise ValidationError(
+            f"{where}.duration: at most {MAX_DURATION_TICKS} ticks, got {duration}"
+        )
     amplitude = _positive_int(doc.get("noise_amplitude", 0), f"{where}.noise_amplitude")
     kinds = tuple(
         _kind(k, f"{where}.kinds[{i}]")
@@ -333,10 +343,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
             )
             for fault in hop_spec.telemetry.faults:
                 readings = telemetry.inject_fault(readings, fault)
-            supply.queue_telemetry(hop, readings)
-            supply.feed_hop(hop)
+            supply.feed(hop, readings)
             supply.deliver(hop)
-            supply.settle(hop)
 
     report = build_run_report(scenario, supply, seed, eth_usd)
     violations = any(not b["clean"] for b in report["batches"])
@@ -395,15 +403,8 @@ def build_run_report(scenario: Scenario, supply: SupplyChain, seed: int,
         for hop, summary in zip(batch.hops, trace.hops, strict=True):
             tracking_state = supply.consortium_rt.state_of(hop.tracking_contract)
             hops.append({
-                "index": summary.index,
-                "seller_role": summary.seller_role,
-                "buyer_role": summary.buyer_role,
-                "seller": summary.seller,
-                "buyer": summary.buyer,
+                **summary.to_dict(),
                 "status": stage_label(hop.status),
-                "product_contract": summary.product_contract,
-                "tracking_contract": summary.tracking_contract,
-                "predecessor": summary.predecessor,
                 "readings_fed": hop.readings_fed,
                 "weight_delta": hop.weight_delta,
                 "settlement_tick": settlement_tick.get((batch.batch_id, summary.index)),
@@ -413,9 +414,6 @@ def build_run_report(scenario: Scenario, supply: SupplyChain, seed: int,
                     "pressure": tracking_state["pressure_stage"],
                     "violation_type": tracking_state["violation_type"],
                 },
-                "violations": [v.to_dict() for v in summary.violations],
-                "accurate_readings": summary.accurate_readings,
-                "distribution_events": [d.to_dict() for d in summary.distribution_events],
             })
         batches.append({
             "batch_id": batch.batch_id,
@@ -461,28 +459,11 @@ def report_to_text(report: dict) -> str:
         )
     for batch in report["batches"]:
         lines.append("")
+        lines.extend(batch_text(batch))
         lines.append(
-            f"batch {batch['batch_id']} ({batch['oil_name']}):"
-            f" {'CLEAN' if batch['clean'] else 'VIOLATIONS FOUND'}"
+            f"  oil: {batch['oil_name']},"
+            f" custody stage: {batch['distribution_state']['current_trace']}"
         )
-        totals = batch["violation_totals"]
-        lines.append(
-            "  violations: "
-            + ", ".join(f"{k}={v}" for k, v in totals.items())
-        )
-        lines.append(
-            f"  custody stage: {batch['distribution_state']['current_trace']}"
-        )
-        for hop in batch["hops"]:
-            lines.append(
-                f"  hop {hop['index']}: {hop['seller_role']} -> {hop['buyer_role']}"
-                f"  status={hop['status']}  fed={hop['readings_fed']}"
-                f"  violations={len(hop['violations'])}"
-            )
-            for v in hop["violations"]:
-                lines.append(
-                    f"    [tick {v['tick']}] {v['kind']} {v['stage']}: {v['message']}"
-                )
     gas = report["gas"]
     lines.append("")
     lines.append(

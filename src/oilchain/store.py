@@ -6,8 +6,8 @@ Layout under a store root:
     <root>/<chain-dir>/blocks.jsonl    one self-describing block record per line
 
 Loading re-verifies every chain and refuses anything that fails: a parse
-error or a hash/link mismatch raises CorruptLedger naming the first bad
-block where one exists.
+error, a malformed manifest or a hash/link mismatch raises CorruptLedger
+naming the chain directory or the first bad block.
 """
 
 from __future__ import annotations
@@ -128,12 +128,27 @@ def save_store(root: Path, chains: Iterable[ledger.Chain]) -> None:
 
 def load_chain(directory: Path) -> ledger.Chain:
     """Load and re-verify one chain directory. Raises CorruptLedger on any
-    parse failure, hash mismatch, or manifest/tip disagreement."""
+    parse failure, malformed manifest, hash mismatch, or manifest/tip
+    disagreement."""
     directory = Path(directory)
     try:
         manifest = json.loads((directory / _MANIFEST).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CorruptLedger(f"unreadable manifest in {directory.name}: {exc}") from exc
+    try:
+        if not isinstance(manifest, dict):
+            raise TypeError("expected an object")
+        version = manifest.get("schema_version")
+        if version != STORE_SCHEMA_VERSION:
+            raise ValueError(f"schema_version {version!r} unsupported")
+        chain_class = ledger.ChainClass(manifest.get("class"))
+        name = manifest.get("name")
+        if not isinstance(name, str):
+            raise TypeError(f"name must be a string, got {name!r}")
+        key = "acl" if chain_class is ledger.ChainClass.PRIVATE else "validators"
+        addresses = [bytes.fromhex(a) for a in manifest.get(key, [])]
+    except (TypeError, ValueError) as exc:
+        raise CorruptLedger(f"invalid manifest in {directory.name}: {exc}") from None
 
     blocks = []
     try:
@@ -145,21 +160,8 @@ def load_chain(directory: Path) -> ledger.Chain:
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise CorruptLedger(f"unreadable block record in {directory.name}: {exc}") from exc
 
-    if manifest.get("class") == ledger.ChainClass.PRIVATE.value:
-        chain = ledger.Chain(
-            chain_class=ledger.ChainClass.PRIVATE,
-            name=manifest["name"],
-            acl={bytes.fromhex(a) for a in manifest.get("acl", [])},
-            blocks=blocks,
-        )
-    else:
-        chain = ledger.Chain(
-            chain_class=ledger.ChainClass.CONSORTIUM,
-            name=manifest["name"],
-            validators=tuple(bytes.fromhex(v) for v in manifest.get("validators", [])),
-            blocks=blocks,
-        )
-
+    members = {"acl": set(addresses)} if key == "acl" else {"validators": tuple(addresses)}
+    chain = ledger.Chain(chain_class=chain_class, name=name, blocks=blocks, **members)
     report = ledger.verify_chain(chain)
     if not report.valid:
         raise CorruptLedger(

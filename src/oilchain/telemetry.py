@@ -4,9 +4,9 @@ Readings are integers generated around per-kind setpoints with seeded
 uniform noise, so a stream is a pure function of its profile and seed.
 Temperature, humidity, and pressure readings drive the hop's tracking
 contract; location, weight, leak-alarm, and RFID readings are appended as
-plain records to the seller's private chain. Faults are injected by
-offsetting a tick window of one kind, which is how out-of-band conditions
-are simulated.
+plain records to the seller's private chain (see `SupplyChain.feed`).
+Faults are injected by offsetting a tick window of one kind, which is how
+out-of-band conditions are simulated.
 """
 
 from __future__ import annotations
@@ -14,15 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import ledger
 from .encoding import canon_decode, digest
-from .errors import StaleTelemetry, Unauthorized, WindowOutOfRange, WrongStatus
-from .runtime import CallStatus
-
-if TYPE_CHECKING:
-    from .workflow import Hop, SupplyChain
+from .errors import WindowOutOfRange
 
 
 class ReadingKind(Enum):
@@ -47,7 +43,7 @@ CHECK_FUNCTION = {
 RECORD_FUNCTION = "recordTelemetry"
 
 # fixed dispatch order for kinds sharing a tick
-_KIND_ORDER = {kind: i for i, kind in enumerate(ReadingKind)}
+KIND_ORDER = {kind: i for i, kind in enumerate(ReadingKind)}
 
 Value = int | tuple[int, int]
 
@@ -103,7 +99,7 @@ def generate_readings(profile: SensorProfile, seed: int, source: bytes,
     """Deterministic stream: setpoint plus uniform noise in [-amp, +amp]."""
     rng = random.Random(seed)
     amp = profile.noise_amplitude
-    kinds = sorted(profile.setpoints, key=_KIND_ORDER.__getitem__)
+    kinds = sorted(profile.setpoints, key=KIND_ORDER.__getitem__)
     out = []
     for tick in range(profile.duration):
         for kind in kinds:
@@ -145,81 +141,6 @@ def inject_fault(readings: Sequence[SensorReading], fault: FaultSpec,
         else:
             out.append(r)
     return out
-
-
-# --- feeding ------------------------------------------------------------------
-
-def feed(readings: Sequence[SensorReading], hop: "Hop", supply: "SupplyChain",
-         ) -> list:
-    """Dispatch a stream into the hop's contracts, in tick order.
-
-    Checked kinds become tracking-contract calls made by the gateway
-    address; everything else is recorded on the seller's private chain. The
-    hop moves to InTransit on its first feed, and `readings_fed` counts the
-    readings committed to a ledger (a reverted check is not). Returns the
-    per-check call results in dispatch order.
-    """
-    from .workflow import HopStatus
-
-    if hop.status not in (HopStatus.ACCEPTED, HopStatus.IN_TRANSIT):
-        raise WrongStatus(
-            f"hop {hop.index} is {hop.status.name}, telemetry needs an accepted shipment"
-        )
-    for r in readings:
-        if r.source != hop.data_address:
-            raise Unauthorized(
-                f"reading sourced from an address that is not hop {hop.index}'s gateway"
-            )
-
-    ordered = sorted(readings, key=lambda r: (r.tick, _KIND_ORDER[r.kind]))
-    if hop.max_silence_ticks is not None and ordered:
-        last = ordered[0].tick
-        for r in ordered:
-            if r.tick - last > hop.max_silence_ticks:
-                raise StaleTelemetry(
-                    f"gap of {r.tick - last} ticks exceeds budget {hop.max_silence_ticks}"
-                )
-            last = r.tick
-
-    if ordered:
-        hop.status = HopStatus.IN_TRANSIT
-
-    seller_rt = supply.private_runtime(hop.seller.address)
-    results = []
-    for r in ordered:
-        if r.kind in CHECK_FUNCTION:
-            result = supply.consortium_rt.call(
-                hop.tracking_contract,
-                CHECK_FUNCTION[r.kind],
-                {"value": r.value},
-                caller=hop.data_address,
-            )
-            results.append(result)
-            if result.status is not CallStatus.OK:
-                continue
-        else:
-            value = list(r.value) if isinstance(r.value, tuple) else r.value
-            seller_rt.record(
-                caller=hop.seller.address,
-                contract=hop.product_contract,
-                function=RECORD_FUNCTION,
-                payload={
-                    "kind": r.kind.value,
-                    "tick": r.tick,
-                    "value": value,
-                    "source": r.source,
-                },
-            )
-        hop.readings_fed += 1
-    return results
-
-
-def track_location(readings: Sequence[SensorReading], hop: "Hop",
-                   supply: "SupplyChain") -> int:
-    """Feed only the location fixes from a stream; returns how many."""
-    fixes = [r for r in readings if r.kind is ReadingKind.LOCATION]
-    feed(fixes, hop, supply)
-    return len(fixes)
 
 
 # --- reading back ----------------------------------------------------------------

@@ -5,12 +5,14 @@ contracts: a product-info instance on the seller's private chain (readable
 by seller and buyer only) and a tracking instance on the consortium chain,
 linked to the previous hop's tracking contract. The buyer accepts with a
 signature over the hop's canonical digest, or with a passphrase; acceptance
-records the settlement transfer. Delivery advances the batch's distribution
-contract one stage.
+records the settlement transfer. An accepted hop's sensor stream is fed into
+its contracts, and delivery advances the batch's distribution contract one
+stage.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
 
@@ -21,20 +23,20 @@ from .errors import (
     BadCredential,
     InvalidRolePair,
     MissingPredecessor,
+    StaleTelemetry,
+    Unauthorized,
     ValidationError,
     WrongStage,
     WrongStatus,
 )
-from .identity import Actor, Credential, CredentialKind, KeyPair, Role, address_hex
-from .runtime import CallStatus, LogicalClock, Runtime
+from .identity import Actor, Credential, CredentialKind, KeyPair, Role
+from .runtime import CallResult, CallStatus, LogicalClock, Runtime
 
 
 class HopStatus(IntEnum):
     PROPOSED = 0
     ACCEPTED = 1
-    IN_TRANSIT = 2
-    DELIVERED = 3
-    SETTLED = 4
+    DELIVERED = 2
 
 
 # who may sell to whom, one step down the custody chain
@@ -94,8 +96,6 @@ class Hop:
     gateway: KeyPair
     status: HopStatus = HopStatus.PROPOSED
     stored_passphrase: Credential | None = None
-    max_silence_ticks: int | None = None
-    queued_readings: list[telemetry.SensorReading] = dc_field(default_factory=list)
     readings_fed: int = 0
     weight_delta: int | None = None
 
@@ -108,7 +108,6 @@ class Hop:
 class BatchRecord:
     batch_id: str
     oil_name: str
-    setpoints: Setpoints
     distribution_contract: bytes
     hops: list[Hop] = dc_field(default_factory=list)
 
@@ -207,7 +206,7 @@ class SupplyChain:
             annotations={"record": "distribution", "batch": batch_id},
         )
         record = BatchRecord(batch_id=batch_id, oil_name=oil_name,
-                             setpoints=setpoints, distribution_contract=address)
+                             distribution_contract=address)
         self.batches[batch_id] = record
         return record
 
@@ -308,7 +307,6 @@ class SupplyChain:
             predecessor=predecessor,
             gateway=gateway,
             stored_passphrase=stored,
-            max_silence_ticks=terms.max_silence_ticks,
         )
         batch.hops.append(hop)
         return hop
@@ -374,30 +372,70 @@ class SupplyChain:
 
     # --- telemetry ------------------------------------------------------------------
 
-    def queue_telemetry(self, hop: Hop, readings: list[telemetry.SensorReading]) -> None:
-        hop.queued_readings.extend(readings)
+    def feed(self, hop: Hop, readings: Sequence[telemetry.SensorReading],
+             ) -> list[CallResult]:
+        """Dispatch an accepted hop's sensor stream, in tick order.
 
-    def feed_hop(self, hop: Hop, readings: list[telemetry.SensorReading] | None = None):
-        """Feed explicit readings, or drain the hop's queue."""
-        from_queue = readings is None
-        if from_queue:
-            readings = list(hop.queued_readings)
-        results = telemetry.feed(readings, hop, self)
-        if from_queue:
-            hop.queued_readings.clear()
+        Checked kinds become tracking-contract calls made by the gateway
+        address; everything else is recorded on the seller's private chain.
+        `readings_fed` counts the readings committed to a ledger (a reverted
+        check is not). Returns the per-check call results in dispatch order.
+        """
+        if hop.status is not HopStatus.ACCEPTED:
+            raise WrongStatus(
+                f"hop {hop.index} is {hop.status.name}, telemetry needs an accepted shipment"
+            )
+        for r in readings:
+            if r.source != hop.data_address:
+                raise Unauthorized(
+                    f"reading sourced from an address that is not hop {hop.index}'s gateway"
+                )
+
+        ordered = sorted(readings, key=lambda r: (r.tick, telemetry.KIND_ORDER[r.kind]))
+        budget = hop.terms.max_silence_ticks
+        if budget is not None:
+            for prev, r in zip(ordered, ordered[1:]):
+                if r.tick - prev.tick > budget:
+                    raise StaleTelemetry(
+                        f"gap of {r.tick - prev.tick} ticks exceeds budget {budget}"
+                    )
+
+        seller_rt = self.private_runtime(hop.seller.address)
+        results = []
+        for r in ordered:
+            if r.kind in telemetry.CHECK_FUNCTION:
+                result = self.consortium_rt.call(
+                    hop.tracking_contract,
+                    telemetry.CHECK_FUNCTION[r.kind],
+                    {"value": r.value},
+                    caller=hop.data_address,
+                )
+                results.append(result)
+                if result.status is not CallStatus.OK:
+                    continue
+            else:
+                value = list(r.value) if isinstance(r.value, tuple) else r.value
+                seller_rt.record(
+                    caller=hop.seller.address,
+                    contract=hop.product_contract,
+                    function=telemetry.RECORD_FUNCTION,
+                    payload={
+                        "kind": r.kind.value,
+                        "tick": r.tick,
+                        "value": value,
+                        "source": r.source,
+                    },
+                )
+            hop.readings_fed += 1
         return results
 
     # --- delivery -------------------------------------------------------------------
 
     def deliver(self, hop: Hop) -> Hop:
         """Close transit: fire the batch's distribution transition."""
-        if hop.status not in (HopStatus.ACCEPTED, HopStatus.IN_TRANSIT):
+        if hop.status is not HopStatus.ACCEPTED:
             raise WrongStatus(
                 f"hop {hop.index} is {hop.status.name}, cannot deliver"
-            )
-        if hop.queued_readings:
-            raise WrongStatus(
-                f"hop {hop.index} still has {len(hop.queued_readings)} unfed readings"
             )
 
         batch = self.batches[hop.batch_id]
@@ -431,19 +469,9 @@ class SupplyChain:
         hop.status = HopStatus.DELIVERED
         return hop
 
-    def settle(self, hop: Hop) -> Hop:
-        """Final bookkeeping step once delivery is done."""
-        if hop.status is not HopStatus.DELIVERED:
-            raise WrongStatus(f"hop {hop.index} is {hop.status.name}, not DELIVERED")
-        hop.status = HopStatus.SETTLED
-        return hop
-
     # --- audit ---------------------------------------------------------------------
 
     def distribution_state(self, batch_id: str) -> dict:
         batch = self.batches[batch_id]
         return self.consortium_rt.state_of(batch.distribution_contract)
 
-
-def format_party(actor: Actor) -> str:
-    return f"{actor.role.value} {address_hex(actor.address)}"

@@ -41,9 +41,11 @@ def setpoints() -> Setpoints:
 
 
 def standard_terms(setpoints: Setpoints, price: int = 100, quantity: int = 10,
-                   passphrase: str | None = None) -> TermSheet:
+                   passphrase: str | None = None,
+                   max_silence_ticks: int | None = None) -> TermSheet:
     return TermSheet(oil_id="101", oil_name="Petrol", quantity=quantity,
-                     price=price, setpoints=setpoints, passphrase=passphrase)
+                     price=price, setpoints=setpoints, passphrase=passphrase,
+                     max_silence_ticks=max_silence_ticks)
 
 
 def settlement_records(supply: SupplyChain) -> list[tuple[int, dict]]:

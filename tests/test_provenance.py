@@ -34,9 +34,8 @@ def run_hops(supply, setpoints, count=2, feed_ticks=0, fault=None, batch_id="101
                                                    source=hop.data_address)
             if fault and hop.index == fault[0]:
                 readings = telemetry.inject_fault(readings, fault[1])
-            supply.feed_hop(hop, readings)
+            supply.feed(hop, readings)
         supply.deliver(hop)
-        supply.settle(hop)
         predecessor = hop.tracking_contract
     return batch
 

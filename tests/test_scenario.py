@@ -7,11 +7,15 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SCENARIO_DIR
 from oilchain import runtime
-from oilchain.errors import ParseError, QuorumNotMet, ValidationError
+from oilchain.errors import OilchainError, ParseError, QuorumNotMet, ValidationError
+from oilchain.provenance import batch_text, build_report
 from oilchain.scenario import (
+    MAX_DURATION_TICKS,
+    Scenario,
     load_scenario,
     parse_scenario,
     report_to_json,
@@ -96,6 +100,8 @@ def broken(mutate):
     (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(duration=0),
      "duration"),
     (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(
+        duration=MAX_DURATION_TICKS + 1), "telemetry.duration"),
+    (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(
         kinds=["Pressure", "Vibration"]), "kinds[1]"),
     (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(
         faults=[{"kind": "Pressure", "start": 0, "end": 1, "offset": "big"}]),
@@ -104,6 +110,7 @@ def broken(mutate):
         extra_setpoints={"Location": [1]}), "Location"),
     (lambda d: d.update(batches=[]), "batches"),
     (lambda d: d.update(report={"eth_usd": -3}), "eth_usd"),
+    (lambda d: d.update(report={"eth_usd": 10**400}), "report.eth_usd"),
     (lambda d: d["batches"][0]["hops"][0].update(accept="sig"), "hops[0].accept"),
     (lambda d: d["batches"][0].update(hops=3), "batches[0].hops"),
     (lambda d: d.update(report=[]), "scenario.report"),
@@ -117,6 +124,48 @@ def test_validation_errors_name_the_field(mutate, needle):
     with pytest.raises(ValidationError) as err:
         parse_scenario(broken(mutate))
     assert needle in str(err.value)
+
+
+def _node_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+BUNDLED_DOCS = [json.loads(p.read_text()) for p in (HAPPY, FAULTED)]
+BUNDLED_NODES = [(i, path) for i, doc in enumerate(BUNDLED_DOCS) for path in _node_paths(doc)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=12), inner,
+                                                                max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BUNDLED_NODES), JSON_VALUES)
+def test_any_one_node_replaced_parses_or_raises_oilchain_error(node, value):
+    doc_index, path = node
+    doc = copy.deepcopy(BUNDLED_DOCS[doc_index])
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    try:
+        parsed = parse_scenario(doc)
+    except OilchainError:
+        return
+    assert isinstance(parsed, Scenario)
 
 
 def test_broken_json_reports_the_line(tmp_path):
@@ -141,9 +190,9 @@ def test_runs_are_byte_identical():
 
 # Any change to these bytes must be made on purpose: update the hash with it.
 @pytest.mark.parametrize("path,sha256", [
-    (HAPPY, "a72baf188f737ab6fda0dc7575829e3fbbadafcf78e0ea328a3caeeda1fda6dc"),
-    (FAULTED, "e262be214f070b366bab67d8fcaf3918d6aa0a29baacc754a553ec19f3d74324"),
-])
+    (HAPPY, "d07a75f5c73ef938d03c83906c9594ff7a2e44c31e090977d0680aa7d778cd2c"),
+    (FAULTED, "5df55494e9241a45ba914cf5800c2bf7c6563f69ae8fa94a127bd471260a2c7b"),
+], ids=["happy_path", "pressure_fault_hop2"])
 def test_report_bytes_are_pinned(path, sha256):
     text = report_to_json(run_scenario_file(path).report)
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
@@ -167,7 +216,7 @@ def test_happy_path_report_contents():
     assert batch["violation_totals"] == {"Temperature": 0, "Humidity": 0,
                                          "Pressure": 0}
     assert batch["distribution_state"]["current_trace"] == "Sold"
-    assert [h["status"] for h in batch["hops"]] == ["Settled"] * 4
+    assert [h["status"] for h in batch["hops"]] == ["Delivered"] * 4
     assert [h["index"] for h in batch["hops"]] == [1, 2, 3, 4]
     assert all(h["violations"] == [] for h in batch["hops"])
     assert len(report["settlements"]) == 4
@@ -223,6 +272,19 @@ def test_two_faulty_validators_of_four_break_the_quorum():
     doc["topology"]["faulty_validators"] = 2
     with pytest.raises(QuorumNotMet):
         run_scenario(parse_scenario(doc))
+
+
+@pytest.mark.parametrize("path", [HAPPY, FAULTED], ids=["happy_path", "pressure_fault_hop2"])
+def test_run_report_hops_embed_the_trace_record(path):
+    result = run_scenario_file(path)
+    text = report_to_text(result.report)
+    for batch in result.report["batches"]:
+        trace = build_report(result.supply.consortium_chain, batch["batch_id"]).to_dict()
+        assert len(batch["hops"]) == len(trace["hops"])
+        for hop, traced in zip(batch["hops"], trace["hops"]):
+            assert list(hop.items())[:11] == list(traced.items())
+            assert hop["status"] == "Delivered"
+        assert "\n".join(batch_text(trace)) in text
 
 
 def test_text_rendering_mentions_the_essentials():

@@ -78,6 +78,22 @@ def test_manifest_tip_mismatch_is_refused(tmp_path):
         store.load_chain(tmp_path / "consortium")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda m: [m],
+    lambda m: {k: v for k, v in m.items() if k != "name"},
+    lambda m: {**m, "acl": ["not-hex"]},
+    lambda m: {**m, "class": "Oracle"},
+    lambda m: {**m, "schema_version": 9},
+], ids=["list", "no-name", "non-hex-acl", "unknown-class", "schema-version"])
+def test_malformed_manifest_is_refused_naming_the_directory(tmp_path, edit):
+    saved_pair(tmp_path)
+    manifest_file = tmp_path / "private-scratch" / "manifest.json"
+    manifest_file.write_text(json.dumps(edit(json.loads(manifest_file.read_text()))))
+    with pytest.raises(CorruptLedger) as err:
+        store.load_chain(tmp_path / "private-scratch")
+    assert "private-scratch" in str(err.value)
+
+
 def test_deleted_trailing_block_is_refused_via_tip(tmp_path):
     # Dropping the newest block keeps every hash consistent; the manifest tip
     # is what catches the rollback.

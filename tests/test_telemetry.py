@@ -161,7 +161,7 @@ def test_feed_requires_accepted_hop(supply, setpoints):
     hop = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY,
                               standard_terms(setpoints))
     with pytest.raises(WrongStatus):
-        telemetry.feed(hop_stream(hop), hop, supply)
+        supply.feed(hop, hop_stream(hop))
     assert hop.status is HopStatus.PROPOSED
 
 
@@ -169,7 +169,7 @@ def test_feed_rejects_foreign_sources(supply, setpoints):
     _batch, hop = accepted_hop(supply, setpoints)
     bad = [SensorReading(ReadingKind.PRESSURE, 0, 8, SOURCE)]
     with pytest.raises(Unauthorized):
-        telemetry.feed(bad, hop, supply)
+        supply.feed(hop, bad)
     assert hop.readings_fed == 0
     assert hop.status is HopStatus.ACCEPTED
 
@@ -177,8 +177,8 @@ def test_feed_rejects_foreign_sources(supply, setpoints):
 def test_feed_moves_hop_in_transit_and_checks_each_reading(supply, setpoints):
     _batch, hop = accepted_hop(supply, setpoints)
     readings = hop_stream(hop, duration=4)
-    results = telemetry.feed(readings, hop, supply)
-    assert hop.status is HopStatus.IN_TRANSIT
+    results = supply.feed(hop, readings)
+    assert hop.status is HopStatus.ACCEPTED
     assert hop.readings_fed == len(readings)
     # three checked kinds per tick, each one tracking-contract call
     assert len(results) == 12
@@ -195,7 +195,7 @@ def test_reverted_checks_are_not_counted_as_fed(supply, setpoints):
     _batch, hop = accepted_hop(supply, setpoints)
     tracking = supply.consortium_rt.contracts[hop.tracking_contract]
     tracking.data_source = SOURCE       # the gateway may no longer feed checks
-    results = telemetry.feed(hop_stream(hop, duration=3), hop, supply)
+    results = supply.feed(hop, hop_stream(hop, duration=3))
     assert len(results) == 9
     assert all(r.status.value == "Reverted" for r in results)
     records = telemetry.telemetry_records(supply.private_chain(hop.seller.address),
@@ -207,7 +207,7 @@ def test_reverted_checks_are_not_counted_as_fed(supply, setpoints):
 
 def test_unchecked_kinds_land_on_the_seller_private_chain(supply, setpoints):
     _batch, hop = accepted_hop(supply, setpoints)
-    telemetry.feed(hop_stream(hop, duration=3), hop, supply)
+    supply.feed(hop, hop_stream(hop, duration=3))
     chain = supply.private_chain(hop.seller.address)
     records = telemetry.telemetry_records(chain, hop.product_contract,
                                           querier=hop.seller.address)
@@ -224,7 +224,8 @@ def test_location_history_and_read_gating(supply, setpoints):
     _batch, hop = accepted_hop(supply, setpoints)
     fixes = [r for r in hop_stream(hop, duration=5)
              if r.kind is ReadingKind.LOCATION]
-    assert telemetry.track_location(fixes, hop, supply) == 5
+    supply.feed(hop, fixes)
+    assert hop.readings_fed == 5
     chain = supply.private_chain(hop.seller.address)
     history = telemetry.location_history(chain, hop.product_contract,
                                          querier=hop.buyer.address)
@@ -241,7 +242,7 @@ def test_violation_events_match_out_of_band_values(supply, setpoints):
     _batch, hop = accepted_hop(supply, setpoints)
     readings = inject_fault(hop_stream(hop, duration=4),
                             FaultSpec(ReadingKind.PRESSURE, 1, 2, +5))
-    telemetry.feed(readings, hop, supply)
+    supply.feed(hop, readings)
     events = [e for b in supply.consortium_chain.blocks
               for t in b.transactions for e in t.events
               if t.contract == hop.tracking_contract
@@ -252,18 +253,16 @@ def test_violation_events_match_out_of_band_values(supply, setpoints):
 
 
 def test_silence_budget_enforced(supply, setpoints):
-    _batch, hop = accepted_hop(supply, setpoints,
-                               {"passphrase": None})
-    hop.max_silence_ticks = 2
+    _batch, hop = accepted_hop(supply, setpoints, {"max_silence_ticks": 2})
     readings = [SensorReading(ReadingKind.PRESSURE, t, 8, hop.data_address)
                 for t in (0, 1, 4)]
     with pytest.raises(StaleTelemetry):
-        telemetry.feed(readings, hop, supply)
+        supply.feed(hop, readings)
     assert hop.readings_fed == 0
     assert hop.status is HopStatus.ACCEPTED
     ok = [SensorReading(ReadingKind.PRESSURE, t, 8, hop.data_address)
           for t in (0, 2, 4)]
-    telemetry.feed(ok, hop, supply)
+    supply.feed(hop, ok)
     assert hop.readings_fed == 3
 
 
@@ -271,7 +270,7 @@ def test_feed_order_is_tick_then_kind(supply, setpoints):
     _batch, hop = accepted_hop(supply, setpoints)
     shuffled = hop_stream(hop, duration=3)
     random.Random(0).shuffle(shuffled)
-    telemetry.feed(shuffled, hop, supply)
+    supply.feed(hop, shuffled)
     calls = [(b.timestamp, t.function)
              for b in supply.consortium_chain.blocks
              for t in b.transactions

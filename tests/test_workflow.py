@@ -20,7 +20,7 @@ from oilchain.errors import (
 from oilchain.identity import Role
 from oilchain.provenance import build_report
 from oilchain.telemetry import ReadingKind, SensorReading
-from oilchain.workflow import HopStatus, SupplyChain, Topology, format_party
+from oilchain.workflow import HopStatus, SupplyChain, Topology
 
 
 def sign_accept(supply, hop):
@@ -245,7 +245,6 @@ def advance(supply, batch, seller, buyer, setpoints, predecessor=None, price=100
                               predecessor=predecessor)
     supply.accept_shipment(hop, sign_accept(supply, hop))
     supply.deliver(hop)
-    supply.settle(hop)
     return hop
 
 
@@ -253,19 +252,15 @@ def test_deliver_requires_accepted_status(supply, setpoints):
     _batch, hop = proposed_hop(supply, setpoints)
     with pytest.raises(WrongStatus):
         supply.deliver(hop)
-
-
-def test_deliver_refuses_with_unfed_queue(supply, setpoints):
-    _batch, hop = proposed_hop(supply, setpoints)
     supply.accept_shipment(hop, sign_accept(supply, hop))
-    supply.queue_telemetry(hop, weight_readings(hop, [500, 503]))
-    with pytest.raises(WrongStatus):
-        supply.deliver(hop)
-    supply.feed_hop(hop)
-    assert hop.queued_readings == []
     supply.deliver(hop)
     assert hop.status is HopStatus.DELIVERED
-    assert hop.weight_delta == 3
+    before = tips(supply)
+    with pytest.raises(WrongStatus):
+        supply.deliver(hop)
+    with pytest.raises(WrongStatus):
+        supply.feed(hop, weight_readings(hop, [500]))
+    assert tips(supply) == before
 
 
 def test_delivery_advances_distribution_and_stamps_tick(supply, setpoints):
@@ -297,7 +292,7 @@ def test_full_path_reaches_sold(supply, setpoints):
     state = supply.distribution_state("101")
     assert state["current_trace"] == "Sold"
     assert state["pump_price"] == 180
-    assert [h.status for h in batch.hops] == [HopStatus.SETTLED] * 4
+    assert [h.status for h in batch.hops] == [HopStatus.DELIVERED] * 4
 
     # the pump sale is the buying consumer's call; the event names the pump
     sale = next(tx for b in supply.consortium_chain.blocks
@@ -306,7 +301,7 @@ def test_full_path_reaches_sold(supply, setpoints):
     assert sale.events[0].arg("ad") == identity.address_hex(
         supply.actor(Role.PUMP).address)
     assert [p["hop"] for _tick, p in settlement_records(supply)] == [1, 2, 3, 4]
-    assert h4.status is HopStatus.SETTLED
+    assert h4.status is HopStatus.DELIVERED
 
 
 def test_out_of_order_delivery_hits_the_stage_gate(supply, setpoints):
@@ -319,7 +314,7 @@ def test_out_of_order_delivery_hits_the_stage_gate(supply, setpoints):
     supply.accept_shipment(h2, sign_accept(supply, h2))
     with pytest.raises(WrongStage):
         supply.deliver(h2)
-    assert h2.status is HopStatus.IN_TRANSIT or h2.status is HopStatus.ACCEPTED
+    assert h2.status is HopStatus.ACCEPTED
     assert supply.distribution_state("101")["current_trace"] == "Created"
 
 
@@ -336,7 +331,7 @@ def test_other_factory_branch_ends_at_storage(setpoints):
     # the storage hand-off still books the oil into storage, then the
     # branch terminates: an OtherFactory cannot sell onward
     assert supply.distribution_state("101")["current_trace"] == "AtStorage"
-    assert h3.status is HopStatus.SETTLED
+    assert h3.status is HopStatus.DELIVERED
     with pytest.raises(InvalidRolePair):
         supply.initiate_hop(batch, Role.OTHER_FACTORY, Role.CONSUMER,
                             standard_terms(setpoints),
@@ -346,23 +341,9 @@ def test_other_factory_branch_ends_at_storage(setpoints):
 def test_weight_delta_is_last_minus_first(supply, setpoints):
     _batch, hop = proposed_hop(supply, setpoints)
     supply.accept_shipment(hop, sign_accept(supply, hop))
-    supply.feed_hop(hop, weight_readings(hop, [500, 496, 492]))
+    supply.feed(hop, weight_readings(hop, [500, 496, 492]))
     supply.deliver(hop)
     assert hop.weight_delta == -8
-
-
-def test_settle_requires_delivery(supply, setpoints):
-    _batch, hop = proposed_hop(supply, setpoints)
-    with pytest.raises(WrongStatus):
-        supply.settle(hop)
-    supply.accept_shipment(hop, sign_accept(supply, hop))
-    with pytest.raises(WrongStatus):
-        supply.settle(hop)
-    supply.deliver(hop)
-    supply.settle(hop)
-    assert hop.status is HopStatus.SETTLED
-    with pytest.raises(WrongStatus):
-        supply.settle(hop)
 
 
 def test_trace_is_read_only_and_checks_batch(supply, setpoints):
@@ -374,10 +355,3 @@ def test_trace_is_read_only_and_checks_batch(supply, setpoints):
     assert report.batch_id == "101"
     with pytest.raises(UnknownBatch):
         build_report(supply.consortium_chain, "999")
-
-
-def test_format_party(supply):
-    driller = supply.actor(Role.DRILLER)
-    text = format_party(driller)
-    assert text.startswith("Driller 0x")
-    assert identity.address_hex(driller.address) in text
