@@ -91,8 +91,8 @@ def _cmd_verify(args) -> int:
     ok = True
     for name, chain in chains.items():
         quorum = ledger.verify_endorsement_quorum(chain)
-        ok = ok and quorum
-        status = "ok" if quorum else "QUORUM FAILED"
+        ok = ok and quorum.valid
+        status = "ok" if quorum else f"QUORUM FAILED at block {quorum.first_bad_index}"
         lines.append({
             "chain": name,
             "class": chain.chain_class.value,

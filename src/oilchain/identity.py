@@ -66,10 +66,6 @@ class Actor:
     public_key: bytes
     private_key: bytes = field(repr=False)
 
-    @property
-    def keypair(self) -> KeyPair:
-        return KeyPair(self.private_key, self.public_key, self.address)
-
 
 @dataclass(frozen=True)
 class Credential:

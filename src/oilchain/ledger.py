@@ -1,11 +1,11 @@
 """Hash-chained block ledgers: private (ACL-gated) and consortium (endorsed).
 
-A block's hash covers every field except the hash itself, via the canonical
-encoding, so any byte of recorded history that changes breaks verification
-from that block onward. Consortium blocks additionally carry validator
-endorsements: signatures over the candidate body (everything except the
-endorsements and the hash), checked against a 2f+1 quorum of a 3f+1
-validator set.
+A block's candidate digest is SHA-256 over the canonical encoding of its
+index, previous hash, timestamp and transactions. Its hash is SHA-256 over
+that digest followed by the canonical encoding of its endorsements, so any
+byte of recorded history that changes breaks verification from that block
+onward. Consortium blocks carry validator endorsements: signatures over the
+candidate digest, checked against a 2f+1 quorum of a 3f+1 validator set.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import identity
 from .encoding import canon_encode
@@ -127,6 +127,9 @@ class VerificationReport:
     valid: bool
     first_bad_index: int | None = None
 
+    def __bool__(self) -> bool:
+        return self.valid
+
 
 # --- hashing ----------------------------------------------------------------
 
@@ -137,30 +140,16 @@ def candidate_digest(index: int, prev_hash: bytes, timestamp: int,
     return hashlib.sha256(canon_encode(body)).digest()
 
 
-def compute_block_hash(index: int, prev_hash: bytes, timestamp: int,
-                       transactions: Sequence[Transaction],
-                       endorsements: Sequence[Endorsement]) -> bytes:
-    body = [
-        index,
-        prev_hash,
-        timestamp,
-        [t.canonical() for t in transactions],
-        [e.canonical() for e in endorsements],
-    ]
-    return hashlib.sha256(canon_encode(body)).digest()
+def block_hash(digest: bytes, endorsements: Sequence[Endorsement]) -> bytes:
+    """SHA-256 over the candidate digest followed by the canonical endorsements."""
+    return hashlib.sha256(
+        digest + canon_encode([e.canonical() for e in endorsements])
+    ).digest()
 
 
-def _sealed_block(index: int, prev_hash: bytes, timestamp: int,
-                  transactions: Sequence[Transaction],
-                  endorsements: Sequence[Endorsement]) -> Block:
-    return Block(
-        index=index,
-        prev_hash=prev_hash,
-        timestamp=timestamp,
-        transactions=tuple(transactions),
-        endorsements=tuple(endorsements),
-        hash=compute_block_hash(index, prev_hash, timestamp, transactions, endorsements),
-    )
+def _genesis_block() -> Block:
+    digest = candidate_digest(0, GENESIS_PREV_HASH, 0, ())
+    return Block(0, GENESIS_PREV_HASH, 0, (), (), block_hash(digest, ()))
 
 
 # --- chain construction -------------------------------------------------------
@@ -176,7 +165,7 @@ def quorum_fault_bound(validator_count: int) -> int:
 
 def new_private_chain(name: str, acl: Iterable[bytes]) -> Chain:
     chain = Chain(chain_class=ChainClass.PRIVATE, name=name, acl=set(acl))
-    chain.blocks.append(_sealed_block(0, GENESIS_PREV_HASH, 0, (), ()))
+    chain.blocks.append(_genesis_block())
     return chain
 
 
@@ -187,7 +176,7 @@ def new_consortium_chain(name: str, validators: Sequence[bytes]) -> Chain:
         name=name,
         validators=tuple(sorted(validators)),
     )
-    chain.blocks.append(_sealed_block(0, GENESIS_PREV_HASH, 0, (), ()))
+    chain.blocks.append(_genesis_block())
     return chain
 
 
@@ -211,13 +200,14 @@ def collect_endorsements(digest: bytes,
     return out
 
 
-def count_valid_endorsements(digest: bytes, endorsements: Sequence[Endorsement],
-                             validators: Sequence[bytes]) -> int:
-    """Distinct validators with a correct signature over the digest.
+def _check_quorum(digest: bytes, endorsements: Sequence[Endorsement],
+                  validators: Sequence[bytes]) -> None:
+    """Raise QuorumNotMet unless 2f+1 distinct validators signed the digest.
 
-    Raises QuorumNotMet if any endorsement is malformed, signed by a
-    non-validator, or carries a bad signature.
+    Any malformed endorsement, one from a non-validator or one with a bad
+    signature refuses the block, however many good ones it also carries.
     """
+    needed = 2 * quorum_fault_bound(len(validators)) + 1
     validator_set = set(validators)
     seen: set[bytes] = set()
     for e in endorsements:
@@ -227,22 +217,21 @@ def count_valid_endorsements(digest: bytes, endorsements: Sequence[Endorsement],
         if not identity.verify(digest, e.signature, e.public_key):
             raise QuorumNotMet(f"invalid endorsement signature from {identity.address_hex(addr)}")
         seen.add(addr)
-    return len(seen)
+    if len(seen) < needed:
+        raise QuorumNotMet(f"need {needed} endorsements, got {len(seen)} valid")
 
 
 # --- append / verify ----------------------------------------------------------
 
 def append_block(chain: Chain, transactions: Sequence[Transaction], timestamp: int,
-                 endorsements: Sequence[Endorsement] = ()) -> Block:
-    """Append a sealed block after policy checks.
+                 endorse: Callable[[bytes], Sequence[Endorsement]] | None = None) -> Block:
+    """Seal and append a block after policy checks.
 
     Private chains require every transaction caller to be on the ACL.
-    Consortium chains require >= 2f+1 valid, distinct validator endorsements
-    over the candidate digest.
+    Consortium chains pass the candidate digest to `endorse` and require
+    >= 2f+1 valid, distinct validator endorsements over it. The block hash
+    is sealed over that same digest, so transactions are encoded once.
     """
-    index = len(chain.blocks)
-    prev_hash = chain.tip_hash
-
     if chain.chain_class is ChainClass.PRIVATE:
         for tx in transactions:
             if tx.caller not in chain.acl:
@@ -250,17 +239,16 @@ def append_block(chain: Chain, transactions: Sequence[Transaction], timestamp: i
                     f"caller {identity.address_hex(tx.caller)} is not on the"
                     f" access list of chain {chain.name!r}"
                 )
-        endorsements = ()
-    else:
-        f = quorum_fault_bound(len(chain.validators))
-        digest = candidate_digest(index, prev_hash, timestamp, transactions)
-        valid = count_valid_endorsements(digest, endorsements, chain.validators)
-        if valid < 2 * f + 1:
-            raise QuorumNotMet(
-                f"need {2 * f + 1} endorsements, got {valid} valid"
-            )
+    index = len(chain.blocks)
+    prev_hash = chain.tip_hash
+    digest = candidate_digest(index, prev_hash, timestamp, transactions)
+    endorsements: tuple[Endorsement, ...] = ()
+    if chain.chain_class is ChainClass.CONSORTIUM:
+        endorsements = tuple(endorse(digest)) if endorse is not None else ()
+        _check_quorum(digest, endorsements, chain.validators)
 
-    block = _sealed_block(index, prev_hash, timestamp, transactions, endorsements)
+    block = Block(index, prev_hash, timestamp, tuple(transactions), endorsements,
+                  block_hash(digest, endorsements))
     chain.blocks.append(block)
     return block
 
@@ -269,7 +257,7 @@ def verify_chain(chain: Chain) -> VerificationReport:
     """Recompute every hash and link. Valid iff nothing was altered.
 
     first_bad_index is the earliest block whose stored fields no longer match
-    what its contents imply.
+    what its contents imply, or hold a value the canonical encoding refuses.
     """
     for i, block in enumerate(chain.blocks):
         if block.index != i:
@@ -277,30 +265,31 @@ def verify_chain(chain: Chain) -> VerificationReport:
         expected_prev = GENESIS_PREV_HASH if i == 0 else chain.blocks[i - 1].hash
         if block.prev_hash != expected_prev:
             return VerificationReport(False, i)
-        recomputed = compute_block_hash(
-            block.index, block.prev_hash, block.timestamp,
-            block.transactions, block.endorsements,
-        )
+        try:
+            digest = candidate_digest(block.index, block.prev_hash,
+                                      block.timestamp, block.transactions)
+            recomputed = block_hash(digest, block.endorsements)
+        except (TypeError, ValueError):
+            return VerificationReport(False, i)
         if recomputed != block.hash:
             return VerificationReport(False, i)
     return VerificationReport(True, None)
 
 
-def verify_endorsement_quorum(chain: Chain) -> bool:
-    """Re-verify every non-genesis consortium block's endorsement quorum."""
-    if chain.chain_class is not ChainClass.CONSORTIUM:
-        return True
-    f = quorum_fault_bound(len(chain.validators))
-    for block in chain.blocks[1:]:
-        digest = candidate_digest(block.index, block.prev_hash,
-                                  block.timestamp, block.transactions)
-        try:
-            valid = count_valid_endorsements(digest, block.endorsements, chain.validators)
-        except QuorumNotMet:
-            return False
-        if valid < 2 * f + 1:
-            return False
-    return True
+def verify_endorsement_quorum(chain: Chain) -> VerificationReport:
+    """Re-verify every non-genesis consortium block's endorsement quorum.
+
+    first_bad_index is the earliest block whose endorsements fail the check.
+    """
+    if chain.chain_class is ChainClass.CONSORTIUM:
+        for i, block in enumerate(chain.blocks[1:], start=1):
+            digest = candidate_digest(block.index, block.prev_hash,
+                                      block.timestamp, block.transactions)
+            try:
+                _check_quorum(digest, block.endorsements, chain.validators)
+            except QuorumNotMet:
+                return VerificationReport(False, i)
+    return VerificationReport(True, None)
 
 
 # --- queries ----------------------------------------------------------------

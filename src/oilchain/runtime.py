@@ -4,7 +4,9 @@ Gas is not interpreted from opcodes; each function carries a fixed
 (execution, transaction) gas pair from a measured calibration table. A call
 is charged its transaction gas; if that exceeds the gas limit the call
 reverts before touching state. Reverted calls commit nothing: the chain tip
-before and after is the same hash.
+before and after is the same hash. A call that cannot be committed (its
+args have no canonical encoding, or the ledger refuses its block for the ACL
+or the endorsement quorum) raises and leaves the contract as it was.
 
 Fiat conversion prices execution gas:
 
@@ -23,7 +25,7 @@ from typing import Callable, Sequence
 from . import ledger
 from .contracts import CONTRACT_KINDS, ContractBase
 from .encoding import canon_encode, digest
-from .errors import AccessDenied, ContractRevert, UnknownFunction
+from .errors import ContractRevert, UnknownFunction
 
 DEFAULT_GAS_LIMIT = 1_000_000
 DEFAULT_ETH_USD = 2291.0
@@ -150,8 +152,6 @@ class Runtime:
         """
         if kind not in CONTRACT_KINDS:
             raise UnknownFunction(f"unknown contract kind {kind!r}")
-        if self.chain.chain_class is ledger.ChainClass.PRIVATE and deployer not in self.chain.acl:
-            raise AccessDenied("deployer is not on the chain's access list")
 
         nonce = self._nonces.get(deployer, 0)
         address = contract_address(deployer, nonce)
@@ -167,7 +167,7 @@ class Runtime:
             args=canon_encode(record),
             gas_used=metered_cost("constructor").transaction,
         )
-        self._commit([tx], self.clock.next())
+        ledger.append_block(self.chain, [tx], self.clock.next(), self._endorse)
 
         self._nonces[deployer] = nonce + 1
         self.contracts[address] = instance
@@ -197,19 +197,24 @@ class Runtime:
             return CallResult(None, (), cost.transaction, CallStatus.REVERTED,
                               revert_reason=str(exc))
 
-        events = tuple(
-            ledger.Event(name=name, emitter=contract, args=tuple(args_))
-            for name, args_ in emissions
-        )
-        tx = ledger.Transaction(
-            caller=caller,
-            contract=contract,
-            function=canonical,
-            args=canon_encode(_recordable(args)),
-            gas_used=cost.transaction,
-            events=events,
-        )
-        self._commit([tx], tick)
+        try:
+            events = tuple(
+                ledger.Event(name=name, emitter=contract, args=tuple(args_))
+                for name, args_ in emissions
+            )
+            tx = ledger.Transaction(
+                caller=caller,
+                contract=contract,
+                function=canonical,
+                args=canon_encode(_recordable(args)),
+                gas_used=cost.transaction,
+                events=events,
+            )
+            ledger.append_block(self.chain, [tx], tick, self._endorse)
+        except Exception:
+            # a call that commits no block leaves the contract as it was
+            self.contracts[contract] = saved
+            raise
         return CallResult(return_value, events, cost.transaction, CallStatus.OK)
 
     # --- plain records ----------------------------------------------------------
@@ -224,7 +229,7 @@ class Runtime:
             args=canon_encode(_recordable(payload)),
             gas_used=metered_cost(function).transaction,
         )
-        self._commit([tx], self.clock.next())
+        ledger.append_block(self.chain, [tx], self.clock.next(), self._endorse)
         return tx
 
     def state_of(self, contract: bytes) -> dict:
@@ -232,15 +237,6 @@ class Runtime:
         if instance is None:
             raise UnknownFunction(f"no contract deployed at {contract.hex()}")
         return instance.snapshot()
-
-    def _commit(self, transactions: list[ledger.Transaction], timestamp: int) -> None:
-        if self.chain.chain_class is ledger.ChainClass.CONSORTIUM:
-            d = ledger.candidate_digest(len(self.chain.blocks), self.chain.tip_hash,
-                                        timestamp, transactions)
-            endorsements = self._endorse(d)
-            ledger.append_block(self.chain, transactions, timestamp, endorsements)
-        else:
-            ledger.append_block(self.chain, transactions, timestamp)
 
 
 def _recordable(value):

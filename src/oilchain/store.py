@@ -19,7 +19,7 @@ from typing import Iterable
 from . import ledger
 from .errors import CorruptLedger
 
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 _MANIFEST = "manifest.json"
 _BLOCKS = "blocks.jsonl"
 

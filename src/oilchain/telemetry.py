@@ -31,9 +31,7 @@ class ReadingKind(Enum):
     RFID_SCAN = "RfidScan"
 
 
-# kinds whose readings go through the tracking contract
-CHECKED_KINDS = (ReadingKind.TEMPERATURE, ReadingKind.HUMIDITY, ReadingKind.PRESSURE)
-
+# kinds whose readings go through the tracking contract, and its function
 CHECK_FUNCTION = {
     ReadingKind.TEMPERATURE: "CheckTemperature",
     ReadingKind.HUMIDITY: "CheckHumidity",

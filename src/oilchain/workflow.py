@@ -17,7 +17,6 @@ from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
 
 from . import identity, ledger, telemetry
-from .contracts.distribution import TraceStage  # noqa: F401  (re-exported)
 from .encoding import digest
 from .errors import (
     BadCredential,

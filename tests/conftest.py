@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from oilchain import identity, ledger
 from oilchain.encoding import canon_decode
@@ -80,6 +82,45 @@ def consortium_runtime(count: int = 4, seed: int = 99):
     return Runtime(chain, clock, endorse), validators, clock
 
 
+# --- single-node edits of JSON documents ----------------------------------------
+#
+# Used by the properties that replace one node of a scenario file or one
+# value of a stored block record with an arbitrary JSON value.
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=12), inner,
+                                                                max_size=4),
+    max_leaves=10,
+)
+
+
+def node_paths(node, path=()):
+    """The key path of every node of a JSON document, the root's () first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+def with_node_replaced(doc, path, value):
+    """A deep copy of doc with the node at path replaced by value."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
 # --- random chains and single-byte mutations ---------------------------------------
 #
 # Used by the tamper-evidence tests: build a chain with arbitrary content,
@@ -89,6 +130,7 @@ def consortium_runtime(count: int = 4, seed: int = 99):
 def build_random_chain(rng: random.Random, n_blocks: int,
                        consortium: bool = False) -> ledger.Chain:
     callers = [bytes([i]) * 20 for i in range(1, 4)]
+    validators: list[identity.KeyPair] = []
     if consortium:
         validators = make_validators(4, seed=rng.randrange(2**31))
         chain = ledger.new_consortium_chain("consortium", [v.address for v in validators])
@@ -114,14 +156,8 @@ def build_random_chain(rng: random.Random, n_blocks: int,
                 gas_used=rng.randint(21000, 140000),
                 events=events,
             ))
-        timestamp = b + 1
-        if consortium:
-            digest = ledger.candidate_digest(len(chain.blocks), chain.tip_hash,
-                                             timestamp, txs)
-            ledger.append_block(chain, txs, timestamp,
-                                ledger.collect_endorsements(digest, validators))
-        else:
-            ledger.append_block(chain, txs, timestamp)
+        ledger.append_block(chain, txs, b + 1,
+                            lambda d: ledger.collect_endorsements(d, validators))
     return chain
 
 

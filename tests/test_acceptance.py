@@ -231,12 +231,10 @@ def tx_for_quorum():
 def quorum_accepts(validators, subset_indices) -> bool:
     chain = ledger.new_consortium_chain(
         "consortium", [v.address for v in validators])
-    txs = [tx_for_quorum()]
-    digest = ledger.candidate_digest(1, chain.tip_hash, 1, txs)
     keys = [validators[i] for i in subset_indices]
-    endorsements = ledger.collect_endorsements(digest, keys)
     try:
-        ledger.append_block(chain, txs, 1, endorsements)
+        ledger.append_block(chain, [tx_for_quorum()], 1,
+                            lambda d: ledger.collect_endorsements(d, keys))
     except QuorumNotMet:
         return False
     return True

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from conftest import SCENARIO_DIR
-from oilchain import runtime
+from oilchain import ledger, runtime, store
 from oilchain.cli import main
 from oilchain.scenario import run_scenario_file
 
@@ -198,3 +198,47 @@ def test_verify_corrupt_store(happy_store, capsys):
     code, _out, err = run_cli(capsys, "verify", "--store", str(happy_store))
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["trace", "101"]], ids=["verify", "trace"])
+def test_unencodable_block_value_names_the_block(happy_store, capsys, argv):
+    blocks = happy_store / "consortium" / "blocks.jsonl"
+    lines = blocks.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["timestamp"] += 0.5
+    lines[2] = json.dumps(record, separators=(",", ":"))
+    blocks.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, *argv, "--store", str(happy_store))
+    assert code == 1
+    assert out == ""
+    assert "first_bad_index=2" in err
+
+
+def test_verify_names_a_resealed_minority_block(happy_store, capsys):
+    # Re-seal the last consortium block under two of four signatures: every
+    # hash and the manifest tip agree, so only the quorum check can object.
+    validators = run_scenario_file(HAPPY).supply.topology.validators
+    chain_dir = happy_store / "consortium"
+    blocks = chain_dir / "blocks.jsonl"
+    lines = blocks.read_text().splitlines()
+    last = store.block_from_record(json.loads(lines[-1]))
+    digest = ledger.candidate_digest(last.index, last.prev_hash, last.timestamp,
+                                     last.transactions)
+    minority = tuple(ledger.collect_endorsements(digest, validators[:2]))
+    resealed = ledger.Block(last.index, last.prev_hash, last.timestamp, last.transactions,
+                            minority, ledger.block_hash(digest, minority))
+    lines[-1] = json.dumps(store.block_to_record(resealed), separators=(",", ":"))
+    blocks.write_text("\n".join(lines) + "\n")
+    manifest = json.loads((chain_dir / "manifest.json").read_text())
+    manifest["tip_hash"] = resealed.hash.hex()
+    (chain_dir / "manifest.json").write_text(json.dumps(manifest))
+
+    code, out, _err = run_cli(capsys, "verify", "--store", str(happy_store))
+    assert code == 1
+    assert f"QUORUM FAILED at block {last.index}" in out
+    assert out.count(" ok") == 5
+    code, out, _err = run_cli(capsys, "verify", "--store", str(happy_store),
+                              "--format", "structured")
+    assert code == 1
+    statuses = {c["chain"]: c["status"] for c in json.loads(out)["chains"]}
+    assert statuses["consortium"] == f"QUORUM FAILED at block {last.index}"

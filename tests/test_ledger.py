@@ -31,7 +31,8 @@ def test_genesis_block_shape():
     assert genesis.prev_hash == b"\x00" * 32
     assert genesis.transactions == ()
     assert genesis.endorsements == ()
-    assert genesis.hash == ledger.compute_block_hash(0, b"\x00" * 32, 0, (), ())
+    digest = ledger.candidate_digest(0, b"\x00" * 32, 0, ())
+    assert genesis.hash == ledger.block_hash(digest, ())
 
 
 def test_append_links_blocks_sequentially():
@@ -82,12 +83,10 @@ def test_invalid_validator_counts_rejected(count):
 
 # --- endorsement quorum -------------------------------------------------------
 
-def endorsed_append(chain, validators, txs, timestamp, subset=None, extra=()):
-    digest = ledger.candidate_digest(len(chain.blocks), chain.tip_hash,
-                                     timestamp, txs)
+def endorsed_append(chain, validators, txs, timestamp, subset=None):
     keys = validators if subset is None else [validators[i] for i in subset]
-    endorsements = ledger.collect_endorsements(digest, keys) + list(extra)
-    return ledger.append_block(chain, txs, timestamp, endorsements)
+    return ledger.append_block(chain, txs, timestamp,
+                               lambda d: ledger.collect_endorsements(d, keys))
 
 
 def test_quorum_met_with_2f_plus_1_of_4():
@@ -97,6 +96,20 @@ def test_quorum_met_with_2f_plus_1_of_4():
     assert len(chain) == 3
     assert ledger.verify_chain(chain).valid
     assert ledger.verify_endorsement_quorum(chain)
+
+
+def test_block_is_sealed_over_the_digest_it_hands_the_endorser():
+    chain, validators = make_consortium(4)
+    seen = []
+
+    def endorse(digest):
+        seen.append(digest)
+        return ledger.collect_endorsements(digest, validators)
+
+    block = ledger.append_block(chain, [tx()], 1, endorse)
+    digest = ledger.candidate_digest(1, chain.blocks[0].hash, 1, [tx()])
+    assert seen == [digest]
+    assert block.hash == ledger.block_hash(digest, block.endorsements)
 
 
 def test_quorum_not_met_with_2f_of_4():
@@ -115,9 +128,9 @@ def test_duplicate_endorsements_counted_once():
     digest = ledger.candidate_digest(1, chain.tip_hash, 1, [tx()])
     one = ledger.collect_endorsements(digest, validators[:1])
     with pytest.raises(QuorumNotMet):
-        ledger.append_block(chain, [tx()], 1, one * 3)
+        ledger.append_block(chain, [tx()], 1, lambda _: one * 3)
     three = ledger.collect_endorsements(digest, validators[:3])
-    ledger.append_block(chain, [tx()], 1, three + one)
+    ledger.append_block(chain, [tx()], 1, lambda _: three + one)
     assert len(chain) == 2
 
 
@@ -129,7 +142,7 @@ def test_invalid_signature_rejects_block_despite_spare_quorum():
         [endorsements[0].signature[-1] ^ 1])
     bad = replace(endorsements[0], signature=flipped)
     with pytest.raises(QuorumNotMet):
-        ledger.append_block(chain, [tx()], 1, [bad] + endorsements[1:])
+        ledger.append_block(chain, [tx()], 1, lambda _: [bad] + endorsements[1:])
     assert len(chain) == 1
 
 
@@ -140,7 +153,7 @@ def test_non_validator_endorsement_rejects_block():
     endorsements = ledger.collect_endorsements(digest, validators[:3])
     intruder = ledger.collect_endorsements(digest, [outsider])
     with pytest.raises(QuorumNotMet):
-        ledger.append_block(chain, [tx()], 1, endorsements + intruder)
+        ledger.append_block(chain, [tx()], 1, lambda _: endorsements + intruder)
     assert len(chain) == 1
 
 
@@ -149,7 +162,7 @@ def test_endorsement_over_wrong_digest_rejected():
     wrong = ledger.candidate_digest(1, chain.tip_hash, 99, [tx()])
     endorsements = ledger.collect_endorsements(wrong, validators)
     with pytest.raises(QuorumNotMet):
-        ledger.append_block(chain, [tx()], 1, endorsements)
+        ledger.append_block(chain, [tx()], 1, lambda _: endorsements)
 
 
 def test_silent_faulty_validators_up_to_f_tolerated():
@@ -158,7 +171,7 @@ def test_silent_faulty_validators_up_to_f_tolerated():
     digest = ledger.candidate_digest(1, chain.tip_hash, 1, [tx()])
     endorsements = ledger.collect_endorsements(digest, validators, faulty=faulty)
     assert len(endorsements) == 3
-    ledger.append_block(chain, [tx()], 1, endorsements)
+    ledger.append_block(chain, [tx()], 1, lambda _: endorsements)
     assert ledger.verify_endorsement_quorum(chain)
 
 
@@ -203,8 +216,8 @@ def test_rewritten_hash_breaks_successor_link():
     rewritten = ledger.Block(
         index=target.index, prev_hash=target.prev_hash, timestamp=target.timestamp,
         transactions=(bad_tx,), endorsements=(),
-        hash=ledger.compute_block_hash(target.index, target.prev_hash,
-                                       target.timestamp, (bad_tx,), ()),
+        hash=ledger.block_hash(ledger.candidate_digest(
+            target.index, target.prev_hash, target.timestamp, (bad_tx,)), ()),
     )
     chain.blocks[2] = rewritten
     report = ledger.verify_chain(chain)
@@ -232,11 +245,13 @@ def test_resealed_suffix_fails_quorum_reverification():
     forged = ledger.Block(
         index=2, prev_hash=chain.tip_hash, timestamp=2,
         transactions=(forged_tx,), endorsements=tuple(minority),
-        hash=ledger.compute_block_hash(2, chain.tip_hash, 2, (forged_tx,), minority),
+        hash=ledger.block_hash(digest, minority),
     )
     chain.blocks.append(forged)
     assert ledger.verify_chain(chain).valid
-    assert not ledger.verify_endorsement_quorum(chain)
+    report = ledger.verify_endorsement_quorum(chain)
+    assert not report
+    assert report.first_bad_index == 2
 
 
 @pytest.mark.parametrize("consortium", [False, True])

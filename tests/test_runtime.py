@@ -257,3 +257,42 @@ def test_consortium_underendorsed_commit_fails_closed():
     with pytest.raises(QuorumNotMet):
         rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
     assert rt.chain.tip_hash == tip
+
+
+def test_starved_consortium_call_leaves_the_contract_unchanged():
+    rt, validators, _clock = consortium_runtime()
+    address = rt.deploy("OilDistribution", {
+        "driller": OWNER, "factory": DEVICE, "storage": b"\x33" * 20,
+        "pump": b"\x34" * 20}, OWNER)
+    tip = rt.chain.tip_hash
+    state = rt.state_of(address)
+    rt._endorse = lambda digest: ledger.collect_endorsements(digest, validators[:2])
+    with pytest.raises(QuorumNotMet):
+        rt.call(address, "readyToFactory",
+                {"oil_id": "101", "name": "Petrol", "price": 100, "quantity": 10},
+                OWNER)
+    assert rt.chain.tip_hash == tip
+    assert rt.state_of(address) == state
+
+
+def test_call_refused_by_the_acl_leaves_the_contract_unchanged():
+    rt = private_runtime()
+    address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
+    tip = rt.chain.tip_hash
+    state = rt.state_of(address)
+    rt.chain.acl.discard(OWNER)
+    with pytest.raises(AccessDenied):
+        rt.call(address, "EnterOil", ENTER_ARGS, OWNER)
+    assert rt.chain.tip_hash == tip
+    assert rt.state_of(address) == state
+
+
+def test_call_with_unencodable_args_leaves_the_contract_unchanged():
+    rt = private_runtime()
+    address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
+    tip = rt.chain.tip_hash
+    state = rt.state_of(address)
+    with pytest.raises(TypeError):
+        rt.call(address, "EnterOil", {**ENTER_ARGS, "note": 1.5}, OWNER)
+    assert rt.chain.tip_hash == tip
+    assert rt.state_of(address) == state

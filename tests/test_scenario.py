@@ -9,7 +9,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SCENARIO_DIR
+from conftest import JSON_VALUES, SCENARIO_DIR, node_paths, with_node_replaced
 from oilchain import runtime
 from oilchain.errors import OilchainError, ParseError, QuorumNotMet, ValidationError
 from oilchain.provenance import batch_text, build_report
@@ -126,41 +126,15 @@ def test_validation_errors_name_the_field(mutate, needle):
     assert needle in str(err.value)
 
 
-def _node_paths(node, path=()):
-    yield path
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        return
-    for key, child in children:
-        yield from _node_paths(child, path + (key,))
-
-
 BUNDLED_DOCS = [json.loads(p.read_text()) for p in (HAPPY, FAULTED)]
-BUNDLED_NODES = [(i, path) for i, doc in enumerate(BUNDLED_DOCS) for path in _node_paths(doc)]
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=12),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=12), inner,
-                                                                max_size=4),
-    max_leaves=10,
-)
+BUNDLED_NODES = [(i, path) for i, doc in enumerate(BUNDLED_DOCS) for path in node_paths(doc)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(BUNDLED_NODES), JSON_VALUES)
 def test_any_one_node_replaced_parses_or_raises_oilchain_error(node, value):
     doc_index, path = node
-    doc = copy.deepcopy(BUNDLED_DOCS[doc_index])
-    if path:
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-    else:
-        doc = value
+    doc = with_node_replaced(BUNDLED_DOCS[doc_index], path, value)
     try:
         parsed = parse_scenario(doc)
     except OilchainError:
@@ -190,8 +164,8 @@ def test_runs_are_byte_identical():
 
 # Any change to these bytes must be made on purpose: update the hash with it.
 @pytest.mark.parametrize("path,sha256", [
-    (HAPPY, "d07a75f5c73ef938d03c83906c9594ff7a2e44c31e090977d0680aa7d778cd2c"),
-    (FAULTED, "5df55494e9241a45ba914cf5800c2bf7c6563f69ae8fa94a127bd471260a2c7b"),
+    (HAPPY, "425728cdefb25e77b1d56c5235a751a069dad0d37913dd91d81929349056c18e"),
+    (FAULTED, "79b8f87b616621f594f06815ca06d3626da2c2127301227d45fe48562f2acb3f"),
 ], ids=["happy_path", "pressure_fault_hop2"])
 def test_report_bytes_are_pinned(path, sha256):
     text = report_to_json(run_scenario_file(path).report)

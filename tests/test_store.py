@@ -6,10 +6,19 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import build_random_chain, make_consortium
-from oilchain import ledger, store
+from conftest import (
+    JSON_VALUES,
+    SCENARIO_DIR,
+    build_random_chain,
+    make_consortium,
+    node_paths,
+    with_node_replaced,
+)
+from oilchain import ledger, provenance, store
 from oilchain.errors import CorruptLedger
+from oilchain.scenario import run_scenario_file
 
 
 def saved_pair(tmp_path, rng_seed=31):
@@ -52,6 +61,21 @@ def test_hash_hex_digit_flip_is_refused(tmp_path):
     record = json.loads(lines[2])
     digit = record["hash"][0]
     record["hash"] = ("0" if digit != "0" else "1") + record["hash"][1:]
+    lines[2] = json.dumps(record, separators=(",", ":"))
+    blocks_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptLedger) as err:
+        store.load_chain(tmp_path / "consortium")
+    assert err.value.first_bad_index == 2
+
+
+def test_unencodable_value_is_refused_at_its_block(tmp_path):
+    # A float parses as JSON but has no canonical encoding, so the block's
+    # hash cannot be recomputed; the block is bad, not the loader.
+    saved_pair(tmp_path)
+    blocks_file = tmp_path / "consortium" / "blocks.jsonl"
+    lines = blocks_file.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["timestamp"] += 0.5
     lines[2] = json.dumps(record, separators=(",", ":"))
     blocks_file.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorruptLedger) as err:
@@ -118,9 +142,49 @@ def test_endorsements_survive_round_trip_for_quorum_check(tmp_path):
     chain, validators = make_consortium(4)
     txs = [ledger.Transaction(caller=b"\x01" * 20, contract=b"\x02" * 20,
                               function="EnterOil", args=b"\x05", gas_used=35368)]
-    digest = ledger.candidate_digest(1, chain.tip_hash, 1, txs)
-    ledger.append_block(chain, txs, 1, ledger.collect_endorsements(digest, validators))
+    ledger.append_block(chain, txs, 1, lambda d: ledger.collect_endorsements(d, validators))
     store.save_chain(tmp_path, chain)
     loaded = store.load_chain(tmp_path / "consortium")
     assert len(loaded.blocks[1].endorsements) == 4
     assert ledger.verify_endorsement_quorum(loaded)
+
+
+# --- any single edit of a stored block ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def happy_path_store(tmp_path_factory):
+    """(root, tips, batch 101's trace, every (chain dir, line, key path) of a block value)."""
+    root = tmp_path_factory.mktemp("happy-path-store")
+    result = run_scenario_file(SCENARIO_DIR / "happy_path.json")
+    store.save_store(root, result.supply.all_chains())
+    tips = {store.chain_dir_name(c): c.tip_hash for c in result.supply.all_chains()}
+    trace = provenance.build_report(result.supply.consortium_chain, "101").to_dict()
+    nodes = [
+        (directory.name, line, path)
+        for directory in sorted(p for p in root.iterdir() if p.is_dir())
+        for line, text in enumerate((directory / "blocks.jsonl").read_text().splitlines())
+        for path in node_paths(json.loads(text))
+        if path
+    ]
+    return root, tips, trace, nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_one_block_value_replaced_is_refused_or_changes_nothing(happy_path_store, data):
+    root, tips, trace, nodes = happy_path_store
+    chain_dir, line, path = data.draw(st.sampled_from(nodes))
+    value = data.draw(JSON_VALUES)
+    blocks_file = root / chain_dir / "blocks.jsonl"
+    original = blocks_file.read_text()
+    lines = original.splitlines()
+    lines[line] = json.dumps(with_node_replaced(json.loads(lines[line]), path, value))
+    blocks_file.write_text("\n".join(lines) + "\n")
+    try:
+        loaded = store.load_store(root)
+    except CorruptLedger:
+        return
+    finally:
+        blocks_file.write_text(original)
+    assert {name: chain.tip_hash for name, chain in loaded.items()} == tips
+    assert provenance.build_report(loaded["consortium"], "101").to_dict() == trace
