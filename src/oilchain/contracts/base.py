@@ -4,7 +4,9 @@ A contract is a plain Python object the runtime drives: it validates a call,
 mutates its own fields, and returns (return_value, emissions). Emissions are
 (event_name, ((arg_name, value), ...)) pairs; the runtime stamps the
 emitting address on them. Handlers must validate everything before mutating
-anything so a revert leaves state untouched.
+anything so a revert leaves state untouched. Every field holds an immutable
+value (bytes, int, str, bool or an enum) that handlers reassign, never mutate
+in place: the runtime's revert snapshot is a shallow copy.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ class ContractBase:
         raise UnknownFunction(f"{self.KIND} has no function {name!r}")
 
     def apply(self, function: str, args: dict, caller: bytes, tick: int):
-        handler = getattr(self, "_fn_" + self.resolve_function(function).lower())
+        handler = getattr(self, "_fn_" + function.lower(), None)
+        if handler is None:
+            raise UnknownFunction(f"{self.KIND} has no function {function!r}")
         return handler(args, caller, tick)
 
     def snapshot(self) -> dict:

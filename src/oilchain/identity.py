@@ -8,6 +8,7 @@ Addresses are the last 20 bytes of SHA-256 over the raw public key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass, field
@@ -112,9 +113,20 @@ def generate_device(label: str, seed: int) -> KeyPair:
     return generate_keypair(f"device:{label}", seed)
 
 
+@functools.lru_cache(maxsize=1024)
+def _signing_key(private_key: bytes) -> Ed25519PrivateKey:
+    """The key object for raw private key bytes, built once per key.
+
+    Ed25519 signing is deterministic, so the cached object signs exactly as a
+    fresh one would. The bound keeps a process that signs with many keys from
+    holding every key object it ever built.
+    """
+    return Ed25519PrivateKey.from_private_bytes(private_key)
+
+
 def sign(message: bytes, private_key: bytes) -> bytes:
     """Ed25519 signature (64 bytes) over the message."""
-    return Ed25519PrivateKey.from_private_bytes(private_key).sign(message)
+    return _signing_key(private_key).sign(message)
 
 
 def verify(message: bytes, signature: bytes, public_key: bytes) -> bool:

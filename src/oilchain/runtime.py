@@ -189,7 +189,9 @@ class Runtime:
             return CallResult(None, (), cost.transaction, CallStatus.REVERTED,
                               revert_reason="gas limit exceeded")
 
-        saved = copy.deepcopy(instance)
+        # every contract field is an immutable value that handlers reassign,
+        # never mutate, so a shallow copy is a complete snapshot
+        saved = copy.copy(instance)
         try:
             return_value, emissions = instance.apply(canonical, args, caller, tick)
         except ContractRevert as exc:

@@ -13,6 +13,7 @@ naming the chain directory or the first bad block.
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 from typing import Iterable
 
@@ -120,10 +121,20 @@ def save_chain(root: Path, chain: ledger.Chain) -> Path:
 
 
 def save_store(root: Path, chains: Iterable[ledger.Chain]) -> None:
+    """Save every chain under root, then remove any other chain directory
+    (one holding a manifest) an earlier save left there, so that loading the
+    store yields exactly these chains. Nothing else under root is touched."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    for chain in chains:
-        save_chain(root, chain)
+    saved = {save_chain(root, chain) for chain in chains}
+    for directory in _chain_dirs(root):
+        if directory not in saved:
+            shutil.rmtree(directory)
+
+
+def _chain_dirs(root: Path) -> list[Path]:
+    """Every directory under root that holds a chain manifest, by name."""
+    return sorted(p for p in root.iterdir() if p.is_dir() and (p / _MANIFEST).exists())
 
 
 def load_chain(directory: Path) -> ledger.Chain:
@@ -182,9 +193,8 @@ def load_store(root: Path) -> dict[str, ledger.Chain]:
     if not root.is_dir():
         raise CorruptLedger(f"store directory {root} does not exist")
     chains = {}
-    for directory in sorted(p for p in root.iterdir() if p.is_dir()):
-        if (directory / _MANIFEST).exists():
-            chains[directory.name] = load_chain(directory)
+    for directory in _chain_dirs(root):
+        chains[directory.name] = load_chain(directory)
     if not chains:
         raise CorruptLedger(f"store directory {root} holds no chains")
     return chains

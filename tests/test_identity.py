@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, strategies as st
 
 from oilchain import identity
@@ -73,6 +74,39 @@ def test_wrong_key_fails_verification():
 def test_signatures_verify_for_any_message(message):
     kp = identity.generate_device("prop", 11)
     assert identity.verify(message, identity.sign(message, kp.private_key), kp.public_key)
+
+
+SIGNING_KEYS = [
+    identity.generate_device("validator:0", 99),
+    identity.generate_device("gateway:101", 7),
+    identity.generate_actor(Role.DRILLER, 1),
+    identity.generate_actor(Role.CONSUMER, 42),
+]
+
+
+@pytest.mark.parametrize("key", SIGNING_KEYS, ids=lambda key: key.address.hex()[:8])
+@pytest.mark.parametrize("message", [b"", b"release batch 101", bytes(range(256))])
+def test_sign_matches_a_freshly_built_key(key, message):
+    fresh = Ed25519PrivateKey.from_private_bytes(key.private_key).sign(message)
+    assert identity.sign(message, key.private_key) == fresh
+
+
+def test_signing_key_is_built_once_per_key(monkeypatch):
+    built = []
+
+    class CountingKey:
+        @staticmethod
+        def from_private_bytes(data):
+            built.append(data)
+            return Ed25519PrivateKey.from_private_bytes(data)
+
+    monkeypatch.setattr(identity, "Ed25519PrivateKey", CountingKey)
+    identity._signing_key.cache_clear()
+    kp = identity.generate_device("once", 5)
+    built.clear()
+    for i in range(10):
+        identity.sign(i.to_bytes(2, "big"), kp.private_key)
+    assert built == [kp.private_key]
 
 
 # --- passphrases ------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+from enum import Enum
+from typing import get_type_hints
+
 import pytest
 
 from conftest import consortium_runtime, make_validators
 from oilchain import identity, ledger, runtime
 from oilchain.encoding import canon_decode
-from oilchain.errors import AccessDenied, QuorumNotMet, UnknownFunction
+from oilchain.contracts import CONTRACT_KINDS
+from oilchain.errors import AccessDenied, ContractRevert, QuorumNotMet, UnknownFunction
 from oilchain.runtime import (
     CallStatus,
     GasCost,
@@ -259,20 +264,73 @@ def test_consortium_underendorsed_commit_fails_closed():
     assert rt.chain.tip_hash == tip
 
 
-def test_starved_consortium_call_leaves_the_contract_unchanged():
+# One state-changing call per contract kind: (init args, function, args, caller).
+MUTATING_CALLS = {
+    "CheckProgress": ({"data_source": DEVICE}, "EnterOil", ENTER_ARGS, OWNER),
+    "OilDistribution": (
+        {"driller": OWNER, "factory": DEVICE, "storage": b"\x33" * 20,
+         "pump": b"\x34" * 20},
+        "readyToFactory",
+        {"oil_id": "101", "name": "Petrol", "price": 100, "quantity": 10},
+        OWNER,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MUTATING_CALLS))
+def test_starved_consortium_call_leaves_the_contract_unchanged(kind):
+    init_args, function, args, caller = MUTATING_CALLS[kind]
     rt, validators, _clock = consortium_runtime()
-    address = rt.deploy("OilDistribution", {
-        "driller": OWNER, "factory": DEVICE, "storage": b"\x33" * 20,
-        "pump": b"\x34" * 20}, OWNER)
+    address = rt.deploy(kind, init_args, OWNER)
     tip = rt.chain.tip_hash
     state = rt.state_of(address)
     rt._endorse = lambda digest: ledger.collect_endorsements(digest, validators[:2])
     with pytest.raises(QuorumNotMet):
-        rt.call(address, "readyToFactory",
-                {"oil_id": "101", "name": "Petrol", "price": 100, "quantity": 10},
-                OWNER)
+        rt.call(address, function, args, caller)
     assert rt.chain.tip_hash == tip
     assert rt.state_of(address) == state
+
+
+@pytest.mark.parametrize("kind", sorted(MUTATING_CALLS))
+def test_revert_after_mutating_leaves_the_contract_unchanged(kind, monkeypatch):
+    init_args, function, args, caller = MUTATING_CALLS[kind]
+    cls = CONTRACT_KINDS[kind]
+    name = "_fn_" + function.lower()
+    handler = getattr(cls, name)
+
+    def mutate_then_revert(self, args, caller, tick):
+        handler(self, args, caller, tick)
+        raise ContractRevert("refused after mutating")
+
+    rt, _validators, _clock = consortium_runtime()
+    address = rt.deploy(kind, init_args, OWNER)
+    tip = rt.chain.tip_hash
+    state = rt.state_of(address)
+    monkeypatch.setattr(cls, name, mutate_then_revert)
+    result = rt.call(address, function, args, caller)
+    assert result.status is CallStatus.REVERTED
+    assert rt.chain.tip_hash == tip
+    assert rt.state_of(address) == state
+
+
+@pytest.mark.parametrize("kind", sorted(MUTATING_CALLS))
+def test_apply_refuses_a_function_with_no_handler(kind):
+    init_args, _function, _args, _caller = MUTATING_CALLS[kind]
+    contract = CONTRACT_KINDS[kind].create(OWNER, init_args)
+    with pytest.raises(UnknownFunction):
+        contract.apply("selfdestruct", {}, OWNER, 1)
+
+
+@pytest.mark.parametrize("kind", sorted(CONTRACT_KINDS))
+def test_contract_fields_are_immutable_values(kind):
+    # Runtime.call snapshots a contract with a shallow copy before each call;
+    # that restores it on revert only while no field can be mutated in place.
+    cls = CONTRACT_KINDS[kind]
+    hints = get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        assert hint in (bytes, int, str, bool) or (
+            isinstance(hint, type) and issubclass(hint, Enum)), (f.name, hint)
 
 
 def test_call_refused_by_the_acl_leaves_the_contract_unchanged():

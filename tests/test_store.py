@@ -18,7 +18,7 @@ from conftest import (
 )
 from oilchain import ledger, provenance, store
 from oilchain.errors import CorruptLedger
-from oilchain.scenario import run_scenario_file
+from oilchain.scenario import parse_scenario, run_scenario, run_scenario_file
 
 
 def saved_pair(tmp_path, rng_seed=31):
@@ -147,6 +147,24 @@ def test_endorsements_survive_round_trip_for_quorum_check(tmp_path):
     loaded = store.load_chain(tmp_path / "consortium")
     assert len(loaded.blocks[1].endorsements) == 4
     assert ledger.verify_endorsement_quorum(loaded)
+
+
+def test_saving_over_a_store_removes_chains_it_no_longer_holds(tmp_path):
+    doc = json.loads((SCENARIO_DIR / "happy_path.json").read_text())
+    doc["topology"]["roles"].append("OtherFactory")
+    wider = run_scenario(parse_scenario(doc))
+    store.save_store(tmp_path, wider.supply.all_chains())
+    assert (tmp_path / "private-otherfactory" / "manifest.json").exists()
+    (tmp_path / "notes").mkdir()
+    (tmp_path / "report.json").write_text("{}")
+
+    result = run_scenario_file(SCENARIO_DIR / "happy_path.json")
+    store.save_store(tmp_path, result.supply.all_chains())
+    loaded = store.load_store(tmp_path)
+    assert set(loaded) == {store.chain_dir_name(c) for c in result.supply.all_chains()}
+    assert not (tmp_path / "private-otherfactory").exists()
+    assert (tmp_path / "notes").is_dir()
+    assert (tmp_path / "report.json").read_text() == "{}"
 
 
 # --- any single edit of a stored block ----------------------------------------------
