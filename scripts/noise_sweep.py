@@ -32,7 +32,7 @@ def main() -> int:
     for amplitude in range(args.max_amplitude + 1):
         swept = replace(base, name=f"{base.name}-amp{amplitude}", batches=tuple(
             replace(batch, hops=tuple(
-                replace(h, telemetry=replace(h.telemetry, noise_amplitude=amplitude))
+                replace(h, profile=replace(h.profile, noise_amplitude=amplitude))
                 for h in batch.hops
             ))
             for batch in base.batches

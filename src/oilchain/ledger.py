@@ -309,25 +309,3 @@ def iter_events(chain: Chain) -> Iterator[tuple[Block, Transaction, Event]]:
         for tx in block.transactions:
             for event in tx.events:
                 yield block, tx, event
-
-
-def query_events(chain: Chain, contract: bytes | None = None,
-                 event_name: str | None = None,
-                 block_range: tuple[int, int] | None = None,
-                 querier: bytes | None = None) -> list[Event]:
-    """Events matching the filters, in block order.
-
-    block_range is an inclusive (start, end) pair of block indices. Reading a
-    private chain requires querier to be on its ACL.
-    """
-    require_read_access(chain, querier)
-    out = []
-    for block, _tx, event in iter_events(chain):
-        if block_range is not None and not (block_range[0] <= block.index <= block_range[1]):
-            continue
-        if contract is not None and event.emitter != contract:
-            continue
-        if event_name is not None and event.name != event_name:
-            continue
-        out.append(event)
-    return out

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from . import identity, runtime, telemetry
+from . import identity, ledger, runtime, telemetry
 from .contracts.base import stage_label
 from .encoding import canon_decode
-from .errors import OilchainError, ParseError, ValidationError
+from .errors import InvalidValidatorSet, OilchainError, ParseError, ValidationError
 from .identity import Role, address_hex
 from .provenance import batch_text, build_reports
 from .telemetry import FaultSpec, ReadingKind, SensorProfile
@@ -34,24 +34,13 @@ _KIND_BY_NAME = {kind.value: kind for kind in ReadingKind}
 
 
 @dataclass(frozen=True)
-class TelemetrySpec:
-    duration: int
-    noise_amplitude: int
-    kinds: tuple[ReadingKind, ...]
-    extra_setpoints: dict[ReadingKind, int | tuple[int, int]] = field(default_factory=dict)
-    faults: tuple[FaultSpec, ...] = ()
-    max_silence_ticks: int | None = None
-
-
-@dataclass(frozen=True)
 class HopSpec:
     seller: Role
     buyer: Role
-    price: int
-    quantity: int
+    terms: TermSheet
     accept_method: str                  # "signature" or "passphrase"
-    passphrase: str | None
-    telemetry: TelemetrySpec
+    profile: SensorProfile
+    faults: tuple[FaultSpec, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -146,10 +135,10 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
     topo = _need(doc, "topology", where, dict)
     validators = _positive_int(_need(topo, "validators", f"{where}.topology"),
                                f"{where}.topology.validators", minimum=1)
-    if (validators - 1) % 3 != 0:
-        raise ValidationError(
-            f"{where}.topology.validators: count must be 3f+1, got {validators}"
-        )
+    try:
+        ledger.quorum_fault_bound(validators)
+    except InvalidValidatorSet as exc:
+        raise ValidationError(f"{where}.topology.validators: {exc}") from exc
     faulty = _positive_int(topo.get("faulty_validators", 0),
                            f"{where}.topology.faulty_validators")
     roles = tuple(
@@ -163,6 +152,10 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
     for bi, batch_doc in enumerate(_need(doc, "batches", where, list)):
         bw = f"{where}.batches[{bi}]"
         _typed(batch_doc, dict, bw)
+        batch_id = str(_need(batch_doc, "batch_id", bw))
+        if any(b.batch_id == batch_id for b in batches):
+            raise ValidationError(f"{bw}.batch_id: batch {batch_id!r} appears twice")
+        oil_name = _need(batch_doc, "oil_name", bw, str)
         setp = _need(batch_doc, "setpoints", bw, dict)
         setpoints = Setpoints(
             temperature=_positive_int(_need(setp, "temperature", f"{bw}.setpoints"),
@@ -185,19 +178,31 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
                 raise ValidationError(f"{hw}.accept: passphrase method needs a passphrase")
             if passphrase is not None:
                 _typed(passphrase, str, f"{hw}.accept.passphrase")
+            tw = f"{hw}.telemetry"
+            telemetry_doc = _need(hop_doc, "telemetry", hw, dict)
+            profile, faults = _parse_telemetry(telemetry_doc, tw, setpoints)
+            silence = telemetry_doc.get("max_silence_ticks")
+            if silence is not None:
+                silence = _positive_int(silence, f"{tw}.max_silence_ticks")
             hops.append(HopSpec(
                 seller=_role(_need(hop_doc, "seller", hw), f"{hw}.seller"),
                 buyer=_role(_need(hop_doc, "buyer", hw), f"{hw}.buyer"),
-                price=_positive_int(_need(hop_doc, "price", hw), f"{hw}.price"),
-                quantity=_positive_int(_need(hop_doc, "quantity", hw), f"{hw}.quantity"),
+                terms=TermSheet(
+                    oil_id=batch_id,
+                    oil_name=oil_name,
+                    quantity=_positive_int(_need(hop_doc, "quantity", hw), f"{hw}.quantity"),
+                    price=_positive_int(_need(hop_doc, "price", hw), f"{hw}.price"),
+                    setpoints=setpoints,
+                    passphrase=passphrase,
+                    max_silence_ticks=silence,
+                ),
                 accept_method=method,
-                passphrase=passphrase,
-                telemetry=_parse_telemetry(_need(hop_doc, "telemetry", hw, dict),
-                                           f"{hw}.telemetry"),
+                profile=profile,
+                faults=faults,
             ))
         batches.append(BatchSpec(
-            batch_id=str(_need(batch_doc, "batch_id", bw)),
-            oil_name=_need(batch_doc, "oil_name", bw, str),
+            batch_id=batch_id,
+            oil_name=oil_name,
             setpoints=setpoints,
             hops=tuple(hops),
         ))
@@ -222,17 +227,19 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
     )
 
 
-def _parse_telemetry(doc: dict, where: str) -> TelemetrySpec:
+def _parse_telemetry(doc: dict, where: str, setpoints: Setpoints,
+                     ) -> tuple[SensorProfile, tuple[FaultSpec, ...]]:
+    """A hop's sensor profile and faults, each kind's setpoint resolved.
+
+    Temperature, humidity and pressure take the batch setpoints; every other
+    kind needs an `extra_setpoints` entry.
+    """
     duration = _positive_int(_need(doc, "duration", where), f"{where}.duration", minimum=1)
     if duration > MAX_DURATION_TICKS:
         raise ValidationError(
             f"{where}.duration: at most {MAX_DURATION_TICKS} ticks, got {duration}"
         )
     amplitude = _positive_int(doc.get("noise_amplitude", 0), f"{where}.noise_amplitude")
-    kinds = tuple(
-        _kind(k, f"{where}.kinds[{i}]")
-        for i, k in enumerate(_need(doc, "kinds", where, list))
-    )
     extra = {}
     extra_doc = _typed(doc.get("extra_setpoints", {}), dict, f"{where}.extra_setpoints")
     for key, value in extra_doc.items():
@@ -246,6 +253,22 @@ def _parse_telemetry(doc: dict, where: str) -> TelemetrySpec:
             extra[kind] = (value[0], value[1])
         else:
             extra[kind] = _positive_int(value, f"{where}.extra_setpoints.{key}")
+    values = {
+        **extra,
+        ReadingKind.TEMPERATURE: setpoints.temperature,
+        ReadingKind.HUMIDITY: setpoints.humidity,
+        ReadingKind.PRESSURE: setpoints.pressure,
+    }
+    streamed: dict[ReadingKind, telemetry.Value] = {}
+    for i, name in enumerate(_need(doc, "kinds", where, list)):
+        kind = _kind(name, f"{where}.kinds[{i}]")
+        if kind in streamed:
+            raise ValidationError(f"{where}.kinds[{i}]: duplicate reading kind {kind.value}")
+        if kind not in values:
+            raise ValidationError(
+                f"{where}.kinds[{i}]: reading kind {kind.value} needs an extra_setpoints entry"
+            )
+        streamed[kind] = values[kind]
     faults = []
     for fi, fault_doc in enumerate(_typed(doc.get("faults", []), list, f"{where}.faults")):
         fw = f"{where}.faults[{fi}]"
@@ -253,49 +276,26 @@ def _parse_telemetry(doc: dict, where: str) -> TelemetrySpec:
         offset = _need(fault_doc, "offset", fw)
         if not isinstance(offset, int) or isinstance(offset, bool):
             raise ValidationError(f"{fw}.offset: expected an integer")
-        faults.append(FaultSpec(
-            kind=_kind(_need(fault_doc, "kind", fw), f"{fw}.kind"),
+        kind = _kind(_need(fault_doc, "kind", fw), f"{fw}.kind")
+        if kind not in streamed:
+            raise ValidationError(f"{fw}.kind: the hop streams no {kind.value} readings")
+        fault = FaultSpec(
+            kind=kind,
             start=_positive_int(_need(fault_doc, "start", fw), f"{fw}.start"),
             end=_positive_int(_need(fault_doc, "end", fw), f"{fw}.end"),
             offset=offset,
-        ))
-    silence = doc.get("max_silence_ticks")
-    if silence is not None:
-        silence = _positive_int(silence, f"{where}.max_silence_ticks")
-    return TelemetrySpec(
-        duration=duration,
-        noise_amplitude=amplitude,
-        kinds=kinds,
-        extra_setpoints=extra,
-        faults=tuple(faults),
-        max_silence_ticks=silence,
-    )
+        )
+        if fault.start > fault.end or fault.end >= duration:
+            raise ValidationError(
+                f"{fw}: window [{fault.start}, {fault.end}]"
+                f" is not inside ticks [0, {duration - 1}]"
+            )
+        faults.append(fault)
+    profile = SensorProfile(duration=duration, setpoints=streamed, noise_amplitude=amplitude)
+    return profile, tuple(faults)
 
 
 # --- running ----------------------------------------------------------------------
-
-def _profile_for(hop_spec: HopSpec, setpoints: Setpoints) -> SensorProfile:
-    values: dict[ReadingKind, int | tuple[int, int]] = {}
-    base = {
-        ReadingKind.TEMPERATURE: setpoints.temperature,
-        ReadingKind.HUMIDITY: setpoints.humidity,
-        ReadingKind.PRESSURE: setpoints.pressure,
-    }
-    for kind in hop_spec.telemetry.kinds:
-        if kind in base:
-            values[kind] = base[kind]
-        elif kind in hop_spec.telemetry.extra_setpoints:
-            values[kind] = hop_spec.telemetry.extra_setpoints[kind]
-        else:
-            raise ValidationError(
-                f"telemetry kind {kind.value} needs an extra_setpoints entry"
-            )
-    return SensorProfile(
-        duration=hop_spec.telemetry.duration,
-        setpoints=values,
-        noise_amplitude=hop_spec.telemetry.noise_amplitude,
-    )
-
 
 def run_scenario(scenario: Scenario, seed: int | None = None,
                  eth_usd: float | None = None) -> RunResult:
@@ -314,17 +314,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
                                       batch_spec.setpoints)
         predecessor = None
         for hop_spec in batch_spec.hops:
-            terms = TermSheet(
-                oil_id=batch_spec.batch_id,
-                oil_name=batch_spec.oil_name,
-                quantity=hop_spec.quantity,
-                price=hop_spec.price,
-                setpoints=batch_spec.setpoints,
-                passphrase=hop_spec.passphrase,
-                max_silence_ticks=hop_spec.telemetry.max_silence_ticks,
-            )
             hop = supply.initiate_hop(batch, hop_spec.seller, hop_spec.buyer,
-                                      terms, predecessor=predecessor)
+                                      hop_spec.terms, predecessor=predecessor)
             predecessor = hop.tracking_contract
 
             if hop_spec.accept_method == "signature":
@@ -332,16 +323,15 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
                                           hop.buyer.private_key)
                 credential = identity.signature_credential(signature)
             else:
-                credential = identity.passphrase_attempt(hop_spec.passphrase)
+                credential = identity.passphrase_attempt(hop_spec.terms.passphrase)
             supply.accept_shipment(hop, credential)
 
-            profile = _profile_for(hop_spec, batch_spec.setpoints)
             readings = telemetry.generate_readings(
-                profile,
+                hop_spec.profile,
                 telemetry.stream_seed(seed, batch.batch_id, hop.index),
                 source=hop.data_address,
             )
-            for fault in hop_spec.telemetry.faults:
+            for fault in hop_spec.faults:
                 readings = telemetry.inject_fault(readings, fault)
             supply.feed(hop, readings)
             supply.deliver(hop)
@@ -486,7 +476,6 @@ __all__ = [
     "OilchainError",
     "RunResult",
     "Scenario",
-    "TelemetrySpec",
     "build_run_report",
     "load_scenario",
     "parse_scenario",

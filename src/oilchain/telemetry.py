@@ -77,14 +77,6 @@ class FaultSpec:
     offset: int
 
 
-@dataclass(frozen=True)
-class LocationRecord:
-    tick: int
-    lat: int
-    lon: int
-    source: bytes
-
-
 def stream_seed(scenario_seed: int, batch_id: str, hop_index: int) -> int:
     """Per-hop sub-seed so streams stay stable as scenarios grow."""
     return int.from_bytes(
@@ -161,13 +153,3 @@ def telemetry_records(chain: ledger.Chain, product_contract: bytes,
             out.append(payload)
     return out
 
-
-def location_history(chain: ledger.Chain, product_contract: bytes,
-                     querier: bytes) -> list[LocationRecord]:
-    """Location fixes recorded for one product contract, oldest first."""
-    records = telemetry_records(chain, product_contract, querier, ReadingKind.LOCATION)
-    return [
-        LocationRecord(tick=rec["tick"], lat=rec["value"][0], lon=rec["value"][1],
-                       source=rec["source"])
-        for rec in records
-    ]

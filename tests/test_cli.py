@@ -60,6 +60,38 @@ def test_run_invalid_scenario_exits_one(tmp_path, capsys):
     assert "validators" in err
 
 
+def _hop_telemetry(doc, hop):
+    return doc["batches"][0]["hops"][hop]["telemetry"]
+
+
+@pytest.mark.parametrize("mutate,field", [
+    (lambda d: _hop_telemetry(d, 1).update(
+        faults=[{"kind": "Weight", "start": 0, "end": 1, "offset": 5}]),
+     "batches[0].hops[1].telemetry.faults[0].kind"),
+    (lambda d: _hop_telemetry(d, 1).update(
+        faults=[{"kind": "Pressure", "start": 2, "end": 9, "offset": 5}]),
+     "batches[0].hops[1].telemetry.faults[0]"),
+    (lambda d: _hop_telemetry(d, 1).update(
+        faults=[{"kind": "Pressure", "start": 3, "end": 1, "offset": 5}]),
+     "batches[0].hops[1].telemetry.faults[0]"),
+    (lambda d: d["batches"].append(d["batches"][0]), "batches[1].batch_id"),
+    (lambda d: _hop_telemetry(d, 1)["kinds"].append("Humidity"),
+     "batches[0].hops[1].telemetry.kinds[3]"),
+    (lambda d: _hop_telemetry(d, 1)["kinds"].append("Weight"),
+     "batches[0].hops[1].telemetry.kinds[3]"),
+], ids=["fault-kind-not-streamed", "fault-window-past-end", "fault-window-reversed",
+        "repeated-batch-id", "repeated-kind", "kind-without-setpoint"])
+def test_run_refuses_bad_input_naming_the_field(tmp_path, capsys, mutate, field):
+    doc = json.loads((SCENARIO_DIR / "happy_path.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: bad.json.{field}:")
+
+
 def test_run_persists_store_and_report(tmp_path, capsys):
     root = tmp_path / "ledgers"
     code, out, _err = run_cli(capsys, "run", HAPPY, "--store", str(root),

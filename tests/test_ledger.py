@@ -267,51 +267,19 @@ def test_random_single_byte_mutations_always_detected(consortium):
         assert report.first_bad_index <= at
 
 
-# --- queries ------------------------------------------------------------------
-
-def scan_oracle(chain, contract=None, event_name=None, block_range=None):
-    out = []
-    for block in chain.blocks:
-        for t in block.transactions:
-            for event in t.events:
-                if block_range and not (block_range[0] <= block.index <= block_range[1]):
-                    continue
-                if contract and event.emitter != contract:
-                    continue
-                if event_name and event.name != event_name:
-                    continue
-                out.append(event)
-    return out
-
-
-def test_query_events_matches_linear_scan():
-    rng = random.Random(7)
-    chain = build_random_chain(rng, 8)
-    emitters = [e.emitter for _, _, e in ledger.iter_events(chain)]
-    assert emitters, "random chain should carry events"
-    filters = [
-        {},
-        {"event_name": "PressureViolation"},
-        {"contract": emitters[0]},
-        {"block_range": (2, 5)},
-        {"event_name": "oilAdded", "block_range": (1, 3)},
-    ]
-    for kwargs in filters:
-        got = ledger.query_events(chain, querier=bytes([1]) * 20, **kwargs)
-        assert got == scan_oracle(chain, **kwargs)
-
+# --- read access --------------------------------------------------------------
 
 def test_private_chain_reads_are_acl_gated():
     chain = build_small_chain()
-    assert ledger.query_events(chain, querier=ALICE)
+    ledger.require_read_access(chain, ALICE)
     with pytest.raises(AccessDenied):
-        ledger.query_events(chain, querier=MALLORY)
+        ledger.require_read_access(chain, MALLORY)
     with pytest.raises(AccessDenied):
-        ledger.query_events(chain)
+        ledger.require_read_access(chain, None)
 
 
 def test_consortium_reads_are_open():
     chain, validators = make_consortium(4)
     endorsed_append(chain, validators, [tx()], 1)
-    assert ledger.query_events(chain) == []
-    assert ledger.query_events(chain, querier=MALLORY) == []
+    ledger.require_read_access(chain, None)
+    ledger.require_read_access(chain, MALLORY)

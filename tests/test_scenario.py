@@ -62,7 +62,7 @@ def test_bundled_scenarios_parse():
     assert happy.validator_count == 4
     assert len(happy.batches[0].hops) == 4
     faulted = load_scenario(FAULTED)
-    faults = faulted.batches[0].hops[1].telemetry.faults
+    faults = faulted.batches[0].hops[1].faults
     assert len(faults) == 1
     assert (faults[0].start, faults[0].end, faults[0].offset) == (1, 3, -2)
 
@@ -119,6 +119,18 @@ def broken(mutate):
     (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(kinds=[{}]), "kinds[0]"),
     (lambda d: d["batches"][0]["hops"][0].update(
         accept={"method": "passphrase", "passphrase": 7}), "accept.passphrase"),
+    (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(
+        faults=[{"kind": "Weight", "start": 0, "end": 1, "offset": 5}]), "faults[0].kind"),
+    (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(
+        faults=[{"kind": "Pressure", "start": 1, "end": 2, "offset": 5}]), "faults[0]"),
+    (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(
+        faults=[{"kind": "Pressure", "start": 1, "end": 0, "offset": 5}]),
+     "telemetry.faults[0]"),
+    (lambda d: d["batches"].append(copy.deepcopy(d["batches"][0])), "batches[1].batch_id"),
+    (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(
+        kinds=["Temperature", "Pressure", "Pressure"]), "telemetry.kinds[2]"),
+    (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(
+        kinds=["Temperature", "Humidity", "Pressure", "Weight"]), "kinds[3]"),
 ])
 def test_validation_errors_name_the_field(mutate, needle):
     with pytest.raises(ValidationError) as err:

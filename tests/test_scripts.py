@@ -19,9 +19,16 @@ amplitude violations  accurate
         4         48         6
 """
 
+NOISE_SWEEP_SEED_3_STDOUT = """\
+amplitude violations  accurate
+        0          0        54
+        1         31        23
+        2         43        11
+"""
 
-def run_script(name: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, str(SCRIPTS / name)],
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
                           capture_output=True, text=True, timeout=120)
 
 
@@ -38,3 +45,9 @@ def test_noise_sweep_default_output_is_pinned():
     proc = run_script("noise_sweep.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == NOISE_SWEEP_STDOUT
+
+
+def test_noise_sweep_flags_change_the_seed_and_range():
+    proc = run_script("noise_sweep.py", "--seed", "3", "--max-amplitude", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == NOISE_SWEEP_SEED_3_STDOUT

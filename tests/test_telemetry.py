@@ -227,15 +227,17 @@ def test_location_history_and_read_gating(supply, setpoints):
     supply.feed(hop, fixes)
     assert hop.readings_fed == 5
     chain = supply.private_chain(hop.seller.address)
-    history = telemetry.location_history(chain, hop.product_contract,
-                                         querier=hop.buyer.address)
-    assert [h.tick for h in history] == [0, 1, 2, 3, 4]
-    assert all((h.lat, h.lon) == FULL_SETPOINTS[ReadingKind.LOCATION]
+    history = telemetry.telemetry_records(chain, hop.product_contract,
+                                          querier=hop.buyer.address,
+                                          kind=ReadingKind.LOCATION)
+    assert [h["tick"] for h in history] == [0, 1, 2, 3, 4]
+    assert all(tuple(h["value"]) == FULL_SETPOINTS[ReadingKind.LOCATION]
                for h in history)
+    assert all(h["source"] == hop.data_address for h in history)
     consumer = supply.actor(Role.CONSUMER)
     with pytest.raises(AccessDenied):
-        telemetry.location_history(chain, hop.product_contract,
-                                   querier=consumer.address)
+        telemetry.telemetry_records(chain, hop.product_contract,
+                                    querier=consumer.address)
 
 
 def test_violation_events_match_out_of_band_values(supply, setpoints):
