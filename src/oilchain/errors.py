@@ -92,10 +92,6 @@ class InvalidRolePair(OilchainError):
     """Seller/buyer roles are not adjacent in the custody order."""
 
 
-class MissingPredecessor(OilchainError):
-    """A hop after the first was initiated without its predecessor link."""
-
-
 class UnknownBatch(OilchainError):
     """No contracts for the requested batch id exist on the ledger."""
 

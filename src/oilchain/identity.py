@@ -55,17 +55,14 @@ class KeyPair:
 
 
 @dataclass(frozen=True)
-class Actor:
-    """A supply-chain participant: one role, one keypair.
+class Actor(KeyPair):
+    """A supply-chain participant: a keypair with one role.
 
     The private key stays in process memory; nothing in the ledger ever
     serializes it.
     """
 
     role: Role
-    address: bytes
-    public_key: bytes
-    private_key: bytes = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -104,8 +101,7 @@ def generate_actor(role: Role, seed: int) -> Actor:
     or roles yield distinct addresses.
     """
     kp = generate_keypair(f"actor:{role.value}", seed)
-    return Actor(role=role, address=kp.address, public_key=kp.public_key,
-                 private_key=kp.private_key)
+    return Actor(**vars(kp), role=role)
 
 
 def generate_device(label: str, seed: int) -> KeyPair:

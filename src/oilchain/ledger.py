@@ -10,6 +10,7 @@ candidate digest, checked against a 2f+1 quorum of a 3f+1 validator set.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -102,6 +103,11 @@ class Block:
     transactions: tuple[Transaction, ...]
     endorsements: tuple[Endorsement, ...]
     hash: bytes
+
+    @functools.cached_property
+    def digest(self) -> bytes:
+        """The candidate digest of this block's contents, computed once."""
+        return candidate_digest(self.index, self.prev_hash, self.timestamp, self.transactions)
 
 
 @dataclass
@@ -266,9 +272,7 @@ def verify_chain(chain: Chain) -> VerificationReport:
         if block.prev_hash != expected_prev:
             return VerificationReport(False, i)
         try:
-            digest = candidate_digest(block.index, block.prev_hash,
-                                      block.timestamp, block.transactions)
-            recomputed = block_hash(digest, block.endorsements)
+            recomputed = block_hash(block.digest, block.endorsements)
         except (TypeError, ValueError):
             return VerificationReport(False, i)
         if recomputed != block.hash:
@@ -283,10 +287,8 @@ def verify_endorsement_quorum(chain: Chain) -> VerificationReport:
     """
     if chain.chain_class is ChainClass.CONSORTIUM:
         for i, block in enumerate(chain.blocks[1:], start=1):
-            digest = candidate_digest(block.index, block.prev_hash,
-                                      block.timestamp, block.transactions)
             try:
-                _check_quorum(digest, block.endorsements, chain.validators)
+                _check_quorum(block.digest, block.endorsements, chain.validators)
             except QuorumNotMet:
                 return VerificationReport(False, i)
     return VerificationReport(True, None)

@@ -17,11 +17,12 @@ from pathlib import Path
 from . import identity, ledger, runtime, telemetry
 from .contracts.base import stage_label
 from .encoding import canon_decode
-from .errors import InvalidValidatorSet, OilchainError, ParseError, ValidationError
+from .errors import InvalidRolePair, InvalidValidatorSet, OilchainError, ParseError, ValidationError
 from .identity import Role, address_hex
 from .provenance import batch_text, build_reports
 from .telemetry import FaultSpec, ReadingKind, SensorProfile
-from .workflow import SETTLEMENT_FUNCTION, Setpoints, SupplyChain, TermSheet, Topology
+from .workflow import (REQUIRED_ROLES, SETTLEMENT_FUNCTION, Setpoints, SupplyChain, TermSheet,
+                       Topology, check_custody)
 
 SCENARIO_SCHEMA_VERSION = 1
 RUN_REPORT_SCHEMA_VERSION = 1
@@ -147,12 +148,15 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
     )
     if len(set(roles)) != len(roles):
         raise ValidationError(f"{where}.topology.roles: duplicate role")
+    for role in REQUIRED_ROLES:
+        if role not in roles:
+            raise ValidationError(f"{where}.topology.roles: missing required role {role.value}")
 
     batches = []
     for bi, batch_doc in enumerate(_need(doc, "batches", where, list)):
         bw = f"{where}.batches[{bi}]"
         _typed(batch_doc, dict, bw)
-        batch_id = str(_need(batch_doc, "batch_id", bw))
+        batch_id = _need(batch_doc, "batch_id", bw, str)
         if any(b.batch_id == batch_id for b in batches):
             raise ValidationError(f"{bw}.batch_id: batch {batch_id!r} appears twice")
         oil_name = _need(batch_doc, "oil_name", bw, str)
@@ -169,6 +173,14 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
         for hi, hop_doc in enumerate(_need(batch_doc, "hops", bw, list)):
             hw = f"{bw}.hops[{hi}]"
             _typed(hop_doc, dict, hw)
+            seller = _role(_need(hop_doc, "seller", hw), f"{hw}.seller")
+            buyer = _role(_need(hop_doc, "buyer", hw), f"{hw}.buyer")
+            try:
+                check_custody(hops[-1].buyer if hops else None, seller, buyer)
+            except InvalidRolePair as exc:
+                raise ValidationError(f"{hw}.seller: {exc}") from exc
+            if buyer not in roles:
+                raise ValidationError(f"{hw}.buyer: topology has no {buyer.value} actor")
             accept = _typed(hop_doc.get("accept", {"method": "signature"}), dict, f"{hw}.accept")
             method = accept.get("method", "signature")
             if method not in ("signature", "passphrase"):
@@ -185,8 +197,8 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
             if silence is not None:
                 silence = _positive_int(silence, f"{tw}.max_silence_ticks")
             hops.append(HopSpec(
-                seller=_role(_need(hop_doc, "seller", hw), f"{hw}.seller"),
-                buyer=_role(_need(hop_doc, "buyer", hw), f"{hw}.buyer"),
+                seller=seller,
+                buyer=buyer,
                 terms=TermSheet(
                     oil_id=batch_id,
                     oil_name=oil_name,
@@ -312,11 +324,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
     for batch_spec in scenario.batches:
         batch = supply.register_batch(batch_spec.batch_id, batch_spec.oil_name,
                                       batch_spec.setpoints)
-        predecessor = None
         for hop_spec in batch_spec.hops:
-            hop = supply.initiate_hop(batch, hop_spec.seller, hop_spec.buyer,
-                                      hop_spec.terms, predecessor=predecessor)
-            predecessor = hop.tracking_contract
+            hop = supply.initiate_hop(batch, hop_spec.seller, hop_spec.buyer, hop_spec.terms)
 
             if hop_spec.accept_method == "signature":
                 signature = identity.sign(supply.accept_digest(hop),

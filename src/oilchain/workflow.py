@@ -21,7 +21,6 @@ from .encoding import digest
 from .errors import (
     BadCredential,
     InvalidRolePair,
-    MissingPredecessor,
     StaleTelemetry,
     Unauthorized,
     ValidationError,
@@ -56,10 +55,28 @@ _DELIVERY_TRANSITION = {
     Role.PUMP: "pumpSoldOil",
 }
 
-_REQUIRED_ROLES = (Role.DRILLER, Role.REFINERY, Role.STORAGE, Role.PUMP)
+# roles a topology needs before any batch can be registered
+REQUIRED_ROLES = (Role.DRILLER, Role.REFINERY, Role.STORAGE, Role.PUMP)
 
 # function name of the payment record acceptance writes to the seller's chain
 SETTLEMENT_FUNCTION = "settlement"
+
+
+def check_custody(previous_buyer: Role | None, seller: Role, buyer: Role) -> None:
+    """Raise InvalidRolePair unless `seller` may sell the batch on to `buyer`.
+
+    The pair must be adjacent in the custody order, a batch's first hop
+    (no previous buyer) is sold by the driller, and every later hop by the
+    previous hop's buyer.
+    """
+    if (seller, buyer) not in ADJACENT_ROLES:
+        raise InvalidRolePair(f"{seller.value} cannot sell to {buyer.value}")
+    if previous_buyer is None:
+        if seller is not Role.DRILLER:
+            raise InvalidRolePair("a batch's first hop must be sold by the driller")
+    elif previous_buyer is not seller:
+        raise InvalidRolePair(f"custody continuity broken: the previous hop's buyer is"
+                              f" {previous_buyer.value}, not {seller.value}")
 
 
 @dataclass(frozen=True)
@@ -186,11 +203,6 @@ class SupplyChain:
         """Deploy the batch's distribution contract (driller-owned)."""
         if batch_id in self.batches:
             raise ValidationError(f"batch {batch_id!r} already registered")
-        for role in _REQUIRED_ROLES:
-            if role not in self.topology.actors:
-                raise ValidationError(
-                    f"topology must include a {role.value} actor to register a batch"
-                )
         driller = self.actor(Role.DRILLER)
         address = self.consortium_rt.deploy(
             "OilDistribution",
@@ -212,31 +224,11 @@ class SupplyChain:
     # --- hop lifecycle -------------------------------------------------------------
 
     def initiate_hop(self, batch: BatchRecord, seller_role: Role, buyer_role: Role,
-                     terms: TermSheet, predecessor: bytes | None = None) -> Hop:
-        """Open a hop: contracts deployed, terms entered, status Proposed."""
-        if (seller_role, buyer_role) not in ADJACENT_ROLES:
-            raise InvalidRolePair(
-                f"{seller_role.value} cannot sell to {buyer_role.value}"
-            )
-        if batch.hops:
-            prev = batch.hops[-1]
-            if predecessor is None:
-                raise MissingPredecessor(
-                    f"hop {len(batch.hops) + 1} needs the previous tracking contract"
-                )
-            if predecessor != prev.tracking_contract:
-                raise ValidationError(
-                    "predecessor must be the immediately previous hop's tracking contract"
-                )
-            if prev.buyer.role is not seller_role:
-                raise InvalidRolePair(
-                    f"custody continuity broken: hop {prev.index} buyer is"
-                    f" {prev.buyer.role.value}, not {seller_role.value}"
-                )
-        elif predecessor is not None:
-            raise ValidationError("the first hop of a batch has no predecessor")
-        elif seller_role is not Role.DRILLER:
-            raise InvalidRolePair("a batch's first hop must be sold by the driller")
+                     terms: TermSheet) -> Hop:
+        """Open a hop linked to the batch's last one: contracts deployed, terms entered."""
+        previous = batch.hops[-1] if batch.hops else None
+        check_custody(previous.buyer.role if previous else None, seller_role, buyer_role)
+        predecessor = previous.tracking_contract if previous else None
 
         seller = self.actor(seller_role)
         buyer = self.actor(buyer_role)

@@ -382,8 +382,7 @@ def test_c10_forged_credentials_never_settle():
         # same property through the passphrase path
         second = supply.initiate_hop(batch, Role.REFINERY, Role.STORAGE,
                                      standard_terms(setpoints,
-                                                    passphrase="gate-7"),
-                                     predecessor=hop.tracking_contract)
+                                                    passphrase="gate-7"))
         with pytest.raises(BadCredential):
             supply.accept_shipment(second, identity.passphrase_attempt("gate-8"))
         supply.accept_shipment(second, identity.passphrase_attempt("gate-7"))

@@ -79,8 +79,17 @@ def _hop_telemetry(doc, hop):
      "batches[0].hops[1].telemetry.kinds[3]"),
     (lambda d: _hop_telemetry(d, 1)["kinds"].append("Weight"),
      "batches[0].hops[1].telemetry.kinds[3]"),
+    (lambda d: d["topology"]["roles"].remove("Storage"), "topology.roles"),
+    (lambda d: d["topology"]["roles"].remove("Consumer"), "batches[0].hops[3].buyer"),
+    (lambda d: d["batches"][0]["hops"][2].update(seller="Driller"),
+     "batches[0].hops[2].seller"),
+    (lambda d: d["batches"][0]["hops"][0].update(seller="Refinery"),
+     "batches[0].hops[0].seller"),
+    (lambda d: d["batches"][0].update(batch_id=None), "batches[0].batch_id"),
 ], ids=["fault-kind-not-streamed", "fault-window-past-end", "fault-window-reversed",
-        "repeated-batch-id", "repeated-kind", "kind-without-setpoint"])
+        "repeated-batch-id", "repeated-kind", "kind-without-setpoint",
+        "topology-without-storage", "buyer-not-in-topology", "hop-3-sold-by-driller",
+        "hop-1-sold-by-refinery", "null-batch-id"])
 def test_run_refuses_bad_input_naming_the_field(tmp_path, capsys, mutate, field):
     doc = json.loads((SCENARIO_DIR / "happy_path.json").read_text())
     mutate(doc)

@@ -17,11 +17,8 @@ def run_hops(supply, setpoints, count=2, feed_ticks=0, fault=None, batch_id="101
     batch = supply.register_batch(batch_id, "Petrol", setpoints)
     pairs = [(Role.DRILLER, Role.REFINERY), (Role.REFINERY, Role.STORAGE),
              (Role.STORAGE, Role.PUMP), (Role.PUMP, Role.CONSUMER)]
-    predecessor = None
     for seller, buyer in pairs[:count]:
-        hop = supply.initiate_hop(batch, seller, buyer,
-                                  standard_terms(setpoints),
-                                  predecessor=predecessor)
+        hop = supply.initiate_hop(batch, seller, buyer, standard_terms(setpoints))
         signature = identity.sign(supply.accept_digest(hop), hop.buyer.private_key)
         supply.accept_shipment(hop, identity.signature_credential(signature))
         if feed_ticks:
@@ -36,7 +33,6 @@ def run_hops(supply, setpoints, count=2, feed_ticks=0, fault=None, batch_id="101
                 readings = telemetry.inject_fault(readings, fault[1])
             supply.feed(hop, readings)
         supply.deliver(hop)
-        predecessor = hop.tracking_contract
     return batch
 
 

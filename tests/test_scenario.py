@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import JSON_VALUES, SCENARIO_DIR, node_paths, with_node_replaced
 from oilchain import runtime
 from oilchain.errors import OilchainError, ParseError, QuorumNotMet, ValidationError
+from oilchain.identity import Role
 from oilchain.provenance import batch_text, build_report
 from oilchain.scenario import (
     MAX_DURATION_TICKS,
@@ -80,6 +81,16 @@ def broken(mutate):
     return doc
 
 
+def full_custody(doc):
+    """doc with batch 0 taken driller -> refinery -> storage -> pump -> consumer."""
+    hop = doc["batches"][0]["hops"][0]
+    pairs = [("Driller", "Refinery"), ("Refinery", "Storage"), ("Storage", "Pump"),
+             ("Pump", "Consumer")]
+    doc["batches"][0]["hops"] = [dict(copy.deepcopy(hop), seller=seller, buyer=buyer)
+                                 for seller, buyer in pairs]
+    return doc
+
+
 @pytest.mark.parametrize("mutate,needle", [
     (lambda d: d.pop("schema_version"), "schema_version"),
     (lambda d: d.update(schema_version=2), "schema_version"),
@@ -131,6 +142,15 @@ def broken(mutate):
         kinds=["Temperature", "Pressure", "Pressure"]), "telemetry.kinds[2]"),
     (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(
         kinds=["Temperature", "Humidity", "Pressure", "Weight"]), "kinds[3]"),
+    (lambda d: d["batches"][0].update(batch_id=None), "batches[0].batch_id"),
+    (lambda d: d["batches"][0].update(batch_id=["7"]), "batches[0].batch_id"),
+    (lambda d: d["topology"]["roles"].remove("Storage"), "topology.roles"),
+    (lambda d: full_custody(d)["topology"]["roles"].remove("Consumer"),
+     "batches[0].hops[3].buyer"),
+    (lambda d: full_custody(d)["batches"][0]["hops"][2].update(seller="Driller"),
+     "batches[0].hops[2].seller"),
+    (lambda d: d["batches"][0]["hops"][0].update(seller="Refinery"),
+     "batches[0].hops[0].seller"),
 ])
 def test_validation_errors_name_the_field(mutate, needle):
     with pytest.raises(ValidationError) as err:
@@ -152,6 +172,25 @@ def test_any_one_node_replaced_parses_or_raises_oilchain_error(node, value):
     except OilchainError:
         return
     assert isinstance(parsed, Scenario)
+
+
+HAPPY_DOC = BUNDLED_DOCS[0]
+ROLE_NODES = [("topology", "roles", i) for i in range(len(HAPPY_DOC["topology"]["roles"]))] + [
+    ("batches", 0, "hops", j, side)
+    for j in range(len(HAPPY_DOC["batches"][0]["hops"])) for side in ("seller", "buyer")
+]
+
+
+@pytest.mark.parametrize("path", ROLE_NODES, ids=lambda p: ".".join(map(str, p)))
+@pytest.mark.parametrize("role", [r.value for r in Role])
+def test_one_role_substitution_is_refused_at_parse_or_runs(path, role):
+    doc = with_node_replaced(HAPPY_DOC, path, role)
+    try:
+        scenario = parse_scenario(doc)
+    except ValidationError as err:
+        assert str(err).startswith(("scenario.topology.roles", "scenario.batches[0].hops["))
+        return
+    run_scenario(scenario)
 
 
 def test_broken_json_reports_the_line(tmp_path):

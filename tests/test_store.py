@@ -149,6 +149,18 @@ def test_endorsements_survive_round_trip_for_quorum_check(tmp_path):
     assert ledger.verify_endorsement_quorum(loaded)
 
 
+def test_load_and_quorum_check_digest_each_block_once(tmp_path, monkeypatch):
+    result = run_scenario_file(SCENARIO_DIR / "pressure_fault_hop2.json")
+    store.save_store(tmp_path, result.supply.all_chains())
+    calls = []
+    digest = ledger.candidate_digest
+    monkeypatch.setattr(ledger, "candidate_digest",
+                        lambda *args: calls.append(args) or digest(*args))
+    loaded = store.load_store(tmp_path)
+    assert all(ledger.verify_endorsement_quorum(chain) for chain in loaded.values())
+    assert len(calls) == sum(len(chain) for chain in loaded.values())
+
+
 def test_saving_over_a_store_removes_chains_it_no_longer_holds(tmp_path):
     doc = json.loads((SCENARIO_DIR / "happy_path.json").read_text())
     doc["topology"]["roles"].append("OtherFactory")

@@ -11,7 +11,6 @@ from oilchain.errors import (
     BadCredential,
     InvalidRolePair,
     InvalidValidatorSet,
-    MissingPredecessor,
     UnknownBatch,
     ValidationError,
     WrongStage,
@@ -143,27 +142,22 @@ def test_first_hop_must_be_sold_by_the_driller(supply, setpoints):
     with pytest.raises(InvalidRolePair):
         supply.initiate_hop(batch, Role.REFINERY, Role.STORAGE,
                             standard_terms(setpoints))
-    with pytest.raises(ValidationError):
-        supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY,
-                            standard_terms(setpoints), predecessor=b"\x01" * 20)
+    assert batch.hops == []
 
 
 def test_follow_on_hops_need_the_exact_predecessor(supply, setpoints):
     batch = supply.register_batch("101", "Petrol", setpoints)
     first = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY,
                                 standard_terms(setpoints))
-    with pytest.raises(MissingPredecessor):
-        supply.initiate_hop(batch, Role.REFINERY, Role.STORAGE,
-                            standard_terms(setpoints))
-    with pytest.raises(ValidationError):
-        supply.initiate_hop(batch, Role.REFINERY, Role.STORAGE,
-                            standard_terms(setpoints),
-                            predecessor=first.product_contract)
     second = supply.initiate_hop(batch, Role.REFINERY, Role.STORAGE,
-                                 standard_terms(setpoints),
-                                 predecessor=first.tracking_contract)
+                                 standard_terms(setpoints))
     assert second.index == 2
     assert second.predecessor == first.tracking_contract
+    constructor = next(tx for b in supply.consortium_chain.blocks
+                       for tx in b.transactions
+                       if tx.function == "constructor"
+                       and tx.contract == second.tracking_contract)
+    assert canon_decode(constructor.args)["meta"]["predecessor"] == first.tracking_contract
 
 
 def test_custody_continuity_between_hops(supply, setpoints):
@@ -172,8 +166,8 @@ def test_custody_continuity_between_hops(supply, setpoints):
                                 standard_terms(setpoints))
     with pytest.raises(InvalidRolePair):
         supply.initiate_hop(batch, Role.STORAGE, Role.PUMP,
-                            standard_terms(setpoints),
-                            predecessor=first.tracking_contract)
+                            standard_terms(setpoints))
+    assert batch.hops == [first]
 
 
 # --- acceptance ---------------------------------------------------------------------------
@@ -239,10 +233,9 @@ def test_double_accept_rejected(supply, setpoints):
 
 # --- delivery and settlement ------------------------------------------------------------
 
-def advance(supply, batch, seller, buyer, setpoints, predecessor=None, price=100):
+def advance(supply, batch, seller, buyer, setpoints, price=100):
     hop = supply.initiate_hop(batch, seller, buyer,
-                              standard_terms(setpoints, price=price),
-                              predecessor=predecessor)
+                              standard_terms(setpoints, price=price))
     supply.accept_shipment(hop, sign_accept(supply, hop))
     supply.deliver(hop)
     return hop
@@ -279,16 +272,13 @@ def test_delivery_advances_distribution_and_stamps_tick(supply, setpoints):
 
 def test_full_path_reaches_sold(supply, setpoints):
     batch = supply.register_batch("101", "Petrol", setpoints)
-    h1 = advance(supply, batch, Role.DRILLER, Role.REFINERY, setpoints)
+    advance(supply, batch, Role.DRILLER, Role.REFINERY, setpoints)
     assert supply.distribution_state("101")["current_trace"] == "AtDriller"
-    h2 = advance(supply, batch, Role.REFINERY, Role.STORAGE, setpoints,
-                 predecessor=h1.tracking_contract, price=120)
+    advance(supply, batch, Role.REFINERY, Role.STORAGE, setpoints, price=120)
     assert supply.distribution_state("101")["current_trace"] == "AtFactory"
-    h3 = advance(supply, batch, Role.STORAGE, Role.PUMP, setpoints,
-                 predecessor=h2.tracking_contract, price=150)
+    advance(supply, batch, Role.STORAGE, Role.PUMP, setpoints, price=150)
     assert supply.distribution_state("101")["current_trace"] == "AtStorage"
-    h4 = advance(supply, batch, Role.PUMP, Role.CONSUMER, setpoints,
-                 predecessor=h3.tracking_contract, price=180)
+    h4 = advance(supply, batch, Role.PUMP, Role.CONSUMER, setpoints, price=180)
     state = supply.distribution_state("101")
     assert state["current_trace"] == "Sold"
     assert state["pump_price"] == 180
@@ -306,11 +296,9 @@ def test_full_path_reaches_sold(supply, setpoints):
 
 def test_out_of_order_delivery_hits_the_stage_gate(supply, setpoints):
     batch = supply.register_batch("101", "Petrol", setpoints)
-    h1 = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY,
-                             standard_terms(setpoints))
+    supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY, standard_terms(setpoints))
     h2 = supply.initiate_hop(batch, Role.REFINERY, Role.STORAGE,
-                             standard_terms(setpoints),
-                             predecessor=h1.tracking_contract)
+                             standard_terms(setpoints))
     supply.accept_shipment(h2, sign_accept(supply, h2))
     with pytest.raises(WrongStage):
         supply.deliver(h2)
@@ -323,19 +311,16 @@ def test_other_factory_branch_ends_at_storage(setpoints):
     topo = Topology.from_seed(roles, validator_count=4, seed=7)
     supply = SupplyChain(topo, seed=7)
     batch = supply.register_batch("101", "Petrol", setpoints)
-    h1 = advance(supply, batch, Role.DRILLER, Role.REFINERY, setpoints)
-    h2 = advance(supply, batch, Role.REFINERY, Role.STORAGE, setpoints,
-                 predecessor=h1.tracking_contract)
-    h3 = advance(supply, batch, Role.STORAGE, Role.OTHER_FACTORY, setpoints,
-                 predecessor=h2.tracking_contract)
+    advance(supply, batch, Role.DRILLER, Role.REFINERY, setpoints)
+    advance(supply, batch, Role.REFINERY, Role.STORAGE, setpoints)
+    h3 = advance(supply, batch, Role.STORAGE, Role.OTHER_FACTORY, setpoints)
     # the storage hand-off still books the oil into storage, then the
     # branch terminates: an OtherFactory cannot sell onward
     assert supply.distribution_state("101")["current_trace"] == "AtStorage"
     assert h3.status is HopStatus.DELIVERED
     with pytest.raises(InvalidRolePair):
         supply.initiate_hop(batch, Role.OTHER_FACTORY, Role.CONSUMER,
-                            standard_terms(setpoints),
-                            predecessor=h3.tracking_contract)
+                            standard_terms(setpoints))
 
 
 def test_weight_delta_is_last_minus_first(supply, setpoints):
