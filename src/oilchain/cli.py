@@ -32,8 +32,10 @@ def _persist_run(result: scenario.RunResult, root: Path) -> None:
 
 
 def _cmd_run(args) -> int:
-    result = scenario.run_scenario_file(args.scenario, seed=args.seed,
-                                        eth_usd=args.eth_usd)
+    seed = None if args.seed is None else scenario.check_seed(args.seed, "--seed")
+    eth_usd = (None if args.eth_usd is None
+               else scenario.check_eth_usd(args.eth_usd, "--eth-usd"))
+    result = scenario.run_scenario_file(args.scenario, seed=seed, eth_usd=eth_usd)
     if args.store:
         _persist_run(result, Path(args.store))
     if args.format == "structured":
@@ -62,11 +64,13 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_gas_report(args) -> int:
-    rows = runtime.gas_report(eth_usd=args.eth_usd or runtime.DEFAULT_ETH_USD)
+    eth_usd = (runtime.DEFAULT_ETH_USD if args.eth_usd is None
+               else scenario.check_eth_usd(args.eth_usd, "--eth-usd"))
+    rows = runtime.gas_report(eth_usd=eth_usd)
     if args.format == "structured":
         doc = {
             "schema_version": scenario.RUN_REPORT_SCHEMA_VERSION,
-            "eth_usd": args.eth_usd or runtime.DEFAULT_ETH_USD,
+            "eth_usd": eth_usd,
             "gas_prices_gwei": runtime.GAS_PRICES_GWEI,
             "functions": rows,
         }
@@ -109,8 +113,16 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_ERROR, not argparse's 2, which here means violations."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oilchain",
         description="Deterministic permissioned-ledger simulator for oil supply chains.",
     )

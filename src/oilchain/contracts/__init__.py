@@ -1,34 +1,12 @@
 """Contract state machines executed by the runtime."""
 
 from .base import ContractBase
-from .checkprogress import CheckProgress, Stage, ViolationKind, CONTINUE_PROCESS
-from .distribution import (
-    DISTRIBUTION_EVENTS,
-    MSG_IN_STORAGE,
-    MSG_SOLD,
-    MSG_TO_FACTORY,
-    MSG_TO_STORAGE,
-    OilDistribution,
-    TraceStage,
-)
+from .checkprogress import CheckProgress
+from .distribution import OilDistribution
 
 CONTRACT_KINDS = {
     CheckProgress.KIND: CheckProgress,
     OilDistribution.KIND: OilDistribution,
 }
 
-__all__ = [
-    "CONTINUE_PROCESS",
-    "CONTRACT_KINDS",
-    "ContractBase",
-    "CheckProgress",
-    "DISTRIBUTION_EVENTS",
-    "MSG_IN_STORAGE",
-    "MSG_SOLD",
-    "MSG_TO_FACTORY",
-    "MSG_TO_STORAGE",
-    "OilDistribution",
-    "Stage",
-    "TraceStage",
-    "ViolationKind",
-]
+__all__ = ["CONTRACT_KINDS", "CheckProgress", "ContractBase", "OilDistribution"]

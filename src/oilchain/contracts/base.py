@@ -25,18 +25,16 @@ Emission = tuple[str, tuple[tuple[str, str | int], ...]]
 
 class ContractBase:
     KIND: str = ""
-    FUNCTIONS: tuple[str, ...] = ()
 
-    def resolve_function(self, name: str) -> str:
-        """Map a (case-insensitive) name to its canonical function name."""
-        lowered = name.lower()
-        for fn in self.FUNCTIONS:
-            if fn.lower() == lowered:
-                return fn
-        raise UnknownFunction(f"{self.KIND} has no function {name!r}")
+    @classmethod
+    @functools.cache
+    def functions(cls) -> frozenset[str]:
+        """The functions a call may name, matched by exact name: one for each
+        `_fn_<Name>` handler."""
+        return frozenset(name[4:] for name in dir(cls) if name.startswith("_fn_"))
 
     def apply(self, function: str, args: dict, caller: bytes, tick: int):
-        handler = getattr(self, "_fn_" + function.lower(), None)
+        handler = getattr(self, "_fn_" + function, None)
         if handler is None:
             raise UnknownFunction(f"{self.KIND} has no function {function!r}")
         return handler(args, caller, tick)

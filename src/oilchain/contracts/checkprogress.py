@@ -31,13 +31,15 @@ class ViolationKind(Enum):
     PRESSURE = "Pressure"
 
 
-_EVENT_NAME = {
+# the event each checked kind emits, and the first word of its message per
+# stage; reverse traceability reads both back from the ledger
+EVENT_NAME = {
     ViolationKind.TEMPERATURE: "TemperatureViolation",
     ViolationKind.HUMIDITY: "HumidityViolation",
     ViolationKind.PRESSURE: "PressureViolation",
 }
 
-_STAGE_WORD = {Stage.HIGH: "Higher", Stage.LOW: "Lower", Stage.ACCURATE: "Accurate"}
+STAGE_WORD = {Stage.HIGH: "Higher", Stage.LOW: "Lower", Stage.ACCURATE: "Accurate"}
 
 CONTINUE_PROCESS = "Continue Process"
 
@@ -64,13 +66,6 @@ class CheckProgress(ContractBase):
     violation_type: ViolationKind = ViolationKind.NONE
 
     KIND = "CheckProgress"
-    FUNCTIONS = (
-        "EnterOil",
-        "CheckTemperature",
-        "CheckHumidity",
-        "CheckPressure",
-        "OccuredViolation",
-    )
 
     @classmethod
     def create(cls, deployer: bytes, init_args: dict) -> "CheckProgress":
@@ -89,7 +84,7 @@ class CheckProgress(ContractBase):
 
     # --- functions ----------------------------------------------------------
 
-    def _fn_enteroil(self, args: dict, caller: bytes, tick: int):
+    def _fn_EnterOil(self, args: dict, caller: bytes, tick: int):
         if caller != self.owner:
             raise Unauthorized("only the contract owner may enter oil terms")
         amt = args["amt"]
@@ -110,19 +105,19 @@ class CheckProgress(ContractBase):
         )
         return "Oil Added", [emission]
 
-    def _fn_checktemperature(self, args, caller, tick):
+    def _fn_CheckTemperature(self, args, caller, tick):
         return self._check(ViolationKind.TEMPERATURE, args["value"],
                            self.accurate_temp, caller)
 
-    def _fn_checkhumidity(self, args, caller, tick):
+    def _fn_CheckHumidity(self, args, caller, tick):
         return self._check(ViolationKind.HUMIDITY, args["value"],
                            self.accurate_hum, caller)
 
-    def _fn_checkpressure(self, args, caller, tick):
+    def _fn_CheckPressure(self, args, caller, tick):
         return self._check(ViolationKind.PRESSURE, args["value"],
                            self.accurate_press, caller)
 
-    def _fn_occuredviolation(self, args, caller, tick):
+    def _fn_OccuredViolation(self, args, caller, tick):
         if caller != self.data_source:
             raise Unauthorized("only the data source may record violations")
         if not self.initialized:
@@ -158,7 +153,7 @@ class CheckProgress(ContractBase):
 
     def _record_violation(self, kind, stage: int, caller: bytes):
         """Three-way stage recorder. Unknown kind or stage changes nothing."""
-        if kind not in _EVENT_NAME or stage not in (0, 1, 2):
+        if kind not in EVENT_NAME or stage not in (0, 1, 2):
             return CONTINUE_PROCESS, []
         stage = Stage(stage)
         if kind is ViolationKind.TEMPERATURE:
@@ -168,9 +163,9 @@ class CheckProgress(ContractBase):
         else:
             self.pressure_stage = stage
         self.violation_type = ViolationKind.NONE if stage is Stage.ACCURATE else kind
-        message = f"{_STAGE_WORD[stage]} {kind.value}"
+        message = f"{STAGE_WORD[stage]} {kind.value}"
         emission: Emission = (
-            _EVENT_NAME[kind],
+            EVENT_NAME[kind],
             (("addr", address_hex(caller)), ("msg", message)),
         )
         return message, [emission]

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from ..errors import Unauthorized, WrongStage
-from ..identity import address_hex
+from ..identity import Role, address_hex
 from .base import ContractBase, Emission, require_address
 
 
@@ -30,11 +31,19 @@ MSG_TO_STORAGE = "Refined Oil is Ready to go to the Storage."
 MSG_IN_STORAGE = "Oil is stored in the Oil Storage."
 MSG_SOLD = "Oil has been Sold at the Pump."
 
-DISTRIBUTION_EVENTS = (
-    "InitiateDist",
-    "FactoryDistribution",
-    "StorageWholesale",
-    "PumpOilSold",
+
+class SpineStep(NamedTuple):
+    transition: str     # the OilDistribution function
+    event: str          # the event it emits
+    seller: Role        # the seller role whose hop delivery fires it
+
+
+# the custody spine, in custody order
+SPINE = (
+    SpineStep("readyToFactory", "InitiateDist", Role.DRILLER),
+    SpineStep("readyToStorage", "FactoryDistribution", Role.REFINERY),
+    SpineStep("oilInOilStorage", "StorageWholesale", Role.STORAGE),
+    SpineStep("pumpSoldOil", "PumpOilSold", Role.PUMP),
 )
 
 
@@ -66,12 +75,6 @@ class OilDistribution(ContractBase):
     pump_sold_amount: int = 0
 
     KIND = "OilDistribution"
-    FUNCTIONS = (
-        "readyToFactory",
-        "readyToStorage",
-        "oilInOilStorage",
-        "pumpSoldOil",
-    )
 
     @classmethod
     def create(cls, deployer: bytes, init_args: dict) -> "OilDistribution":
@@ -94,7 +97,7 @@ class OilDistribution(ContractBase):
 
     # --- transitions ----------------------------------------------------------
 
-    def _fn_readytofactory(self, args: dict, caller: bytes, tick: int):
+    def _fn_readyToFactory(self, args: dict, caller: bytes, tick: int):
         if caller != self.driller_address:
             raise Unauthorized("only the driller may release oil to the factory")
         if self.current_trace is not TraceStage.CREATED:
@@ -107,7 +110,7 @@ class OilDistribution(ContractBase):
         self.current_trace = TraceStage.AT_DRILLER
         return self._emit("InitiateDist", self.driller_address, MSG_TO_FACTORY)
 
-    def _fn_readytostorage(self, args: dict, caller: bytes, tick: int):
+    def _fn_readyToStorage(self, args: dict, caller: bytes, tick: int):
         if caller != self.factory_address:
             raise Unauthorized("only the factory may release oil to storage")
         if self.current_trace is not TraceStage.AT_DRILLER:
@@ -118,7 +121,7 @@ class OilDistribution(ContractBase):
         self.current_trace = TraceStage.AT_FACTORY
         return self._emit("FactoryDistribution", self.factory_address, MSG_TO_STORAGE)
 
-    def _fn_oilinoilstorage(self, args: dict, caller: bytes, tick: int):
+    def _fn_oilInOilStorage(self, args: dict, caller: bytes, tick: int):
         if caller != self.storage_address:
             raise Unauthorized("only the storage operator may book oil in")
         if self.current_trace is not TraceStage.AT_FACTORY:
@@ -129,7 +132,7 @@ class OilDistribution(ContractBase):
         self.current_trace = TraceStage.AT_STORAGE
         return self._emit("StorageWholesale", self.storage_address, MSG_IN_STORAGE)
 
-    def _fn_pumpsoldoil(self, args: dict, caller: bytes, tick: int):
+    def _fn_pumpSoldOil(self, args: dict, caller: bytes, tick: int):
         # public: anyone may trigger the sale, but only from AtStorage
         if self.current_trace is not TraceStage.AT_STORAGE:
             raise WrongStage("batch is not at storage, cannot be sold yet")

@@ -84,6 +84,10 @@ def address_hex(address: bytes) -> str:
     return "0x" + address.hex()
 
 
+# run seeds lie in [0, SEED_LIMIT): key derivation packs a seed into 8 signed bytes
+SEED_LIMIT = 2 ** 63
+
+
 def generate_keypair(domain: str, seed: int) -> KeyPair:
     """Deterministic keypair from a domain label and a 64-bit seed."""
     material = hashlib.sha256(

@@ -12,28 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ledger
-from .contracts.distribution import DISTRIBUTION_EVENTS
+from .contracts.base import stage_label
+from .contracts.checkprogress import EVENT_NAME, STAGE_WORD, Stage
+from .contracts.distribution import SPINE
 from .encoding import canon_decode
 from .errors import CorruptLedger, UnknownBatch
 from .identity import address_hex
 
 REPORT_SCHEMA_VERSION = 1
 
-VIOLATION_EVENTS = {
-    "TemperatureViolation": "Temperature",
-    "HumidityViolation": "Humidity",
-    "PressureViolation": "Pressure",
-}
+# violation event name -> the kind it reports
+VIOLATION_EVENTS = {event: kind.value for kind, event in EVENT_NAME.items()}
 
-_STAGE_FROM_WORD = {"Higher": "High", "Lower": "Low", "Accurate": "Accurate"}
+_STAGE_FROM_WORD = {word: stage for stage, word in STAGE_WORD.items()}
 
 # which hop (by seller role) each distribution event belongs to
-_EVENT_SELLER_ROLE = {
-    "InitiateDist": "Driller",
-    "FactoryDistribution": "Refinery",
-    "StorageWholesale": "Storage",
-    "PumpOilSold": "Pump",
-}
+_EVENT_SELLER_ROLE = {step.event: step.seller.value for step in SPINE}
 
 
 @dataclass(frozen=True)
@@ -169,7 +163,7 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
     for batch_id in batch_ids:
         report = ProvenanceReport(
             batch_id=batch_id, hops=[], clean=True,
-            violation_totals={"Temperature": 0, "Humidity": 0, "Pressure": 0},
+            violation_totals=dict.fromkeys(VIOLATION_EVENTS.values(), 0),
         )
         for addr in _hop_order(batch_id, tracking_meta[batch_id]):
             meta = tracking_meta[batch_id][addr]
@@ -196,15 +190,16 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
             message = str(event.arg("msg"))
             stage = _STAGE_FROM_WORD[message.split(" ", 1)[0]]
             summary, totals = by_tracking[event.emitter]
-            if stage == "Accurate":
+            if stage is Stage.ACCURATE:
                 summary.accurate_readings += 1
             else:
                 kind = VIOLATION_EVENTS[event.name]
                 summary.violations.append(ViolationEntry(
-                    kind=kind, stage=stage, tick=block.timestamp, message=message,
+                    kind=kind, stage=stage_label(stage), tick=block.timestamp,
+                    message=message,
                 ))
                 totals[kind] += 1
-        elif event.name in DISTRIBUTION_EVENTS and event.emitter in by_distribution:
+        elif event.name in _EVENT_SELLER_ROLE and event.emitter in by_distribution:
             summary = by_distribution[event.emitter].get(_EVENT_SELLER_ROLE[event.name])
             if summary is not None:
                 summary.distribution_events.append(DistributionEntry(

@@ -42,7 +42,7 @@ class GasCost:
     transaction: int
 
 
-# Measured per-function costs. Names are matched case-insensitively.
+# Measured per-function costs, keyed by exact function name.
 GAS_TABLE = {
     "EnterOil": GasCost(11408, 35368),
     "CheckPressure": GasCost(29915, 51379),
@@ -55,14 +55,12 @@ GAS_TABLE = {
     "pumpSoldOil": GasCost(68923, 90579),
 }
 
-_GAS_INDEX = {name.lower(): cost for name, cost in GAS_TABLE.items()}
-
 _PLUMBING = GasCost(PLUMBING_EXECUTION_GAS, PLUMBING_TRANSACTION_GAS)
 
 
 def metered_cost(function: str) -> GasCost:
     """Table lookup with the plumbing default for untabulated functions."""
-    return _GAS_INDEX.get(function.lower(), _PLUMBING)
+    return GAS_TABLE.get(function, _PLUMBING)
 
 
 def fiat_cost(execution_gas: int, gas_price_gwei: int,
@@ -157,9 +155,9 @@ class Runtime:
         address = contract_address(deployer, nonce)
         instance = CONTRACT_KINDS[kind].create(deployer, init_args)
 
-        record = {"kind": kind, "init": _recordable(init_args)}
+        record = {"kind": kind, "init": init_args}
         if annotations:
-            record["meta"] = _recordable(annotations)
+            record["meta"] = annotations
         tx = ledger.Transaction(
             caller=deployer,
             contract=address,
@@ -181,8 +179,9 @@ class Runtime:
         instance = self.contracts.get(contract)
         if instance is None:
             raise UnknownFunction(f"no contract deployed at {contract.hex()}")
-        canonical = instance.resolve_function(function)
-        cost = metered_cost(canonical)
+        if function not in instance.functions():
+            raise UnknownFunction(f"{instance.KIND} has no function {function!r}")
+        cost = metered_cost(function)
         tick = self.clock.next()
 
         if cost.transaction > gas_limit:
@@ -193,7 +192,7 @@ class Runtime:
         # never mutate, so a shallow copy is a complete snapshot
         saved = copy.copy(instance)
         try:
-            return_value, emissions = instance.apply(canonical, args, caller, tick)
+            return_value, emissions = instance.apply(function, args, caller, tick)
         except ContractRevert as exc:
             self.contracts[contract] = saved
             return CallResult(None, (), cost.transaction, CallStatus.REVERTED,
@@ -207,8 +206,8 @@ class Runtime:
             tx = ledger.Transaction(
                 caller=caller,
                 contract=contract,
-                function=canonical,
-                args=canon_encode(_recordable(args)),
+                function=function,
+                args=canon_encode(args),
                 gas_used=cost.transaction,
                 events=events,
             )
@@ -228,7 +227,7 @@ class Runtime:
             caller=caller,
             contract=contract,
             function=function,
-            args=canon_encode(_recordable(payload)),
+            args=canon_encode(payload),
             gas_used=metered_cost(function).transaction,
         )
         ledger.append_block(self.chain, [tx], self.clock.next(), self._endorse)
@@ -240,13 +239,3 @@ class Runtime:
             raise UnknownFunction(f"no contract deployed at {contract.hex()}")
         return instance.snapshot()
 
-
-def _recordable(value):
-    """Make arg structures canon-encodable (enums to their values)."""
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, dict):
-        return {k: _recordable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_recordable(v) for v in value]
-    return value

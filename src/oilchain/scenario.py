@@ -107,6 +107,24 @@ def _positive_int(value, where: str, minimum: int = 0) -> int:
     return value
 
 
+def check_seed(value, where: str) -> int:
+    """A run seed, from a scenario file or the command line."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or not 0 <= value < identity.SEED_LIMIT):
+        raise ValidationError(f"{where}: expected an integer in [0, 2**63), got {value!r}")
+    return value
+
+
+def check_eth_usd(value, where: str) -> float:
+    """A fiat rate, from a scenario file or the command line: positive and finite."""
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not 0 < value <= sys.float_info.max):
+        raise ValidationError(
+            f"{where}: must be a positive number up to {sys.float_info.max:g}"
+        )
+    return float(value)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file."""
     path = Path(path)
@@ -130,8 +148,8 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
             f"{where}: schema_version {version!r} unsupported"
             f" (expected {SCENARIO_SCHEMA_VERSION})"
         )
-    name = _need(doc, "name", where)
-    seed = _positive_int(_need(doc, "seed", where), f"{where}.seed")
+    name = _need(doc, "name", where, str)
+    seed = check_seed(_need(doc, "seed", where), f"{where}.seed")
 
     topo = _need(doc, "topology", where, dict)
     validators = _positive_int(_need(topo, "validators", f"{where}.topology"),
@@ -186,10 +204,11 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
             if method not in ("signature", "passphrase"):
                 raise ValidationError(f"{hw}.accept.method: unknown method {method!r}")
             passphrase = accept.get("passphrase")
-            if method == "passphrase" and not passphrase:
-                raise ValidationError(f"{hw}.accept: passphrase method needs a passphrase")
             if passphrase is not None:
-                _typed(passphrase, str, f"{hw}.accept.passphrase")
+                if not _typed(passphrase, str, f"{hw}.accept.passphrase"):
+                    raise ValidationError(f"{hw}.accept.passphrase: must not be empty")
+            elif method == "passphrase":
+                raise ValidationError(f"{hw}.accept: passphrase method needs a passphrase")
             tw = f"{hw}.telemetry"
             telemetry_doc = _need(hop_doc, "telemetry", hw, dict)
             profile, faults = _parse_telemetry(telemetry_doc, tw, setpoints)
@@ -212,6 +231,8 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
                 profile=profile,
                 faults=faults,
             ))
+        if not hops:
+            raise ValidationError(f"{bw}.hops: at least one hop required")
         batches.append(BatchSpec(
             batch_id=batch_id,
             oil_name=oil_name,
@@ -222,11 +243,8 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
         raise ValidationError(f"{where}.batches: at least one batch required")
 
     report = _typed(doc.get("report", {}), dict, f"{where}.report")
-    eth_usd = report.get("eth_usd", runtime.DEFAULT_ETH_USD)
-    if not isinstance(eth_usd, (int, float)) or not 0 < eth_usd <= sys.float_info.max:
-        raise ValidationError(
-            f"{where}.report.eth_usd: must be a positive number up to {sys.float_info.max:g}"
-        )
+    eth_usd = check_eth_usd(report.get("eth_usd", runtime.DEFAULT_ETH_USD),
+                            f"{where}.report.eth_usd")
 
     return Scenario(
         name=name,
@@ -235,7 +253,7 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
         faulty_validators=faulty,
         roles=roles,
         batches=tuple(batches),
-        eth_usd=float(eth_usd),
+        eth_usd=eth_usd,
     )
 
 
@@ -486,6 +504,8 @@ __all__ = [
     "RunResult",
     "Scenario",
     "build_run_report",
+    "check_eth_usd",
+    "check_seed",
     "load_scenario",
     "parse_scenario",
     "report_to_json",

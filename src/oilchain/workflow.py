@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
 
 from . import identity, ledger, telemetry
+from .contracts.distribution import SPINE
 from .encoding import digest
 from .errors import (
     BadCredential,
@@ -48,15 +49,10 @@ ADJACENT_ROLES = {
 
 # distribution transition fired when a hop with this seller role delivers;
 # an OtherFactory buyer ends the branch, so the pump sale never fires there
-_DELIVERY_TRANSITION = {
-    Role.DRILLER: "readyToFactory",
-    Role.REFINERY: "readyToStorage",
-    Role.STORAGE: "oilInOilStorage",
-    Role.PUMP: "pumpSoldOil",
-}
+_DELIVERY_TRANSITION = {step.seller: step.transition for step in SPINE}
 
 # roles a topology needs before any batch can be registered
-REQUIRED_ROLES = (Role.DRILLER, Role.REFINERY, Role.STORAGE, Role.PUMP)
+REQUIRED_ROLES = tuple(step.seller for step in SPINE)
 
 # function name of the payment record acceptance writes to the seller's chain
 SETTLEMENT_FUNCTION = "settlement"
@@ -405,7 +401,6 @@ class SupplyChain:
                 if result.status is not CallStatus.OK:
                     continue
             else:
-                value = list(r.value) if isinstance(r.value, tuple) else r.value
                 seller_rt.record(
                     caller=hop.seller.address,
                     contract=hop.product_contract,
@@ -413,7 +408,7 @@ class SupplyChain:
                     payload={
                         "kind": r.kind.value,
                         "tick": r.tick,
-                        "value": value,
+                        "value": r.value,
                         "source": r.source,
                     },
                 )

@@ -86,10 +86,17 @@ def _hop_telemetry(doc, hop):
     (lambda d: d["batches"][0]["hops"][0].update(seller="Refinery"),
      "batches[0].hops[0].seller"),
     (lambda d: d["batches"][0].update(batch_id=None), "batches[0].batch_id"),
+    (lambda d: d.update(name=None), "name"),
+    (lambda d: d["batches"][0].update(hops=[]), "batches[0].hops"),
+    (lambda d: d["batches"][0]["hops"][0].update(
+        accept={"method": "signature", "passphrase": ""}),
+     "batches[0].hops[0].accept.passphrase"),
+    (lambda d: d.update(seed=2**63), "seed"),
 ], ids=["fault-kind-not-streamed", "fault-window-past-end", "fault-window-reversed",
         "repeated-batch-id", "repeated-kind", "kind-without-setpoint",
         "topology-without-storage", "buyer-not-in-topology", "hop-3-sold-by-driller",
-        "hop-1-sold-by-refinery", "null-batch-id"])
+        "hop-1-sold-by-refinery", "null-batch-id", "null-name", "no-hops",
+        "empty-passphrase-under-signature", "seed-past-2**63"])
 def test_run_refuses_bad_input_naming_the_field(tmp_path, capsys, mutate, field):
     doc = json.loads((SCENARIO_DIR / "happy_path.json").read_text())
     mutate(doc)
@@ -99,6 +106,33 @@ def test_run_refuses_bad_input_naming_the_field(tmp_path, capsys, mutate, field)
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: bad.json.{field}:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", HAPPY, "--seed", "abc"],
+    ["trace"],
+], ids=["non-integer-seed", "trace-without-arguments"])
+def test_usage_errors_exit_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["run", HAPPY, "--eth-usd", "-1"], "--eth-usd"),
+    (["run", HAPPY, "--eth-usd", "nan", "--format", "structured"], "--eth-usd"),
+    (["run", HAPPY, "--eth-usd", "inf", "--format", "structured"], "--eth-usd"),
+    (["gas-report", "--eth-usd", "0"], "--eth-usd"),
+    (["run", HAPPY, "--seed", "99999999999999999999"], "--seed"),
+    (["run", HAPPY, "--seed", "-1"], "--seed"),
+], ids=["negative-rate", "nan-rate", "infinite-rate", "zero-rate-gas-report",
+        "seed-past-2**63", "negative-seed"])
+def test_bad_flag_value_exits_one_naming_the_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag}:")
 
 
 def test_run_persists_store_and_report(tmp_path, capsys):

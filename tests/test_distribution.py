@@ -14,10 +14,11 @@ from oilchain.contracts.distribution import (
     MSG_SOLD,
     MSG_TO_FACTORY,
     MSG_TO_STORAGE,
+    SPINE,
     TraceStage,
 )
 from oilchain.errors import BadInitArgs, ContractRevert, Unauthorized, WrongStage
-from oilchain.identity import address_hex
+from oilchain.identity import Role, address_hex
 
 OWNER = b"\x50" * 20
 DRILLER = b"\x51" * 20
@@ -40,6 +41,19 @@ def fresh(stage: TraceStage = TraceStage.CREATED) -> OilDistribution:
             break
         contract.apply(function, TERMS, caller, tick=i + 1)
     return contract
+
+
+def test_spine_walks_every_transition_in_custody_order():
+    transitions = [step.transition for step in SPINE]
+    assert sorted(transitions) == sorted(OilDistribution.functions())
+    caller = {Role.DRILLER: DRILLER, Role.REFINERY: FACTORY, Role.STORAGE: STORAGE,
+              Role.PUMP: CONSUMER}
+    contract = OilDistribution.create(OWNER, INIT)
+    for tick, step in enumerate(SPINE, start=1):
+        _message, emissions = contract.apply(step.transition, TERMS,
+                                             caller[step.seller], tick)
+        assert [name for name, _args in emissions] == [step.event]
+    assert contract.current_trace is TraceStage.SOLD
 
 
 def test_create_requires_all_four_addresses():

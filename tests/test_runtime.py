@@ -9,7 +9,7 @@ from typing import get_type_hints
 import pytest
 
 from conftest import consortium_runtime, make_validators
-from oilchain import identity, ledger, runtime
+from oilchain import identity, ledger, runtime, telemetry
 from oilchain.encoding import canon_decode
 from oilchain.contracts import CONTRACT_KINDS
 from oilchain.errors import AccessDenied, ContractRevert, QuorumNotMet, UnknownFunction
@@ -55,7 +55,6 @@ GAS_ROWS = [
 @pytest.mark.parametrize("name,execution,transaction", GAS_ROWS)
 def test_gas_table_values(name, execution, transaction):
     assert metered_cost(name) == GasCost(execution, transaction)
-    assert metered_cost(name.lower()) == metered_cost(name.upper())
 
 
 @pytest.mark.parametrize("name", ["constructor", "settlement", "recordTelemetry"])
@@ -63,8 +62,15 @@ def test_untabulated_functions_use_plumbing_cost(name):
     assert metered_cost(name) == GasCost(21000, 42000)
 
 
-def test_metered_cost_prefers_table():
-    assert metered_cost("pumpsoldoil") == GasCost(68923, 90579)
+@pytest.mark.parametrize("name", sorted(runtime.GAS_TABLE))
+def test_every_tabulated_name_is_a_function_of_exactly_one_kind(name):
+    owners = [kind for kind, cls in CONTRACT_KINDS.items() if name in cls.functions()]
+    assert len(owners) == 1, owners
+
+
+def test_every_check_function_is_a_check_progress_function():
+    functions = CONTRACT_KINDS["CheckProgress"].functions()
+    assert set(telemetry.CHECK_FUNCTION.values()) <= functions
 
 
 # --- fiat pricing ----------------------------------------------------------------
@@ -172,13 +178,13 @@ def test_ok_call_commits_block_with_metered_gas():
     assert rt.state_of(address)["initialized"] is True
 
 
-def test_call_function_names_match_case_insensitively():
+def test_wrong_case_function_name_is_unknown_and_draws_no_tick():
     rt = private_runtime()
     address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
-    rt.call(address, "enteroil", ENTER_ARGS, OWNER)
-    result = rt.call(address, "CHECKPRESSURE", {"value": 8}, DEVICE)
-    assert result.status is CallStatus.OK
-    assert rt.chain.blocks[-1].transactions[0].function == "CheckPressure"
+    tip, upcoming = rt.chain.tip_hash, rt.clock.upcoming
+    with pytest.raises(UnknownFunction):
+        rt.call(address, "enteroil", ENTER_ARGS, OWNER)
+    assert (rt.chain.tip_hash, rt.clock.upcoming) == (tip, upcoming)
 
 
 def test_gas_limit_breach_reverts_without_commit():
@@ -295,7 +301,7 @@ def test_starved_consortium_call_leaves_the_contract_unchanged(kind):
 def test_revert_after_mutating_leaves_the_contract_unchanged(kind, monkeypatch):
     init_args, function, args, caller = MUTATING_CALLS[kind]
     cls = CONTRACT_KINDS[kind]
-    name = "_fn_" + function.lower()
+    name = "_fn_" + function
     handler = getattr(cls, name)
 
     def mutate_then_revert(self, args, caller, tick):

@@ -151,6 +151,11 @@ def full_custody(doc):
      "batches[0].hops[2].seller"),
     (lambda d: d["batches"][0]["hops"][0].update(seller="Refinery"),
      "batches[0].hops[0].seller"),
+    (lambda d: d.update(name=None), "scenario.name"),
+    (lambda d: d["batches"][0].update(hops=[]), "batches[0].hops:"),
+    (lambda d: d["batches"][0]["hops"][0].update(
+        accept={"method": "signature", "passphrase": ""}), "hops[0].accept.passphrase"),
+    (lambda d: d.update(seed=2**63), "scenario.seed"),
 ])
 def test_validation_errors_name_the_field(mutate, needle):
     with pytest.raises(ValidationError) as err:
