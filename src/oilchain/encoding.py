@@ -87,6 +87,32 @@ def canon_decode(data: bytes):
     return value
 
 
+def strings_under_key(data: bytes, key: str) -> set[str]:
+    """Every string whose encoding directly follows an encoded `key` in data.
+
+    A dict entry encodes as its key then its value, so for every dict `d`
+    nested anywhere in a value, a str `d[key]` is in the result for that
+    value's encoding. The converse need not hold: a match inside some other
+    string or bytes payload adds a spurious member, never a missing one.
+    """
+    raw = key.encode("utf-8")
+    needle = _TAG_STR + _LEN.pack(len(raw)) + raw
+    found = set()
+    at = data.find(needle)
+    while at != -1:
+        tag = at + len(needle)
+        start = tag + 5
+        if data[tag:tag + 1] == _TAG_STR and start <= len(data):
+            (length,) = _LEN.unpack_from(data, tag + 1)
+            if start + length <= len(data):
+                try:
+                    found.add(data[start:start + length].decode("utf-8"))
+                except UnicodeDecodeError:
+                    pass
+        at = data.find(needle, at + 1)
+    return found
+
+
 def _decode_from(data: bytes, offset: int):
     if offset >= len(data):
         raise ValueError("truncated canonical value")

@@ -9,13 +9,14 @@ custody movement from distribution events.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 from . import ledger
 from .contracts.base import stage_label
 from .contracts.checkprogress import EVENT_NAME, STAGE_WORD, Stage
 from .contracts.distribution import SPINE
-from .encoding import canon_decode
+from .encoding import canon_decode, strings_under_key
 from .errors import CorruptLedger, UnknownBatch
 from .identity import address_hex
 
@@ -28,6 +29,10 @@ _STAGE_FROM_WORD = {word: stage for stage, word in STAGE_WORD.items()}
 
 # which hop (by seller role) each distribution event belongs to
 _EVENT_SELLER_ROLE = {step.event: step.seller.value for step in SPINE}
+
+# the fields of a tracking record a hop summary reads, and their types
+_TRACKING_FIELDS = {"hop": int, "seller_role": str, "buyer_role": str, "seller": bytes,
+                    "buyer": bytes, "product": bytes, "predecessor": bytes}
 
 
 @dataclass(frozen=True)
@@ -128,16 +133,41 @@ def batch_text(batch: dict) -> list[str]:
     return lines
 
 
-def _deployment_records(chain: ledger.Chain):
-    """(meta, contract_address) for every annotated deployment on the chain."""
+def _deployment_records(chain: ledger.Chain, wanted: Set[str]):
+    """(block, meta, contract_address) for every annotated deployment on the
+    chain whose args can name a batch in `wanted`.
+
+    A deployment that names batch `b` holds the encoded key "batch" followed
+    by the encoded `b`, so one whose args hold no such pair for any wanted
+    id is skipped undecoded; the caller's own check of `meta["batch"]`
+    decides among the rest.
+    """
     for block in chain.blocks:
         for tx in block.transactions:
-            if tx.function != "constructor":
+            if tx.function != "constructor" or wanted.isdisjoint(
+                    strings_under_key(tx.args, "batch")):
                 continue
-            record = canon_decode(tx.args)
-            meta = record.get("meta")
+            try:
+                record = canon_decode(tx.args)
+            except ValueError as exc:
+                raise _corrupt(chain, block, f"deployment record does not decode: {exc}") from None
+            meta = record.get("meta", {}) if isinstance(record, dict) else None
+            if not isinstance(meta, dict):
+                raise _corrupt(chain, block, "deployment record is not a mapping")
             if meta:
-                yield meta, tx.contract
+                yield block, meta, tx.contract
+
+
+def _corrupt(chain: ledger.Chain, block: ledger.Block, problem: str) -> CorruptLedger:
+    return CorruptLedger(f"chain {chain.name!r} block {block.index}: {problem}")
+
+
+def _event_arg(chain: ledger.Chain, block: ledger.Block, event: ledger.Event,
+               name: str) -> str:
+    try:
+        return str(event.arg(name))
+    except KeyError:
+        raise _corrupt(chain, block, f"{event.name} event has no {name!r} arg") from None
 
 
 def build_report(chain: ledger.Chain, batch_id: str) -> ProvenanceReport:
@@ -149,11 +179,15 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
     """Reports for distinct batch ids, in the order given, from one scan of the chain."""
     tracking_meta: dict[str, dict[bytes, dict]] = {b: {} for b in batch_ids}
     distribution_of: dict[str, bytes] = {}
-    for meta, address in _deployment_records(chain):
+    for block, meta, address in _deployment_records(chain, tracking_meta.keys()):
         batch_id = meta.get("batch")
         if not isinstance(batch_id, str) or batch_id not in tracking_meta:
             continue
         if meta.get("record") == "tracking":
+            for name, kind in _TRACKING_FIELDS.items():
+                if not isinstance(meta.get(name), kind):
+                    raise _corrupt(chain, block, f"tracking record field {name!r}"
+                                                 f" is not {kind.__name__}")
             tracking_meta[batch_id][address] = meta
         elif meta.get("record") == "distribution":
             distribution_of[batch_id] = address
@@ -187,8 +221,12 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
 
     for block, _tx, event in ledger.iter_events(chain):
         if event.name in VIOLATION_EVENTS and event.emitter in by_tracking:
-            message = str(event.arg("msg"))
-            stage = _STAGE_FROM_WORD[message.split(" ", 1)[0]]
+            try:
+                message = str(event.arg("msg"))
+                stage = _STAGE_FROM_WORD[message.split(" ", 1)[0]]
+            except KeyError:
+                raise _corrupt(chain, block, f"{event.name} event's 'msg' arg names no stage"
+                               ) from None
             summary, totals = by_tracking[event.emitter]
             if stage is Stage.ACCURATE:
                 summary.accurate_readings += 1
@@ -205,8 +243,8 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
                 summary.distribution_events.append(DistributionEntry(
                     name=event.name,
                     tick=block.timestamp,
-                    actor=str(event.arg("ad")),
-                    message=str(event.arg("msg")),
+                    actor=_event_arg(chain, block, event, "ad"),
+                    message=_event_arg(chain, block, event, "msg"),
                 ))
 
     for report in reports:

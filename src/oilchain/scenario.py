@@ -330,8 +330,8 @@ def _parse_telemetry(doc: dict, where: str, setpoints: Setpoints,
 def run_scenario(scenario: Scenario, seed: int | None = None,
                  eth_usd: float | None = None) -> RunResult:
     """Replay a scenario end to end and assemble its report."""
-    seed = scenario.seed if seed is None else seed
-    eth_usd = scenario.eth_usd if eth_usd is None else eth_usd
+    seed = scenario.seed if seed is None else check_seed(seed, "seed")
+    eth_usd = scenario.eth_usd if eth_usd is None else check_eth_usd(eth_usd, "eth_usd")
 
     topology = Topology.from_seed(list(scenario.roles), scenario.validator_count, seed)
     faulty = frozenset(

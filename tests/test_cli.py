@@ -219,6 +219,31 @@ def test_trace_corrupt_store_names_the_block(happy_store, capsys):
     assert "first_bad_index=3" in err
 
 
+def test_trace_refuses_an_unknown_stage_word_naming_the_block(faulted_store, capsys):
+    # Reword one violation and re-seal every hash from there on: the store
+    # still loads, since trace re-checks hashes and not the quorum, so only
+    # the trace itself can object.
+    chain = store.load_chain(faulted_store / "consortium")
+    records = [json.dumps(store.block_to_record(block)) for block in chain.blocks]
+    index = next(i for i, text in enumerate(records) if '"Lower Pressure"' in text)
+    chain.blocks[index] = store.block_from_record(json.loads(
+        records[index].replace('"Lower Pressure"', '"Bogus Pressure"', 1)))
+    for i in range(index, len(chain.blocks)):
+        old = chain.blocks[i]
+        prev_hash = chain.blocks[i - 1].hash
+        digest = ledger.candidate_digest(i, prev_hash, old.timestamp, old.transactions)
+        chain.blocks[i] = ledger.Block(i, prev_hash, old.timestamp, old.transactions,
+                                       old.endorsements,
+                                       ledger.block_hash(digest, old.endorsements))
+    store.save_chain(faulted_store, chain)
+
+    code, out, err = run_cli(capsys, "trace", "101", "--store", str(faulted_store))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"block {index}:" in err
+
+
 # --- gas-report ----------------------------------------------------------------------
 
 def test_gas_report_text_lists_every_function(capsys):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oilchain.encoding import canon_decode, canon_encode, digest
+from oilchain.encoding import canon_decode, canon_encode, digest, strings_under_key
 
 # values the encoder accepts
 scalars = st.one_of(
@@ -84,3 +84,44 @@ def test_digest_is_sha256_of_encoding():
 
     value = {"k": [1, "two", b"three"]}
     assert digest(value) == hashlib.sha256(canon_encode(value)).digest()
+
+
+# values whose nested dicts often hold the key "batch", next to near misses
+keyed_values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.dictionaries(st.one_of(st.sampled_from(["batch", "batc", "batches", ""]),
+                                  st.text(max_size=12)), inner, max_size=6),
+        st.builds(lambda batch, rest: {**rest, "batch": batch},
+                  st.text(max_size=12), st.dictionaries(st.text(max_size=12), inner,
+                                                        max_size=3)),
+    ),
+    max_leaves=24,
+)
+
+
+def _strings_under(value, key):
+    if isinstance(value, list):
+        return {s for item in value for s in _strings_under(item, key)}
+    if isinstance(value, dict):
+        found = {s for item in value.values() for s in _strings_under(item, key)}
+        if isinstance(value.get(key), str):
+            found.add(value[key])
+        return found
+    return set()
+
+
+@given(keyed_values)
+def test_strings_under_key_holds_every_string_stored_under_the_key(value):
+    assert _strings_under(value, "batch") <= strings_under_key(canon_encode(value), "batch")
+
+
+def test_strings_under_key_ignores_what_does_not_parse():
+    entry = canon_encode({"batch": "101"})
+    assert strings_under_key(entry, "batch") == {"101"}
+    assert strings_under_key(canon_encode({"batch": 101}), "batch") == set()
+    for cut in range(len(entry)):
+        assert strings_under_key(entry[:cut], "batch") == set()
+    # an encoded key inside another payload is a spurious hit, never a miss
+    assert strings_under_key(canon_encode([b"x" + entry[5:]]), "batch") == {"101"}

@@ -237,6 +237,16 @@ def test_seed_override_changes_chains_consistently():
     assert report_to_json(other.report) == report_to_json(again.report)
 
 
+@pytest.mark.parametrize("override,name", [
+    ({"seed": 2**63}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"eth_usd": -5.0}, "eth_usd"),
+])
+def test_run_overrides_are_checked_like_the_file_values(override, name):
+    with pytest.raises(ValidationError, match=f"^{name}:"):
+        run_scenario(load_scenario(HAPPY), **override)
+
+
 def test_happy_path_report_contents():
     result = run_scenario_file(HAPPY)
     assert not result.violations_found
