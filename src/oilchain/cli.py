@@ -19,16 +19,11 @@ import sys
 from pathlib import Path
 
 from . import ledger, provenance, runtime, scenario, store
-from .errors import OilchainError
+from .errors import OilchainError, ValidationError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATIONS = 2
-
-
-def _persist_run(result: scenario.RunResult, root: Path) -> None:
-    store.save_store(root, result.supply.all_chains())
-    (root / "report.json").write_text(scenario.report_to_json(result.report))
 
 
 def _cmd_run(args) -> int:
@@ -37,7 +32,12 @@ def _cmd_run(args) -> int:
                else scenario.check_eth_usd(args.eth_usd, "--eth-usd"))
     result = scenario.run_scenario_file(args.scenario, seed=seed, eth_usd=eth_usd)
     if args.store:
-        _persist_run(result, Path(args.store))
+        root = Path(args.store)
+        try:
+            store.save_store(root, result.supply.all_chains())
+            (root / "report.json").write_text(scenario.report_to_json(result.report))
+        except OSError as exc:
+            raise ValidationError(f"--store: {root}: {exc.strerror}") from None
     if args.format == "structured":
         sys.stdout.write(scenario.report_to_json(result.report))
     else:

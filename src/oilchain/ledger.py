@@ -14,7 +14,7 @@ import functools
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import identity
 from .encoding import canon_encode
@@ -304,10 +304,3 @@ def require_read_access(chain: Chain, querier: bytes | None) -> None:
                 f"querier is not on the access list of chain {chain.name!r}"
             )
 
-
-def iter_events(chain: Chain) -> Iterator[tuple[Block, Transaction, Event]]:
-    """Every event in block order (no access check; internal use)."""
-    for block in chain.blocks:
-        for tx in block.transactions:
-            for event in tx.events:
-                yield block, tx, event

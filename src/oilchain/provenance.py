@@ -133,29 +133,24 @@ def batch_text(batch: dict) -> list[str]:
     return lines
 
 
-def _deployment_records(chain: ledger.Chain, wanted: Set[str]):
-    """(block, meta, contract_address) for every annotated deployment on the
-    chain whose args can name a batch in `wanted`.
+def _wanted_meta(chain: ledger.Chain, block: ledger.Block, tx: ledger.Transaction,
+                 wanted: Set[str]) -> dict | None:
+    """The annotations of a deployment whose `meta["batch"]` is in `wanted`, else None.
 
-    A deployment that names batch `b` holds the encoded key "batch" followed
-    by the encoded `b`, so one whose args hold no such pair for any wanted
-    id is skipped undecoded; the caller's own check of `meta["batch"]`
-    decides among the rest.
+    A deployment naming batch `b` holds the encoded key "batch" then the
+    encoded `b`; one with no such pair for a wanted id is not decoded.
     """
-    for block in chain.blocks:
-        for tx in block.transactions:
-            if tx.function != "constructor" or wanted.isdisjoint(
-                    strings_under_key(tx.args, "batch")):
-                continue
-            try:
-                record = canon_decode(tx.args)
-            except ValueError as exc:
-                raise _corrupt(chain, block, f"deployment record does not decode: {exc}") from None
-            meta = record.get("meta", {}) if isinstance(record, dict) else None
-            if not isinstance(meta, dict):
-                raise _corrupt(chain, block, "deployment record is not a mapping")
-            if meta:
-                yield block, meta, tx.contract
+    if wanted.isdisjoint(strings_under_key(tx.args, "batch")):
+        return None
+    try:
+        record = canon_decode(tx.args)
+    except ValueError as exc:
+        raise _corrupt(chain, block, f"deployment record does not decode: {exc}") from None
+    meta = record.get("meta", {}) if isinstance(record, dict) else None
+    if not isinstance(meta, dict):
+        raise _corrupt(chain, block, "deployment record is not a mapping")
+    batch_id = meta.get("batch")
+    return meta if isinstance(batch_id, str) and batch_id in wanted else None
 
 
 def _corrupt(chain: ledger.Chain, block: ledger.Block, problem: str) -> CorruptLedger:
@@ -176,29 +171,39 @@ def build_report(chain: ledger.Chain, batch_id: str) -> ProvenanceReport:
 
 
 def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceReport]:
-    """Reports for distinct batch ids, in the order given, from one scan of the chain."""
+    """Reports for distinct batch ids, in the order given, from one walk of the chain.
+
+    A deployment that names a wanted batch registers its contract, and each
+    later transaction on it contributes its events: an event belongs to the
+    contract its transaction calls.
+    """
     tracking_meta: dict[str, dict[bytes, dict]] = {b: {} for b in batch_ids}
     distribution_of: dict[str, bytes] = {}
-    for block, meta, address in _deployment_records(chain, tracking_meta.keys()):
-        batch_id = meta.get("batch")
-        if not isinstance(batch_id, str) or batch_id not in tracking_meta:
-            continue
-        if meta.get("record") == "tracking":
-            for name, kind in _TRACKING_FIELDS.items():
-                if not isinstance(meta.get(name), kind):
-                    raise _corrupt(chain, block, f"tracking record field {name!r}"
-                                                 f" is not {kind.__name__}")
-            tracking_meta[batch_id][address] = meta
-        elif meta.get("record") == "distribution":
-            distribution_of[batch_id] = address
+    events_of: dict[bytes, list[tuple[ledger.Block, ledger.Event]]] = {}
+    for block in chain.blocks:
+        for tx in block.transactions:
+            if (tx.function == "constructor"
+                    and (meta := _wanted_meta(chain, block, tx, tracking_meta.keys()))):
+                if meta.get("record") == "tracking":
+                    for name, kind in _TRACKING_FIELDS.items():
+                        if not isinstance(meta.get(name), kind):
+                            raise _corrupt(chain, block, f"tracking record field {name!r}"
+                                                         f" is not {kind.__name__}")
+                    tracking_meta[meta["batch"]][tx.contract] = meta
+                elif meta.get("record") == "distribution":
+                    distribution_of[meta["batch"]] = tx.contract
+                events_of.setdefault(tx.contract, [])
+            elif tx.contract in events_of:
+                for event in tx.events:
+                    if event.emitter != tx.contract:
+                        raise _corrupt(chain, block, f"{event.name} event's emitter is not its"
+                                       f" transaction's contract {address_hex(tx.contract)}")
+                    events_of[tx.contract].append((block, event))
 
     reports: list[ProvenanceReport] = []
-    by_tracking: dict[bytes, tuple[HopSummary, dict[str, int]]] = {}
     for batch_id in batch_ids:
-        report = ProvenanceReport(
-            batch_id=batch_id, hops=[], clean=True,
-            violation_totals=dict.fromkeys(VIOLATION_EVENTS.values(), 0),
-        )
+        totals = dict.fromkeys(VIOLATION_EVENTS.values(), 0)
+        hops: list[HopSummary] = []
         for addr in _hop_order(batch_id, tracking_meta[batch_id]):
             meta = tracking_meta[batch_id][addr]
             summary = HopSummary(
@@ -211,34 +216,28 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
                 tracking_contract=address_hex(addr),
                 predecessor=address_hex(meta["predecessor"]) if meta["predecessor"] else None,
             )
-            report.hops.append(summary)
-            by_tracking[addr] = (summary, report.violation_totals)
-        reports.append(report)
-    by_distribution = {
-        distribution_of[r.batch_id]: {s.seller_role: s for s in r.hops}
-        for r in reports if r.batch_id in distribution_of
-    }
-
-    for block, _tx, event in ledger.iter_events(chain):
-        if event.name in VIOLATION_EVENTS and event.emitter in by_tracking:
-            try:
-                message = str(event.arg("msg"))
-                stage = _STAGE_FROM_WORD[message.split(" ", 1)[0]]
-            except KeyError:
-                raise _corrupt(chain, block, f"{event.name} event's 'msg' arg names no stage"
-                               ) from None
-            summary, totals = by_tracking[event.emitter]
-            if stage is Stage.ACCURATE:
-                summary.accurate_readings += 1
-            else:
-                kind = VIOLATION_EVENTS[event.name]
-                summary.violations.append(ViolationEntry(
-                    kind=kind, stage=stage_label(stage), tick=block.timestamp,
-                    message=message,
-                ))
-                totals[kind] += 1
-        elif event.name in _EVENT_SELLER_ROLE and event.emitter in by_distribution:
-            summary = by_distribution[event.emitter].get(_EVENT_SELLER_ROLE[event.name])
+            for block, event in events_of[addr]:
+                if event.name not in VIOLATION_EVENTS:
+                    continue
+                try:
+                    message = str(event.arg("msg"))
+                    stage = _STAGE_FROM_WORD[message.split(" ", 1)[0]]
+                except KeyError:
+                    raise _corrupt(chain, block, f"{event.name} event's 'msg' arg names no"
+                                                 f" stage") from None
+                if stage is Stage.ACCURATE:
+                    summary.accurate_readings += 1
+                else:
+                    kind = VIOLATION_EVENTS[event.name]
+                    summary.violations.append(ViolationEntry(
+                        kind=kind, stage=stage_label(stage), tick=block.timestamp,
+                        message=message,
+                    ))
+                    totals[kind] += 1
+            hops.append(summary)
+        by_role = {s.seller_role: s for s in hops}
+        for block, event in events_of.get(distribution_of.get(batch_id), []):
+            summary = by_role.get(_EVENT_SELLER_ROLE.get(event.name))
             if summary is not None:
                 summary.distribution_events.append(DistributionEntry(
                     name=event.name,
@@ -246,9 +245,8 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
                     actor=_event_arg(chain, block, event, "ad"),
                     message=_event_arg(chain, block, event, "msg"),
                 ))
-
-    for report in reports:
-        report.clean = not any(report.violation_totals.values())
+        reports.append(ProvenanceReport(batch_id=batch_id, hops=hops, violation_totals=totals,
+                                        clean=not any(totals.values())))
     return reports
 
 

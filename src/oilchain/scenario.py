@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -382,6 +383,8 @@ def build_run_report(scenario: Scenario, supply: SupplyChain, seed: int,
     total_exec_gas = 0
     calls = 0
     settlements = []
+    # encoded raw-telemetry records per (chain, contract), oldest first
+    records: defaultdict[tuple[str, bytes], list[bytes]] = defaultdict(list)
     for chain in supply.all_chains():
         chains.append({
             "name": chain.name,
@@ -404,6 +407,8 @@ def build_run_report(scenario: Scenario, supply: SupplyChain, seed: int,
                         "amount": record["amount"],
                         "tick": block.timestamp,
                     })
+                elif tx.function == telemetry.RECORD_FUNCTION:
+                    records[chain.name, tx.contract].append(tx.args)
     # ticks come from the clock all chains share, so this is acceptance order
     settlements.sort(key=lambda s: s["tick"])
     settlement_tick = {(s["batch_id"], s["hop"]): s["tick"] for s in settlements}
@@ -419,11 +424,13 @@ def build_run_report(scenario: Scenario, supply: SupplyChain, seed: int,
         hops = []
         for hop, summary in zip(batch.hops, trace.hops, strict=True):
             tracking_state = supply.consortium_rt.state_of(hop.tracking_contract)
+            fed = records[supply.private_chain(hop.seller.address).name, hop.product_contract]
             hops.append({
                 **summary.to_dict(),
                 "status": stage_label(hop.status),
-                "readings_fed": hop.readings_fed,
-                "weight_delta": hop.weight_delta,
+                # each committed check emitted one stage event on the tracking contract
+                "readings_fed": summary.accurate_readings + len(summary.violations) + len(fed),
+                "weight_delta": telemetry.weight_delta(fed),
                 "settlement_tick": settlement_tick.get((batch.batch_id, summary.index)),
                 "final_state": {
                     "temperature": tracking_state["temp_stage"],

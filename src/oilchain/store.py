@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import ledger
-from .errors import CorruptLedger
+from .errors import CorruptLedger, InvalidValidatorSet
 
 STORE_SCHEMA_VERSION = 2
 _MANIFEST = "manifest.json"
@@ -158,7 +158,9 @@ def load_chain(directory: Path) -> ledger.Chain:
             raise TypeError(f"name must be a string, got {name!r}")
         key = "acl" if chain_class is ledger.ChainClass.PRIVATE else "validators"
         addresses = [bytes.fromhex(a) for a in manifest.get(key, [])]
-    except (TypeError, ValueError) as exc:
+        if key == "validators":
+            ledger.quorum_fault_bound(len(addresses))
+    except (TypeError, ValueError, InvalidValidatorSet) as exc:
         raise CorruptLedger(f"invalid manifest in {directory.name}: {exc}") from None
 
     blocks = []

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Sequence
 
 from . import ledger
-from .encoding import canon_decode, digest
+from .encoding import canon_decode, canon_encode, digest
 from .errors import WindowOutOfRange
 
 
@@ -39,6 +39,9 @@ CHECK_FUNCTION = {
 }
 
 RECORD_FUNCTION = "recordTelemetry"
+
+# the encoded kind entry of a Weight record, so weights are found undecoded
+_WEIGHT_ENTRY = canon_encode("kind") + canon_encode(ReadingKind.WEIGHT.value)
 
 # fixed dispatch order for kinds sharing a tick
 KIND_ORDER = {kind: i for i, kind in enumerate(ReadingKind)}
@@ -153,3 +156,11 @@ def telemetry_records(chain: ledger.Chain, product_contract: bytes,
             out.append(payload)
     return out
 
+
+def weight_delta(records: Sequence[bytes]) -> int | None:
+    """Last minus first value of the Weight readings among encoded raw-telemetry
+    records, oldest first, or None without one. Only those two are decoded."""
+    weights = [args for args in records if _WEIGHT_ENTRY in args]
+    if not weights:
+        return None
+    return canon_decode(weights[-1])["value"] - canon_decode(weights[0])["value"]

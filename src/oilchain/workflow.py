@@ -104,16 +104,9 @@ class Hop:
     terms: TermSheet
     product_contract: bytes
     tracking_contract: bytes
-    predecessor: bytes | None
-    gateway: KeyPair
+    data_address: bytes                 # the hop's gateway, its one telemetry source
     status: HopStatus = HopStatus.PROPOSED
     stored_passphrase: Credential | None = None
-    readings_fed: int = 0
-    weight_delta: int | None = None
-
-    @property
-    def data_address(self) -> bytes:
-        return self.gateway.address
 
 
 @dataclass
@@ -224,7 +217,6 @@ class SupplyChain:
         """Open a hop linked to the batch's last one: contracts deployed, terms entered."""
         previous = batch.hops[-1] if batch.hops else None
         check_custody(previous.buyer.role if previous else None, seller_role, buyer_role)
-        predecessor = previous.tracking_contract if previous else None
 
         seller = self.actor(seller_role)
         buyer = self.actor(buyer_role)
@@ -268,7 +260,7 @@ class SupplyChain:
                 "buyer": buyer.address,
                 "seller_role": seller_role.value,
                 "buyer_role": buyer_role.value,
-                "predecessor": predecessor if predecessor is not None else b"",
+                "predecessor": previous.tracking_contract if previous else b"",
                 "product": product,
             },
         )
@@ -291,8 +283,7 @@ class SupplyChain:
             terms=terms,
             product_contract=product,
             tracking_contract=tracking,
-            predecessor=predecessor,
-            gateway=gateway,
+            data_address=gateway.address,
             stored_passphrase=stored,
         )
         batch.hops.append(hop)
@@ -365,8 +356,7 @@ class SupplyChain:
 
         Checked kinds become tracking-contract calls made by the gateway
         address; everything else is recorded on the seller's private chain.
-        `readings_fed` counts the readings committed to a ledger (a reverted
-        check is not). Returns the per-check call results in dispatch order.
+        Returns the per-check call results in dispatch order.
         """
         if hop.status is not HopStatus.ACCEPTED:
             raise WrongStatus(
@@ -391,15 +381,12 @@ class SupplyChain:
         results = []
         for r in ordered:
             if r.kind in telemetry.CHECK_FUNCTION:
-                result = self.consortium_rt.call(
+                results.append(self.consortium_rt.call(
                     hop.tracking_contract,
                     telemetry.CHECK_FUNCTION[r.kind],
                     {"value": r.value},
                     caller=hop.data_address,
-                )
-                results.append(result)
-                if result.status is not CallStatus.OK:
-                    continue
+                ))
             else:
                 seller_rt.record(
                     caller=hop.seller.address,
@@ -412,7 +399,6 @@ class SupplyChain:
                         "source": r.source,
                     },
                 )
-            hop.readings_fed += 1
         return results
 
     # --- delivery -------------------------------------------------------------------
@@ -444,13 +430,6 @@ class SupplyChain:
             )
             if result.status is not CallStatus.OK:
                 raise WrongStage(result.revert_reason)
-
-        weights = telemetry.telemetry_records(
-            self.private_chain(hop.seller.address), hop.product_contract,
-            querier=hop.seller.address, kind=telemetry.ReadingKind.WEIGHT,
-        )
-        if weights:
-            hop.weight_delta = weights[-1]["value"] - weights[0]["value"]
 
         hop.status = HopStatus.DELIVERED
         return hop

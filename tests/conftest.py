@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from oilchain import identity, ledger
+from oilchain import identity, ledger, runtime
 from oilchain.encoding import canon_decode
 from oilchain.identity import Role
 from oilchain.runtime import LogicalClock, Runtime
+from oilchain.scenario import BatchSpec, Scenario, build_run_report
 from oilchain.workflow import (
     SETTLEMENT_FUNCTION,
     Setpoints,
@@ -58,6 +59,15 @@ def settlement_records(supply: SupplyChain) -> list[tuple[int, dict]]:
          for tx in block.transactions if tx.function == SETTLEMENT_FUNCTION),
         key=lambda record: record[0],
     )
+
+
+def report_hops(supply: SupplyChain) -> list[dict]:
+    """The run report's hop records, batch by batch, for a supply chain driven by hand."""
+    batches = tuple(BatchSpec(batch.batch_id, batch.oil_name, Setpoints(0, 0, 0), ())
+                    for batch in supply.batches.values())
+    scenario = Scenario("by-hand", supply.seed, len(supply.topology.validators), 0, (), batches)
+    report = build_run_report(scenario, supply, supply.seed, runtime.DEFAULT_ETH_USD)
+    return [hop for batch in report["batches"] for hop in batch["hops"]]
 
 
 def make_validators(count: int, seed: int = 99) -> list[identity.KeyPair]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -135,6 +136,16 @@ def test_bad_flag_value_exits_one_naming_the_flag(capsys, argv, flag):
     assert err.startswith(f"error: {flag}:")
 
 
+def test_store_path_that_is_a_file_exits_one_naming_it(tmp_path, capsys):
+    path = tmp_path / "ledgers"
+    path.write_text("not a directory")
+    code, out, err = run_cli(capsys, "run", HAPPY, "--store", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: --store: {path}:")
+    assert path.read_text() == "not a directory"
+
+
 def test_run_persists_store_and_report(tmp_path, capsys):
     root = tmp_path / "ledgers"
     code, out, _err = run_cli(capsys, "run", HAPPY, "--store", str(root),
@@ -219,15 +230,11 @@ def test_trace_corrupt_store_names_the_block(happy_store, capsys):
     assert "first_bad_index=3" in err
 
 
-def test_trace_refuses_an_unknown_stage_word_naming_the_block(faulted_store, capsys):
-    # Reword one violation and re-seal every hash from there on: the store
-    # still loads, since trace re-checks hashes and not the quorum, so only
-    # the trace itself can object.
-    chain = store.load_chain(faulted_store / "consortium")
-    records = [json.dumps(store.block_to_record(block)) for block in chain.blocks]
-    index = next(i for i, text in enumerate(records) if '"Lower Pressure"' in text)
-    chain.blocks[index] = store.block_from_record(json.loads(
-        records[index].replace('"Lower Pressure"', '"Bogus Pressure"', 1)))
+def _reseal(root, chain, index, block):
+    """Save `chain` under root with `block` at `index`, every hash from there
+    on re-sealed: the store still loads, since trace re-checks hashes and not
+    the quorum, so only the trace itself can object."""
+    chain.blocks[index] = block
     for i in range(index, len(chain.blocks)):
         old = chain.blocks[i]
         prev_hash = chain.blocks[i - 1].hash
@@ -235,13 +242,39 @@ def test_trace_refuses_an_unknown_stage_word_naming_the_block(faulted_store, cap
         chain.blocks[i] = ledger.Block(i, prev_hash, old.timestamp, old.transactions,
                                        old.endorsements,
                                        ledger.block_hash(digest, old.endorsements))
-    store.save_chain(faulted_store, chain)
+    store.save_chain(root, chain)
+
+
+def test_trace_refuses_an_unknown_stage_word_naming_the_block(faulted_store, capsys):
+    chain = store.load_chain(faulted_store / "consortium")
+    records = [json.dumps(store.block_to_record(block)) for block in chain.blocks]
+    index = next(i for i, text in enumerate(records) if '"Lower Pressure"' in text)
+    _reseal(faulted_store, chain, index, store.block_from_record(json.loads(
+        records[index].replace('"Lower Pressure"', '"Bogus Pressure"', 1))))
 
     code, out, err = run_cli(capsys, "trace", "101", "--store", str(faulted_store))
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
     assert f"block {index}:" in err
+
+
+def test_trace_refuses_an_event_naming_another_emitter(faulted_store, capsys):
+    # credit one hop-2 PressureViolation to hop 1's tracking contract
+    report = json.loads((faulted_store / "report.json").read_text())
+    other = bytes.fromhex(report["batches"][0]["hops"][0]["tracking_contract"][2:])
+    chain = store.load_chain(faulted_store / "consortium")
+    block = next(block for block in chain.blocks for tx in block.transactions
+                 for event in tx.events
+                 if event.name == "PressureViolation" and event.arg("msg") == "Lower Pressure")
+    spoofed = tuple(replace(tx, events=tuple(replace(e, emitter=other) for e in tx.events))
+                    for tx in block.transactions)
+    _reseal(faulted_store, chain, block.index, replace(block, transactions=spoofed))
+
+    code, out, err = run_cli(capsys, "trace", "101", "--store", str(faulted_store))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: chain 'consortium' block {block.index}:")
 
 
 # --- gas-report ----------------------------------------------------------------------
@@ -312,6 +345,19 @@ def test_unencodable_block_value_names_the_block(happy_store, capsys, argv):
     assert code == 1
     assert out == ""
     assert "first_bad_index=2" in err
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["trace", "101"]], ids=["verify", "trace"])
+def test_a_validator_count_not_3f_plus_1_is_refused_naming_the_chain(happy_store, capsys,
+                                                                    argv):
+    manifest_file = happy_store / "consortium" / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    manifest["validators"] = manifest["validators"][:2]
+    manifest_file.write_text(json.dumps(manifest))
+    code, out, err = run_cli(capsys, *argv, "--store", str(happy_store))
+    assert code == 1
+    assert out == ""
+    assert err == "error: invalid manifest in consortium: validator count must be 3f+1, got 2\n"
 
 
 def test_verify_names_a_resealed_minority_block(happy_store, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import JSON_VALUES, SCENARIO_DIR, node_paths, with_node_replaced
-from oilchain import runtime
+from oilchain import runtime, telemetry
 from oilchain.errors import OilchainError, ParseError, QuorumNotMet, ValidationError
 from oilchain.identity import Role
 from oilchain.provenance import batch_text, build_report
@@ -325,6 +325,38 @@ def test_run_report_hops_embed_the_trace_record(path):
             assert list(hop.items())[:11] == list(traced.items())
             assert hop["status"] == "Delivered"
         assert "\n".join(batch_text(trace)) in text
+
+
+@pytest.mark.parametrize("path", [HAPPY, FAULTED], ids=["happy_path", "pressure_fault_hop2"])
+def test_readings_fed_counts_committed_checks_and_records(path):
+    result = run_scenario_file(path)
+    supply = result.supply
+
+    def committed(chain, contract, functions):
+        return sum(tx.contract == contract and tx.function in functions
+                   for block in chain.blocks for tx in block.transactions)
+
+    for batch in result.report["batches"]:
+        for reported, hop in zip(batch["hops"], supply.batches[batch["batch_id"]].hops,
+                                 strict=True):
+            checks = committed(supply.consortium_chain, hop.tracking_contract,
+                               telemetry.CHECK_FUNCTION.values())
+            records = committed(supply.private_chain(hop.seller.address),
+                                hop.product_contract, {telemetry.RECORD_FUNCTION})
+            assert checks
+            assert reported["readings_fed"] == checks + records
+
+
+def test_a_run_decodes_at_most_two_telemetry_records_per_hop(monkeypatch):
+    decoded = []
+    decode = telemetry.canon_decode
+    monkeypatch.setattr(telemetry, "canon_decode",
+                        lambda data: decoded.append(data) or decode(data))
+    report = run_scenario_file(HAPPY).report
+    # only hop 1 streams weights (hop 3 streams RFID scans): the report reads
+    # its first and last Weight record, and no other telemetry record
+    assert [decode(data)["kind"] for data in decoded] == ["Weight", "Weight"]
+    assert report["batches"][0]["hops"][0]["weight_delta"] == 0
 
 
 def test_text_rendering_mentions_the_essentials():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import standard_terms
+from conftest import report_hops, standard_terms
 from oilchain import identity, telemetry
 from oilchain.errors import (
     AccessDenied,
@@ -170,7 +170,7 @@ def test_feed_rejects_foreign_sources(supply, setpoints):
     bad = [SensorReading(ReadingKind.PRESSURE, 0, 8, SOURCE)]
     with pytest.raises(Unauthorized):
         supply.feed(hop, bad)
-    assert hop.readings_fed == 0
+    assert report_hops(supply)[0]["readings_fed"] == 0
     assert hop.status is HopStatus.ACCEPTED
 
 
@@ -179,7 +179,7 @@ def test_feed_moves_hop_in_transit_and_checks_each_reading(supply, setpoints):
     readings = hop_stream(hop, duration=4)
     results = supply.feed(hop, readings)
     assert hop.status is HopStatus.ACCEPTED
-    assert hop.readings_fed == len(readings)
+    assert report_hops(supply)[0]["readings_fed"] == len(readings)
     # three checked kinds per tick, each one tracking-contract call
     assert len(results) == 12
     assert all(r.status.value == "Ok" for r in results)
@@ -202,7 +202,7 @@ def test_reverted_checks_are_not_counted_as_fed(supply, setpoints):
                                           hop.product_contract,
                                           querier=hop.seller.address)
     assert len(records) == 6            # Location and Weight, three ticks each
-    assert hop.readings_fed == len(records)
+    assert report_hops(supply)[0]["readings_fed"] == len(records)
 
 
 def test_unchecked_kinds_land_on_the_seller_private_chain(supply, setpoints):
@@ -225,7 +225,7 @@ def test_location_history_and_read_gating(supply, setpoints):
     fixes = [r for r in hop_stream(hop, duration=5)
              if r.kind is ReadingKind.LOCATION]
     supply.feed(hop, fixes)
-    assert hop.readings_fed == 5
+    assert report_hops(supply)[0]["readings_fed"] == 5
     chain = supply.private_chain(hop.seller.address)
     history = telemetry.telemetry_records(chain, hop.product_contract,
                                           querier=hop.buyer.address,
@@ -260,12 +260,12 @@ def test_silence_budget_enforced(supply, setpoints):
                 for t in (0, 1, 4)]
     with pytest.raises(StaleTelemetry):
         supply.feed(hop, readings)
-    assert hop.readings_fed == 0
+    assert report_hops(supply)[0]["readings_fed"] == 0
     assert hop.status is HopStatus.ACCEPTED
     ok = [SensorReading(ReadingKind.PRESSURE, t, 8, hop.data_address)
           for t in (0, 2, 4)]
     supply.feed(hop, ok)
-    assert hop.readings_fed == 3
+    assert report_hops(supply)[0]["readings_fed"] == 3
 
 
 def test_feed_order_is_tick_then_kind(supply, setpoints):

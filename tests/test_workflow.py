@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import FIVE_ROLES, settlement_records, standard_terms
+from conftest import FIVE_ROLES, report_hops, settlement_records, standard_terms
 from oilchain import identity, ledger
 from oilchain.encoding import canon_decode
 from oilchain.errors import (
@@ -97,7 +97,8 @@ def test_first_hop_wires_contracts_and_access(supply, setpoints):
     hop = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY,
                               standard_terms(setpoints))
     assert hop.status is HopStatus.PROPOSED
-    assert hop.index == 1 and hop.predecessor is None
+    assert hop.index == 1
+    assert build_report(supply.consortium_chain, "101").hops[0].predecessor is None
 
     private = supply.private_chain(seller.address)
     assert private.acl == {seller.address, buyer.address}
@@ -152,7 +153,8 @@ def test_follow_on_hops_need_the_exact_predecessor(supply, setpoints):
     second = supply.initiate_hop(batch, Role.REFINERY, Role.STORAGE,
                                  standard_terms(setpoints))
     assert second.index == 2
-    assert second.predecessor == first.tracking_contract
+    assert (build_report(supply.consortium_chain, "101").hops[1].predecessor
+            == identity.address_hex(first.tracking_contract))
     constructor = next(tx for b in supply.consortium_chain.blocks
                        for tx in b.transactions
                        if tx.function == "constructor"
@@ -326,9 +328,10 @@ def test_other_factory_branch_ends_at_storage(setpoints):
 def test_weight_delta_is_last_minus_first(supply, setpoints):
     _batch, hop = proposed_hop(supply, setpoints)
     supply.accept_shipment(hop, sign_accept(supply, hop))
+    assert report_hops(supply)[0]["weight_delta"] is None
     supply.feed(hop, weight_readings(hop, [500, 496, 492]))
     supply.deliver(hop)
-    assert hop.weight_delta == -8
+    assert report_hops(supply)[0]["weight_delta"] == -8
 
 
 def test_trace_is_read_only_and_checks_batch(supply, setpoints):
