@@ -5,7 +5,9 @@ index, previous hash, timestamp and transactions. Its hash is SHA-256 over
 that digest followed by the canonical encoding of its endorsements, so any
 byte of recorded history that changes breaks verification from that block
 onward. Consortium blocks carry validator endorsements: signatures over the
-candidate digest, checked against a 2f+1 quorum of a 3f+1 validator set.
+candidate digest. Appending seals the first 2f+1 valid, distinct ones a
+3f+1 validator set offers; a stored block must carry only valid, distinct
+ones, at least 2f+1.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import identity
 from .encoding import canon_encode
@@ -188,55 +190,88 @@ def new_consortium_chain(name: str, validators: Sequence[bytes]) -> Chain:
 
 # --- endorsement ------------------------------------------------------------
 
+def quorum_size(validator_count: int) -> int:
+    """2f+1: how many valid, distinct endorsements seal a consortium block."""
+    return 2 * quorum_fault_bound(validator_count) + 1
+
+
 def collect_endorsements(digest: bytes,
                          validator_keys: Sequence[identity.KeyPair],
                          faulty: frozenset[bytes] | set[bytes] = frozenset(),
-                         ) -> list[Endorsement]:
-    """Each non-faulty validator signs the candidate digest.
+                         byzantine: frozenset[bytes] | set[bytes] = frozenset(),
+                         ) -> Iterator[Endorsement]:
+    """Each non-faulty validator signs the candidate digest, on demand.
 
-    `faulty` holds addresses of validators simulated as silent; ordering
-    follows the given key sequence so output is deterministic.
+    A generator in key order, so output is deterministic and a consumer
+    that stops at quorum computes no further signature. `faulty` holds
+    addresses of validators simulated as silent; `byzantine` ones
+    equivocate: they sign a different digest.
     """
-    out = []
     for kp in validator_keys:
         if kp.address in faulty:
             continue
-        out.append(Endorsement(public_key=kp.public_key,
-                               signature=identity.sign(digest, kp.private_key)))
-    return out
+        signed = digest
+        if kp.address in byzantine:
+            signed = hashlib.sha256(b"equivocation:" + digest).digest()
+        yield Endorsement(public_key=kp.public_key,
+                          signature=identity.sign(signed, kp.private_key))
 
 
-def _check_quorum(digest: bytes, endorsements: Sequence[Endorsement],
-                  validators: Sequence[bytes]) -> None:
-    """Raise QuorumNotMet unless 2f+1 distinct validators signed the digest.
+def _endorsement_fault(digest: bytes, endorsement: Endorsement,
+                       validators: Sequence[bytes], seen: set[bytes]) -> str | None:
+    """Why an endorsement does not count toward a quorum, or None if it does.
 
-    Any malformed endorsement, one from a non-validator or one with a bad
-    signature refuses the block, however many good ones it also carries.
+    Counting it adds its validator to `seen`, so a repeat is refused.
     """
-    needed = 2 * quorum_fault_bound(len(validators)) + 1
-    validator_set = set(validators)
+    addr = endorsement.validator
+    if addr not in validators:
+        return f"endorsement from non-validator {identity.address_hex(addr)}"
+    if addr in seen:
+        return f"duplicate endorsement from {identity.address_hex(addr)}"
+    if not identity.verify(digest, endorsement.signature, endorsement.public_key):
+        return f"invalid endorsement signature from {identity.address_hex(addr)}"
+    seen.add(addr)
+    return None
+
+
+def _seal_quorum(chain: Chain, index: int, digest: bytes,
+                 offered: Iterable[Endorsement]) -> tuple[Endorsement, ...]:
+    """The first 2f+1 valid, distinct validator endorsements offered, in order.
+
+    Skips any endorsement that is invalid, from a non-validator or a
+    duplicate, and reads the supply no further than the quorum. Raises
+    QuorumNotMet, naming the chain and block, if the supply runs out first.
+    """
+    needed = quorum_size(len(chain.validators))
+    sealed: list[Endorsement] = []
     seen: set[bytes] = set()
-    for e in endorsements:
-        addr = e.validator
-        if addr not in validator_set:
-            raise QuorumNotMet(f"endorsement from non-validator {identity.address_hex(addr)}")
-        if not identity.verify(digest, e.signature, e.public_key):
-            raise QuorumNotMet(f"invalid endorsement signature from {identity.address_hex(addr)}")
-        seen.add(addr)
-    if len(seen) < needed:
-        raise QuorumNotMet(f"need {needed} endorsements, got {len(seen)} valid")
+    skipped: list[str] = []
+    for endorsement in offered:
+        fault = _endorsement_fault(digest, endorsement, chain.validators, seen)
+        if fault is not None:
+            skipped.append(fault)
+            continue
+        sealed.append(endorsement)
+        if len(sealed) == needed:
+            return tuple(sealed)
+    why = "".join(f"; skipped {fault}" for fault in skipped)
+    raise QuorumNotMet(
+        f"chain {chain.name!r} block {index}: need {needed} endorsements,"
+        f" got {len(sealed)} valid{why}"
+    )
 
 
 # --- append / verify ----------------------------------------------------------
 
 def append_block(chain: Chain, transactions: Sequence[Transaction], timestamp: int,
-                 endorse: Callable[[bytes], Sequence[Endorsement]] | None = None) -> Block:
+                 endorse: Callable[[bytes], Iterable[Endorsement]] | None = None) -> Block:
     """Seal and append a block after policy checks.
 
     Private chains require every transaction caller to be on the ACL.
-    Consortium chains pass the candidate digest to `endorse` and require
-    >= 2f+1 valid, distinct validator endorsements over it. The block hash
-    is sealed over that same digest, so transactions are encoded once.
+    Consortium chains pass the candidate digest to `endorse` and seal the
+    first 2f+1 valid, distinct validator endorsements it offers; the rest
+    are skipped or never drawn. The block hash is sealed over that same
+    digest, so transactions are encoded once.
     """
     if chain.chain_class is ChainClass.PRIVATE:
         for tx in transactions:
@@ -250,8 +285,8 @@ def append_block(chain: Chain, transactions: Sequence[Transaction], timestamp: i
     digest = candidate_digest(index, prev_hash, timestamp, transactions)
     endorsements: tuple[Endorsement, ...] = ()
     if chain.chain_class is ChainClass.CONSORTIUM:
-        endorsements = tuple(endorse(digest)) if endorse is not None else ()
-        _check_quorum(digest, endorsements, chain.validators)
+        offered = endorse(digest) if endorse is not None else ()
+        endorsements = _seal_quorum(chain, index, digest, offered)
 
     block = Block(index, prev_hash, timestamp, tuple(transactions), endorsements,
                   block_hash(digest, endorsements))
@@ -283,13 +318,18 @@ def verify_chain(chain: Chain) -> VerificationReport:
 def verify_endorsement_quorum(chain: Chain) -> VerificationReport:
     """Re-verify every non-genesis consortium block's endorsement quorum.
 
-    first_bad_index is the earliest block whose endorsements fail the check.
+    A stored block is held to the strict rule: every endorsement it carries
+    is a valid signature from a distinct validator, and there are at least
+    2f+1 of them. first_bad_index is the earliest block that fails.
     """
     if chain.chain_class is ChainClass.CONSORTIUM:
+        needed = quorum_size(len(chain.validators))
         for i, block in enumerate(chain.blocks[1:], start=1):
-            try:
-                _check_quorum(block.digest, block.endorsements, chain.validators)
-            except QuorumNotMet:
+            seen: set[bytes] = set()
+            if len(block.endorsements) < needed or any(
+                _endorsement_fault(block.digest, e, chain.validators, seen)
+                for e in block.endorsements
+            ):
                 return VerificationReport(False, i)
     return VerificationReport(True, None)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from . import ledger
 from .contracts import CONTRACT_KINDS, ContractBase
@@ -129,7 +129,7 @@ class Runtime:
     """
 
     def __init__(self, chain: ledger.Chain, clock: LogicalClock,
-                 endorse: Callable[[bytes], Sequence[ledger.Endorsement]] | None = None):
+                 endorse: Callable[[bytes], Iterable[ledger.Endorsement]] | None = None):
         if chain.chain_class is ledger.ChainClass.CONSORTIUM and endorse is None:
             raise ValueError("consortium runtime needs an endorse callable")
         self.chain = chain

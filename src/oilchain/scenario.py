@@ -62,6 +62,7 @@ class Scenario:
     roles: tuple[Role, ...]
     batches: tuple[BatchSpec, ...]
     eth_usd: float = runtime.DEFAULT_ETH_USD
+    byzantine_validators: int = 0
 
 
 @dataclass
@@ -161,6 +162,18 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
         raise ValidationError(f"{where}.topology.validators: {exc}") from exc
     faulty = _positive_int(topo.get("faulty_validators", 0),
                            f"{where}.topology.faulty_validators")
+    if faulty > validators:
+        raise ValidationError(
+            f"{where}.topology.faulty_validators: {faulty} silent validators"
+            f" exceed the {validators} validators"
+        )
+    byzantine = _positive_int(topo.get("byzantine_validators", 0),
+                              f"{where}.topology.byzantine_validators")
+    if faulty + byzantine > validators:
+        raise ValidationError(
+            f"{where}.topology.byzantine_validators: {faulty} silent plus"
+            f" {byzantine} Byzantine validators exceed the {validators} validators"
+        )
     roles = tuple(
         _role(r, f"{where}.topology.roles[{i}]")
         for i, r in enumerate(_need(topo, "roles", f"{where}.topology", list))
@@ -255,6 +268,7 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
         roles=roles,
         batches=tuple(batches),
         eth_usd=eth_usd,
+        byzantine_validators=byzantine,
     )
 
 
@@ -335,10 +349,11 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
     eth_usd = scenario.eth_usd if eth_usd is None else check_eth_usd(eth_usd, "eth_usd")
 
     topology = Topology.from_seed(list(scenario.roles), scenario.validator_count, seed)
-    faulty = frozenset(
-        v.address for v in topology.validators[-scenario.faulty_validators:]
-    ) if scenario.faulty_validators else frozenset()
-    supply = SupplyChain(topology, seed, faulty)
+    # the last validators are silent and the first ones equivocate
+    validators = [v.address for v in topology.validators]
+    supply = SupplyChain(topology, seed,
+                         frozenset(validators[len(validators) - scenario.faulty_validators:]),
+                         frozenset(validators[:scenario.byzantine_validators]))
 
     for batch_spec in scenario.batches:
         batch = supply.register_batch(batch_spec.batch_id, batch_spec.oil_name,

@@ -12,7 +12,7 @@ stage.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
 
@@ -139,7 +139,8 @@ class SupplyChain:
     """Owns the ledgers, runtimes, actors, and batches of one scenario."""
 
     def __init__(self, topology: Topology, seed: int,
-                 faulty_validators: frozenset[bytes] | set[bytes] = frozenset()):
+                 faulty_validators: frozenset[bytes] | set[bytes] = frozenset(),
+                 byzantine_validators: frozenset[bytes] | set[bytes] = frozenset()):
         self.topology = topology
         self.seed = seed
         self.clock = LogicalClock()
@@ -147,9 +148,10 @@ class SupplyChain:
 
         validator_keys = list(topology.validators)
         faulty = frozenset(faulty_validators)
+        byzantine = frozenset(byzantine_validators)
 
-        def endorse(candidate: bytes):
-            return ledger.collect_endorsements(candidate, validator_keys, faulty)
+        def endorse(candidate: bytes) -> Iterable[ledger.Endorsement]:
+            return ledger.collect_endorsements(candidate, validator_keys, faulty, byzantine)
 
         consortium = ledger.new_consortium_chain(
             "consortium", [v.address for v in validator_keys]

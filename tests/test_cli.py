@@ -177,6 +177,17 @@ def test_failed_run_persists_nothing(tmp_path, capsys):
     assert not root.exists()
 
 
+def test_starved_run_names_the_chain_and_block(tmp_path, capsys):
+    doc = json.loads((SCENARIO_DIR / "happy_path.json").read_text())
+    doc["topology"]["faulty_validators"] = 2
+    starved = tmp_path / "starved.json"
+    starved.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", str(starved))
+    assert code == 1
+    assert out == ""
+    assert err == "error: chain 'consortium' block 1: need 3 endorsements, got 2 valid\n"
+
+
 # --- trace -------------------------------------------------------------------------
 
 @pytest.fixture
@@ -388,3 +399,16 @@ def test_verify_names_a_resealed_minority_block(happy_store, capsys):
     assert code == 1
     statuses = {c["chain"]: c["status"] for c in json.loads(out)["chains"]}
     assert statuses["consortium"] == f"QUORUM FAILED at block {last.index}"
+
+
+def test_verify_refuses_a_repeated_endorsement(happy_store, capsys):
+    # a repeat of the first endorsement leaves every signature valid and,
+    # re-sealed, every hash consistent, but makes the block hash malleable
+    chain = store.load_chain(happy_store / "consortium")
+    index = len(chain.blocks) // 2
+    block = chain.blocks[index]
+    _reseal(happy_store, chain, index,
+            replace(block, endorsements=block.endorsements + block.endorsements[:1]))
+    code, out, _err = run_cli(capsys, "verify", "--store", str(happy_store))
+    assert code == 1
+    assert f"QUORUM FAILED at block {index}" in out

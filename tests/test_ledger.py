@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_random_chain, make_consortium, make_validators, mutate_chain
 from oilchain import identity, ledger
@@ -123,38 +127,85 @@ def test_quorum_not_met_with_2f_of_4():
     assert chain.tip_hash == tip
 
 
+def stored_block(chain, endorse, timestamp=1):
+    """Append a hash-consistent block carrying exactly what `endorse` offers,
+    unchecked, as a store written by another writer could hold it."""
+    index, prev_hash = len(chain.blocks), chain.tip_hash
+    digest = ledger.candidate_digest(index, prev_hash, timestamp, [tx()])
+    endorsements = tuple(endorse(digest))
+    chain.blocks.append(ledger.Block(index, prev_hash, timestamp, (tx(),), endorsements,
+                                     ledger.block_hash(digest, endorsements)))
+    assert ledger.verify_chain(chain).valid
+    return index
+
+
+def with_flipped_signature(endorsement):
+    signature = endorsement.signature
+    return replace(endorsement, signature=signature[:-1] + bytes([signature[-1] ^ 1]))
+
+
 def test_duplicate_endorsements_counted_once():
     chain, validators = make_consortium(4)
-    digest = ledger.candidate_digest(1, chain.tip_hash, 1, [tx()])
-    one = ledger.collect_endorsements(digest, validators[:1])
-    with pytest.raises(QuorumNotMet):
-        ledger.append_block(chain, [tx()], 1, lambda _: one * 3)
-    three = ledger.collect_endorsements(digest, validators[:3])
-    ledger.append_block(chain, [tx()], 1, lambda _: three + one)
+
+    def repeats(digest):
+        first, *rest = ledger.collect_endorsements(digest, validators[:3])
+        return [first, first, first, *rest]
+
+    with pytest.raises(QuorumNotMet, match="duplicate endorsement"):
+        ledger.append_block(chain, [tx()], 1,
+                            lambda d: [next(ledger.collect_endorsements(d, validators))] * 3)
+    assert len(chain) == 1
+    block = ledger.append_block(chain, [tx()], 1, repeats)
+    assert [e.validator for e in block.endorsements] == [v.address for v in validators[:3]]
+
+
+def test_invalid_signature_is_skipped_for_a_spare_endorsement():
+    chain, validators = make_consortium(4)
+
+    def one_bad(digest):
+        first, *rest = ledger.collect_endorsements(digest, validators)
+        return [with_flipped_signature(first), *rest]
+
+    block = ledger.append_block(chain, [tx()], 1, one_bad)
+    assert [e.validator for e in block.endorsements] == [v.address for v in validators[1:]]
+    assert ledger.verify_endorsement_quorum(chain)
+
+
+def test_non_validator_endorsement_is_skipped():
+    chain, validators = make_consortium(4)
+    outsider = identity.generate_device("outsider", 123)
+    block = ledger.append_block(
+        chain, [tx()], 1,
+        lambda d: ledger.collect_endorsements(d, [outsider, *validators[:3]]))
+    assert [e.validator for e in block.endorsements] == [v.address for v in validators[:3]]
+    with pytest.raises(QuorumNotMet, match="non-validator"):
+        ledger.append_block(chain, [tx()], 2,
+                            lambda d: ledger.collect_endorsements(d, [outsider, *validators[:2]]))
     assert len(chain) == 2
 
 
-def test_invalid_signature_rejects_block_despite_spare_quorum():
-    chain, validators = make_consortium(4)
-    digest = ledger.candidate_digest(1, chain.tip_hash, 1, [tx()])
-    endorsements = ledger.collect_endorsements(digest, validators)
-    flipped = endorsements[0].signature[:-1] + bytes(
-        [endorsements[0].signature[-1] ^ 1])
-    bad = replace(endorsements[0], signature=flipped)
-    with pytest.raises(QuorumNotMet):
-        ledger.append_block(chain, [tx()], 1, lambda _: [bad] + endorsements[1:])
-    assert len(chain) == 1
+# Each endorsement that append skips is refused when a stored block carries it
+# beside a full quorum of valid ones.
+STORED_SPOILERS = {
+    "invalid_signature": lambda digest, validators: [with_flipped_signature(
+        next(ledger.collect_endorsements(digest, validators[3:])))],
+    "non_validator": lambda digest, validators: list(ledger.collect_endorsements(
+        digest, [identity.generate_device("outsider", 123)])),
+    "duplicate": lambda digest, validators: list(ledger.collect_endorsements(
+        digest, validators[:1])),
+}
 
 
-def test_non_validator_endorsement_rejects_block():
+@pytest.mark.parametrize("spoiler", sorted(STORED_SPOILERS))
+def test_stored_block_refuses_what_append_skips(spoiler):
     chain, validators = make_consortium(4)
-    outsider = identity.generate_device("outsider", 123)
-    digest = ledger.candidate_digest(1, chain.tip_hash, 1, [tx()])
-    endorsements = ledger.collect_endorsements(digest, validators[:3])
-    intruder = ledger.collect_endorsements(digest, [outsider])
-    with pytest.raises(QuorumNotMet):
-        ledger.append_block(chain, [tx()], 1, lambda _: endorsements + intruder)
-    assert len(chain) == 1
+    stored_block(chain, lambda d: ledger.collect_endorsements(d, validators[:3]))
+    at = stored_block(chain, lambda d: [*ledger.collect_endorsements(d, validators[:3]),
+                                        *STORED_SPOILERS[spoiler](d, validators)], 2)
+    stored_block(chain, lambda d: ledger.collect_endorsements(d, validators), 3)
+    report = ledger.verify_endorsement_quorum(chain)
+    assert not report
+    assert report.first_bad_index == at
 
 
 def test_endorsement_over_wrong_digest_rejected():
@@ -169,10 +220,77 @@ def test_silent_faulty_validators_up_to_f_tolerated():
     chain, validators = make_consortium(4)
     faulty = {validators[2].address}
     digest = ledger.candidate_digest(1, chain.tip_hash, 1, [tx()])
-    endorsements = ledger.collect_endorsements(digest, validators, faulty=faulty)
-    assert len(endorsements) == 3
-    ledger.append_block(chain, [tx()], 1, lambda _: endorsements)
+    assert len(list(ledger.collect_endorsements(digest, validators, faulty=faulty))) == 3
+    block = ledger.append_block(
+        chain, [tx()], 1, lambda d: ledger.collect_endorsements(d, validators, faulty=faulty))
+    assert faulty.isdisjoint(e.validator for e in block.endorsements)
     assert ledger.verify_endorsement_quorum(chain)
+
+
+def test_collection_stops_at_the_quorum():
+    chain, validators = make_consortium(7)
+    drawn = []
+
+    def endorse(digest):
+        for endorsement in ledger.collect_endorsements(digest, validators):
+            drawn.append(endorsement)
+            yield endorsement
+
+    block = ledger.append_block(chain, [tx()], 1, endorse)
+    assert len(drawn) == 5
+    assert block.endorsements == tuple(drawn)
+
+
+def test_quorum_failure_names_the_chain_and_block():
+    chain, validators = make_consortium(4)
+    endorsed_append(chain, validators, [tx()], 1)
+    with pytest.raises(QuorumNotMet,
+                       match=r"^chain 'consortium' block 2: need 3 endorsements, got 2 valid$"):
+        endorsed_append(chain, validators, [tx()], 2, subset=[0, 1])
+
+
+# --- commit certificates under silent and Byzantine validators ------------------
+
+@functools.cache
+def validator_set(count):
+    return make_validators(count, seed=700 + count)
+
+
+@st.composite
+def fault_assignments(draw):
+    """(validators, silent addresses, Byzantine addresses, f) with s + b <= f + 1,
+    the faulty validators anywhere in the set."""
+    validators = validator_set(draw(st.sampled_from([4, 7, 13])))
+    f = ledger.quorum_fault_bound(len(validators))
+    faults = draw(st.integers(0, f + 1))
+    silent = draw(st.integers(0, faults))
+    order = draw(st.permutations([v.address for v in validators]))
+    return (validators, frozenset(order[:silent]),
+            frozenset(order[silent:faults]), f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fault_assignments())
+def test_append_seals_exactly_2f_plus_1_under_up_to_f_faults(case):
+    validators, silent, byzantine, f = case
+    chain = ledger.new_consortium_chain("consortium", [v.address for v in validators])
+    with mock.patch.object(identity, "sign", wraps=identity.sign) as signer:
+        def append():
+            return ledger.append_block(chain, [tx()], 1, lambda d: ledger.collect_endorsements(
+                d, validators, faulty=silent, byzantine=byzantine))
+        if len(silent) + len(byzantine) <= f:
+            block = append()
+            sealed = [e.validator for e in block.endorsements]
+            assert len(sealed) == len(set(sealed)) == 2 * f + 1
+            assert (silent | byzantine).isdisjoint(sealed)
+            assert all(identity.verify(block.digest, e.signature, e.public_key)
+                       for e in block.endorsements)
+            assert signer.call_count <= 2 * f + 1 + len(byzantine)
+            assert ledger.verify_endorsement_quorum(chain)
+        else:
+            with pytest.raises(QuorumNotMet):
+                append()
+            assert len(chain) == 1
 
 
 # --- tamper evidence ----------------------------------------------------------
@@ -241,10 +359,10 @@ def test_resealed_suffix_fails_quorum_reverification():
     endorsed_append(chain, validators, [tx()], 1)
     forged_tx = tx(args=b"\x99")
     digest = ledger.candidate_digest(2, chain.tip_hash, 2, [forged_tx])
-    minority = ledger.collect_endorsements(digest, validators[:2])
+    minority = tuple(ledger.collect_endorsements(digest, validators[:2]))
     forged = ledger.Block(
         index=2, prev_hash=chain.tip_hash, timestamp=2,
-        transactions=(forged_tx,), endorsements=tuple(minority),
+        transactions=(forged_tx,), endorsements=minority,
         hash=ledger.block_hash(digest, minority),
     )
     chain.blocks.append(forged)

@@ -253,7 +253,7 @@ def test_consortium_calls_carry_quorum():
                      {"oil_id": "101", "name": "Petrol", "price": 100,
                       "quantity": 10}, OWNER)
     assert result.status is CallStatus.OK
-    assert all(len(b.endorsements) == 4 for b in rt.chain.blocks[1:])
+    assert all(len(b.endorsements) == 3 for b in rt.chain.blocks[1:])
     assert ledger.verify_endorsement_quorum(rt.chain)
 
 

@@ -220,8 +220,8 @@ def test_runs_are_byte_identical():
 
 # Any change to these bytes must be made on purpose: update the hash with it.
 @pytest.mark.parametrize("path,sha256", [
-    (HAPPY, "425728cdefb25e77b1d56c5235a751a069dad0d37913dd91d81929349056c18e"),
-    (FAULTED, "79b8f87b616621f594f06815ca06d3626da2c2127301227d45fe48562f2acb3f"),
+    (HAPPY, "0989c4c39dc52bcac5548c1614fb6ce73e388d103923e90398b96309394842ef"),
+    (FAULTED, "d56d3a7880266ba0a5050d0a1b27cfe105c7580393c07e540a207150df04d2c9"),
 ], ids=["happy_path", "pressure_fault_hop2"])
 def test_report_bytes_are_pinned(path, sha256):
     text = report_to_json(run_scenario_file(path).report)
@@ -312,6 +312,50 @@ def test_two_faulty_validators_of_four_break_the_quorum():
     doc["topology"]["faulty_validators"] = 2
     with pytest.raises(QuorumNotMet):
         run_scenario(parse_scenario(doc))
+
+
+def without_consortium_tip(report: dict) -> dict:
+    report = copy.deepcopy(report)
+    for chain in report["chains"]:
+        if chain["class"] == "Consortium":
+            del chain["tip_hash"]
+    return report
+
+
+@pytest.mark.parametrize("path", [HAPPY, FAULTED], ids=["happy_path", "pressure_fault_hop2"])
+def test_f_byzantine_validators_change_only_the_consortium_tip(path):
+    # f = 1 of 4 equivocates: its endorsement is skipped, so the sealed sets,
+    # and with them the tip hash, differ; traces, violations and settlements do not
+    doc = json.loads(path.read_text())
+    honest = run_scenario(parse_scenario(doc))
+    doc["topology"]["byzantine_validators"] = 1
+    result = run_scenario(parse_scenario(doc))
+    assert without_consortium_tip(result.report) == without_consortium_tip(honest.report)
+    assert result.report["chains"][0]["tip_hash"] != honest.report["chains"][0]["tip_hash"]
+    liar = result.supply.topology.validators[0].address
+    blocks = result.supply.consortium_chain.blocks[1:]
+    assert all(len(b.endorsements) == 3 for b in blocks)
+    assert all(e.validator != liar for b in blocks for e in b.endorsements)
+
+
+@pytest.mark.parametrize("silent,byzantine", [(0, 2), (1, 1)])
+def test_more_than_f_faulty_validators_break_the_quorum(silent, byzantine):
+    doc = minimal_doc()
+    doc["topology"].update(faulty_validators=silent, byzantine_validators=byzantine)
+    with pytest.raises(QuorumNotMet, match="^chain 'consortium' block 1: "):
+        run_scenario(parse_scenario(doc))
+
+
+@pytest.mark.parametrize("silent,byzantine,field", [
+    (400, 0, "faulty_validators"),
+    (3, 2, "byzantine_validators"),
+    (0, 5, "byzantine_validators"),
+])
+def test_faulty_validators_beyond_the_set_are_refused_at_parse(silent, byzantine, field):
+    doc = minimal_doc()
+    doc["topology"].update(faulty_validators=silent, byzantine_validators=byzantine)
+    with pytest.raises(ValidationError, match=f"^scenario.topology.{field}: .* exceed the 4"):
+        parse_scenario(doc)
 
 
 @pytest.mark.parametrize("path", [HAPPY, FAULTED], ids=["happy_path", "pressure_fault_hop2"])
