@@ -96,20 +96,23 @@ def _cmd_verify(args) -> int:
     for name, chain in chains.items():
         quorum = ledger.verify_endorsement_quorum(chain)
         ok = ok and quorum.valid
-        status = "ok" if quorum else f"QUORUM FAILED at block {quorum.first_bad_index}"
-        lines.append({
+        line = {
             "chain": name,
             "class": chain.chain_class.value,
             "blocks": len(chain),
             "tip_hash": chain.tip_hash.hex(),
-            "status": status,
-        })
+            "status": "ok" if quorum else f"QUORUM FAILED at block {quorum.first_bad_index}",
+        }
+        if not quorum:
+            line["reason"] = quorum.reason
+        lines.append(line)
     if args.format == "structured":
         sys.stdout.write(json.dumps({"chains": lines}, indent=2) + "\n")
     else:
         for line in lines:
+            reason = f": {line['reason']}" if "reason" in line else ""
             print(f"{line['chain']:<20} {line['class']:<11} blocks={line['blocks']:<5}"
-                  f" {line['status']}")
+                  f" {line['status']}{reason}")
     return EXIT_OK if ok else EXIT_ERROR
 
 

@@ -1,12 +1,25 @@
 """Canonical binary encoding used for hashing and signing.
 
 Every hash in the ledger is computed over this encoding, so it must be
-injective and stable: one value, one byte string, forever. The format is a
-tag byte followed by a big-endian length/count prefix where needed.
+injective and stable: one value, one byte string, forever. A value is a tag
+byte, then for sized values a big-endian 4-byte length or count, then the
+payload:
 
-Supported values: None, bool, int, bytes, str, list/tuple, dict with str
-keys. Dict entries are encoded in sorted key order; lists and tuples encode
-identically (order preserved).
+    N  None                      T / F  True / False
+    I  int, as decimal ASCII     Y      bytes
+    S  str, as UTF-8             L      count, then each item in order
+    D  count, then each entry as key then value, keys str and strictly
+       ascending (dicts encode in sorted key order)
+
+Lists and tuples encode identically (order preserved). Decoding is strict:
+it accepts exactly the byte strings the encoder produces, so for any input
+`b`, `canon_decode(b)` either raises ValueError or re-encodes to `b`.
+
+Encoding dispatches on the exact type of each value; a subclass of a
+supported type (an IntEnum or str-enum member, say) encodes as its base.
+The ledger writes a block's transactions, events and endorsements into one
+buffer through `write_list_head` and `write_items`, without building an
+intermediate value.
 """
 
 from __future__ import annotations
@@ -14,22 +27,17 @@ from __future__ import annotations
 import hashlib
 import struct
 
-_TAG_NONE = b"N"
-_TAG_TRUE = b"T"
-_TAG_FALSE = b"F"
-_TAG_INT = b"I"
-_TAG_BYTES = b"Y"
-_TAG_STR = b"S"
-_TAG_LIST = b"L"
-_TAG_DICT = b"D"
+NONE, TRUE, FALSE, INT, BYTES, STR, LIST, DICT = b"NTFIYSLD"
 
-_LEN = struct.Struct(">I")
+_HEAD = struct.Struct(">BI")        # a tag byte, then a length or count
+_head = _HEAD.pack
+_HEAD_SIZE = _HEAD.size
 
 
 def canon_encode(value) -> bytes:
     """Encode a value into canonical bytes. Raises TypeError on unsupported types."""
     out = bytearray()
-    _encode_into(out, value)
+    _write(out, value)
     return bytes(out)
 
 
@@ -38,53 +46,162 @@ def digest(value) -> bytes:
     return hashlib.sha256(canon_encode(value)).digest()
 
 
-def _encode_into(out: bytearray, value) -> None:
-    if value is None:
-        out += _TAG_NONE
-    elif value is True:
-        out += _TAG_TRUE
-    elif value is False:
-        out += _TAG_FALSE
-    elif isinstance(value, int):
-        # decimal ASCII keeps arbitrary-precision ints canonical
-        text = b"%d" % value
-        out += _TAG_INT
-        out += _LEN.pack(len(text))
-        out += text
-    elif isinstance(value, bytes):
-        out += _TAG_BYTES
-        out += _LEN.pack(len(value))
-        out += value
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += _TAG_STR
-        out += _LEN.pack(len(raw))
-        out += raw
-    elif isinstance(value, (list, tuple)):
-        out += _TAG_LIST
-        out += _LEN.pack(len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif isinstance(value, dict):
-        keys = sorted(value)
-        for k in keys:
-            if not isinstance(k, str):
-                raise TypeError(f"dict keys must be str, got {type(k).__name__}")
-        out += _TAG_DICT
-        out += _LEN.pack(len(keys))
-        for k in keys:
-            _encode_into(out, k)
-            _encode_into(out, value[k])
-    else:
-        raise TypeError(f"cannot canonically encode {type(value).__name__}")
+def write_list_head(out: bytearray, count: int) -> None:
+    """Append the head of a list of count items; the items follow it."""
+    out += _head(LIST, count)
+
+
+def write_items(out: bytearray, items) -> None:
+    """Append the encoding of each item in order, without a list head."""
+    # the scalar writers, inlined: most items of a ledger record are scalars
+    for item in items:
+        kind = type(item)
+        if kind is bytes:
+            out += _head(BYTES, len(item))
+            out += item
+        elif kind is str:
+            raw = item.encode("utf-8")
+            out += _head(STR, len(raw))
+            out += raw
+        elif kind is int:
+            text = b"%d" % item
+            out += _head(INT, len(text))
+            out += text
+        elif kind is tuple or kind is list:
+            out += _head(LIST, len(item))
+            write_items(out, item)
+        else:
+            _write(out, item)
+
+
+def _write(out: bytearray, value) -> None:
+    _WRITERS.get(type(value), _write_subclass)(out, value)
+
+
+def _write_none(out: bytearray, value) -> None:
+    out.append(NONE)
+
+
+def _write_bool(out: bytearray, value: bool) -> None:
+    out.append(TRUE if value else FALSE)
+
+
+def _write_int(out: bytearray, value: int) -> None:
+    text = b"%d" % value
+    out += _head(INT, len(text))
+    out += text
+
+
+def _write_bytes(out: bytearray, value: bytes) -> None:
+    out += _head(BYTES, len(value))
+    out += value
+
+
+def _write_str(out: bytearray, value: str) -> None:
+    raw = value.encode("utf-8")
+    out += _head(STR, len(raw))
+    out += raw
+
+
+def _write_list(out: bytearray, items) -> None:
+    out += _head(LIST, len(items))
+    write_items(out, items)
+
+
+def _write_dict(out: bytearray, value: dict) -> None:
+    keys = sorted(value)
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(f"dict keys must be str, got {type(key).__name__}")
+    out += _head(DICT, len(keys))
+    for key in keys:
+        _write(out, key)
+        _write(out, value[key])
+
+
+_WRITERS = {
+    type(None): _write_none,
+    bool: _write_bool,
+    int: _write_int,
+    bytes: _write_bytes,
+    str: _write_str,
+    list: _write_list,
+    tuple: _write_list,
+    dict: _write_dict,
+}
+
+
+def _write_subclass(out: bytearray, value) -> None:
+    """A value whose exact type has no writer encodes as its supported base."""
+    for base in (int, bytes, str, list, tuple, dict):
+        if isinstance(value, base):
+            _WRITERS[base](out, value)
+            return
+    raise TypeError(f"cannot canonically encode {type(value).__name__}")
 
 
 def canon_decode(data: bytes):
-    """Inverse of canon_encode. Raises ValueError on malformed input."""
-    value, offset = _decode_from(data, 0)
+    """Inverse of canon_encode. Raises ValueError on any input canon_encode
+    does not produce: malformed, truncated, trailing bytes, an int in any
+    form but its shortest decimal, dict keys not strictly ascending, or
+    lists nested deeper than the interpreter's recursion limit."""
+    try:
+        value, offset = _read(data, 0)
+    except RecursionError:
+        raise ValueError("canonical value nested too deeply") from None
     if offset != len(data):
         raise ValueError("trailing bytes after canonical value")
     return value
+
+
+def _read(data: bytes, at: int):
+    """The value whose encoding starts at data[at], and the offset after it."""
+    try:
+        tag = data[at]
+    except IndexError:
+        raise ValueError("truncated canonical value") from None
+    if tag == NONE:
+        return None, at + 1
+    if tag == TRUE:
+        return True, at + 1
+    if tag == FALSE:
+        return False, at + 1
+    start = at + _HEAD_SIZE
+    if start > len(data):
+        raise ValueError("truncated length prefix")
+    size = _HEAD.unpack_from(data, at)[1]
+    if tag == LIST:
+        items = []
+        for _ in range(size):
+            item, start = _read(data, start)
+            items.append(item)
+        return items, start
+    if tag == DICT:
+        entries = {}
+        previous = None
+        for _ in range(size):
+            key, start = _read(data, start)
+            if type(key) is not str:
+                raise ValueError("dict key is not a string")
+            if previous is not None and key <= previous:
+                raise ValueError("dict keys are not strictly ascending")
+            entries[key], start = _read(data, start)
+            previous = key
+        return entries, start
+    end = start + size
+    if end > len(data):
+        raise ValueError("truncated payload")
+    if tag == STR:
+        return data[start:end].decode("utf-8"), end
+    if tag == BYTES:
+        return data[start:end], end
+    if tag == INT:
+        raw = data[start:end]
+        value = int(raw)
+        if b"%d" % value != raw:
+            raise ValueError(f"int {raw!r} is not in shortest decimal form")
+        return value, end
+    raise ValueError(f"unknown tag byte {bytes([tag])!r}")
 
 
 def strings_under_key(data: bytes, key: str) -> set[str]:
@@ -96,64 +213,18 @@ def strings_under_key(data: bytes, key: str) -> set[str]:
     string or bytes payload adds a spurious member, never a missing one.
     """
     raw = key.encode("utf-8")
-    needle = _TAG_STR + _LEN.pack(len(raw)) + raw
+    needle = _head(STR, len(raw)) + raw
     found = set()
     at = data.find(needle)
     while at != -1:
         tag = at + len(needle)
-        start = tag + 5
-        if data[tag:tag + 1] == _TAG_STR and start <= len(data):
-            (length,) = _LEN.unpack_from(data, tag + 1)
-            if start + length <= len(data):
+        start = tag + _HEAD_SIZE
+        if start <= len(data):
+            kind, length = _HEAD.unpack_from(data, tag)
+            if kind == STR and start + length <= len(data):
                 try:
                     found.add(data[start:start + length].decode("utf-8"))
                 except UnicodeDecodeError:
                     pass
         at = data.find(needle, at + 1)
     return found
-
-
-def _decode_from(data: bytes, offset: int):
-    if offset >= len(data):
-        raise ValueError("truncated canonical value")
-    tag = data[offset:offset + 1]
-    offset += 1
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_TRUE:
-        return True, offset
-    if tag == _TAG_FALSE:
-        return False, offset
-    if tag in (_TAG_INT, _TAG_BYTES, _TAG_STR):
-        if offset + 4 > len(data):
-            raise ValueError("truncated length prefix")
-        (length,) = _LEN.unpack_from(data, offset)
-        offset += 4
-        if offset + length > len(data):
-            raise ValueError("truncated payload")
-        raw = data[offset:offset + length]
-        offset += length
-        if tag == _TAG_INT:
-            return int(raw.decode("ascii")), offset
-        if tag == _TAG_BYTES:
-            return raw, offset
-        return raw.decode("utf-8"), offset
-    if tag in (_TAG_LIST, _TAG_DICT):
-        if offset + 4 > len(data):
-            raise ValueError("truncated count prefix")
-        (count,) = _LEN.unpack_from(data, offset)
-        offset += 4
-        if tag == _TAG_LIST:
-            items = []
-            for _ in range(count):
-                item, offset = _decode_from(data, offset)
-                items.append(item)
-            return items, offset
-        entries = {}
-        for _ in range(count):
-            key, offset = _decode_from(data, offset)
-            if not isinstance(key, str):
-                raise ValueError("dict key is not a string")
-            entries[key], offset = _decode_from(data, offset)
-        return entries, offset
-    raise ValueError(f"unknown tag byte {tag!r}")

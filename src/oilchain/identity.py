@@ -19,10 +19,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    PublicFormat,
-)
 
 from .errors import EmptyPassphrase
 
@@ -94,7 +90,7 @@ def generate_keypair(domain: str, seed: int) -> KeyPair:
         b"oilchain/key/" + domain.encode("utf-8") + b"/" + seed.to_bytes(8, "big", signed=True)
     ).digest()
     private = Ed25519PrivateKey.from_private_bytes(material)
-    public = private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    public = private.public_key().public_bytes_raw()
     return KeyPair(private_key=material, public_key=public, address=derive_address(public))
 
 

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import identity
-from .encoding import canon_encode
+from .encoding import write_items, write_list_head
 from .errors import AccessDenied, InvalidValidatorSet, QuorumNotMet
 
 HASH_LEN = 32
@@ -51,9 +51,6 @@ class Event:
                 return value
         raise KeyError(name)
 
-    def canonical(self) -> list:
-        return [self.name, self.emitter, [[k, v] for k, v in self.args]]
-
 
 @dataclass(frozen=True)
 class Transaction:
@@ -66,16 +63,6 @@ class Transaction:
     args: bytes
     gas_used: int
     events: tuple[Event, ...] = ()
-
-    def canonical(self) -> list:
-        return [
-            self.caller,
-            self.contract,
-            self.function,
-            self.args,
-            self.gas_used,
-            [e.canonical() for e in self.events],
-        ]
 
 
 @dataclass(frozen=True)
@@ -92,9 +79,6 @@ class Endorsement:
     @property
     def validator(self) -> bytes:
         return identity.derive_address(self.public_key)
-
-    def canonical(self) -> list:
-        return [self.public_key, self.signature]
 
 
 @dataclass(frozen=True)
@@ -134,6 +118,7 @@ class Chain:
 class VerificationReport:
     valid: bool
     first_bad_index: int | None = None
+    reason: str | None = None           # the check first_bad_index failed, if known
 
     def __bool__(self) -> bool:
         return self.valid
@@ -143,16 +128,36 @@ class VerificationReport:
 
 def candidate_digest(index: int, prev_hash: bytes, timestamp: int,
                      transactions: Sequence[Transaction]) -> bytes:
-    """What validators endorse: everything except endorsements and hash."""
-    body = [index, prev_hash, timestamp, [t.canonical() for t in transactions]]
-    return hashlib.sha256(canon_encode(body)).digest()
+    """What validators endorse: everything except endorsements and hash.
+
+    SHA-256 over the canonical encoding of [index, prev_hash, timestamp,
+    transactions], a transaction being [caller, contract, function, args,
+    gas_used, events] and an event [name, emitter, [[key, value], ...]].
+    """
+    out = bytearray()
+    write_list_head(out, 4)
+    write_items(out, (index, prev_hash, timestamp))
+    write_list_head(out, len(transactions))
+    for tx in transactions:
+        write_list_head(out, 6)
+        write_items(out, (tx.caller, tx.contract, tx.function, tx.args, tx.gas_used))
+        write_list_head(out, len(tx.events))
+        for event in tx.events:
+            write_list_head(out, 3)
+            # args is a tuple of (key, value) pairs: each encodes as a list
+            write_items(out, (event.name, event.emitter, event.args))
+    return hashlib.sha256(out).digest()
 
 
 def block_hash(digest: bytes, endorsements: Sequence[Endorsement]) -> bytes:
-    """SHA-256 over the candidate digest followed by the canonical endorsements."""
-    return hashlib.sha256(
-        digest + canon_encode([e.canonical() for e in endorsements])
-    ).digest()
+    """SHA-256 over the candidate digest followed by the canonical encoding
+    of the endorsements, each [public_key, signature]."""
+    out = bytearray(digest)
+    write_list_head(out, len(endorsements))
+    for e in endorsements:
+        write_list_head(out, 2)
+        write_items(out, (e.public_key, e.signature))
+    return hashlib.sha256(out).digest()
 
 
 def _genesis_block() -> Block:
@@ -320,17 +325,20 @@ def verify_endorsement_quorum(chain: Chain) -> VerificationReport:
 
     A stored block is held to the strict rule: every endorsement it carries
     is a valid signature from a distinct validator, and there are at least
-    2f+1 of them. first_bad_index is the earliest block that fails.
+    2f+1 of them. first_bad_index is the earliest block that fails, and
+    reason says which of those checks it failed.
     """
     if chain.chain_class is ChainClass.CONSORTIUM:
         needed = quorum_size(len(chain.validators))
         for i, block in enumerate(chain.blocks[1:], start=1):
+            if len(block.endorsements) < needed:
+                return VerificationReport(
+                    False, i, f"{len(block.endorsements)} endorsements, need {needed}")
             seen: set[bytes] = set()
-            if len(block.endorsements) < needed or any(
-                _endorsement_fault(block.digest, e, chain.validators, seen)
-                for e in block.endorsements
-            ):
-                return VerificationReport(False, i)
+            for e in block.endorsements:
+                fault = _endorsement_fault(block.digest, e, chain.validators, seen)
+                if fault is not None:
+                    return VerificationReport(False, i, fault)
     return VerificationReport(True, None)
 
 

@@ -7,7 +7,8 @@ Layout under a store root:
 
 Loading re-verifies every chain and refuses anything that fails: a parse
 error, a malformed manifest or a hash/link mismatch raises CorruptLedger
-naming the chain directory or the first bad block.
+naming the chain directory (and, for a block record, its line) or the first
+bad block.
 """
 
 from __future__ import annotations
@@ -37,14 +38,6 @@ def _event_to_record(e: ledger.Event) -> dict:
     return {"name": e.name, "emitter": e.emitter.hex(), "args": [[k, v] for k, v in e.args]}
 
 
-def _event_from_record(rec: dict) -> ledger.Event:
-    return ledger.Event(
-        name=rec["name"],
-        emitter=bytes.fromhex(rec["emitter"]),
-        args=tuple((k, v) for k, v in rec["args"]),
-    )
-
-
 def _tx_to_record(tx: ledger.Transaction) -> dict:
     return {
         "caller": tx.caller.hex(),
@@ -54,17 +47,6 @@ def _tx_to_record(tx: ledger.Transaction) -> dict:
         "gas_used": tx.gas_used,
         "events": [_event_to_record(e) for e in tx.events],
     }
-
-
-def _tx_from_record(rec: dict) -> ledger.Transaction:
-    return ledger.Transaction(
-        caller=bytes.fromhex(rec["caller"]),
-        contract=bytes.fromhex(rec["contract"]),
-        function=rec["function"],
-        args=bytes.fromhex(rec["args"]),
-        gas_used=rec["gas_used"],
-        events=tuple(_event_from_record(e) for e in rec["events"]),
-    )
 
 
 def block_to_record(block: ledger.Block) -> dict:
@@ -82,19 +64,25 @@ def block_to_record(block: ledger.Block) -> dict:
 
 
 def block_from_record(rec: dict) -> ledger.Block:
+    fromhex = bytes.fromhex
+    Event, Transaction, Endorsement = ledger.Event, ledger.Transaction, ledger.Endorsement
     return ledger.Block(
-        index=rec["index"],
-        prev_hash=bytes.fromhex(rec["prev_hash"]),
-        timestamp=rec["timestamp"],
-        transactions=tuple(_tx_from_record(t) for t in rec["transactions"]),
-        endorsements=tuple(
-            ledger.Endorsement(
-                public_key=bytes.fromhex(e["public_key"]),
-                signature=bytes.fromhex(e["signature"]),
+        rec["index"],
+        fromhex(rec["prev_hash"]),
+        rec["timestamp"],
+        tuple([
+            Transaction(
+                fromhex(t["caller"]), fromhex(t["contract"]), t["function"],
+                fromhex(t["args"]), t["gas_used"],
+                tuple([Event(e["name"], fromhex(e["emitter"]),
+                             tuple([(k, v) for k, v in e["args"]]))
+                       for e in t["events"]]),
             )
-            for e in rec["endorsements"]
-        ),
-        hash=bytes.fromhex(rec["hash"]),
+            for t in rec["transactions"]
+        ]),
+        tuple([Endorsement(fromhex(e["public_key"]), fromhex(e["signature"]))
+               for e in rec["endorsements"]]),
+        fromhex(rec["hash"]),
     )
 
 
@@ -165,13 +153,17 @@ def load_chain(directory: Path) -> ledger.Chain:
 
     blocks = []
     try:
-        with (directory / _BLOCKS).open() as fh:
+        # read as bytes, so that a line that is not UTF-8 fails at its own number
+        with (directory / _BLOCKS).open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                blocks.append(block_from_record(json.loads(line)))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+                if line.strip():
+                    blocks.append(block_from_record(json.loads(line.decode("utf-8"))))
+    except OSError as exc:
         raise CorruptLedger(f"unreadable block record in {directory.name}: {exc}") from exc
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
+        raise CorruptLedger(
+            f"unreadable block record in {directory.name} line {lineno}: {exc}"
+        ) from exc
 
     members = {"acl": set(addresses)} if key == "acl" else {"validators": tuple(addresses)}
     chain = ledger.Chain(chain_class=chain_class, name=name, blocks=blocks, **members)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import SCENARIO_DIR
-from oilchain import ledger, runtime, store
+from oilchain import identity, ledger, runtime, store
 from oilchain.cli import main
 from oilchain.scenario import run_scenario_file
 
@@ -333,6 +333,9 @@ def test_verify_structured(happy_store, capsys):
         "consortium", "private-driller", "private-refinery", "private-storage",
         "private-pump", "private-consumer"}
     assert all(c["status"] == "ok" for c in doc["chains"])
+    # a good chain carries no reason key, so its output is unchanged
+    assert all(set(c) == {"chain", "class", "blocks", "tip_hash", "status"}
+               for c in doc["chains"])
 
 
 def test_verify_corrupt_store(happy_store, capsys):
@@ -392,13 +395,14 @@ def test_verify_names_a_resealed_minority_block(happy_store, capsys):
 
     code, out, _err = run_cli(capsys, "verify", "--store", str(happy_store))
     assert code == 1
-    assert f"QUORUM FAILED at block {last.index}" in out
+    assert f"QUORUM FAILED at block {last.index}: 2 endorsements, need 3\n" in out
     assert out.count(" ok") == 5
     code, out, _err = run_cli(capsys, "verify", "--store", str(happy_store),
                               "--format", "structured")
     assert code == 1
-    statuses = {c["chain"]: c["status"] for c in json.loads(out)["chains"]}
-    assert statuses["consortium"] == f"QUORUM FAILED at block {last.index}"
+    chains = {c["chain"]: c for c in json.loads(out)["chains"]}
+    assert chains["consortium"]["status"] == f"QUORUM FAILED at block {last.index}"
+    assert chains["consortium"]["reason"] == "2 endorsements, need 3"
 
 
 def test_verify_refuses_a_repeated_endorsement(happy_store, capsys):
@@ -411,4 +415,5 @@ def test_verify_refuses_a_repeated_endorsement(happy_store, capsys):
             replace(block, endorsements=block.endorsements + block.endorsements[:1]))
     code, out, _err = run_cli(capsys, "verify", "--store", str(happy_store))
     assert code == 1
-    assert f"QUORUM FAILED at block {index}" in out
+    repeated = identity.address_hex(block.endorsements[0].validator)
+    assert f"QUORUM FAILED at block {index}: duplicate endorsement from {repeated}\n" in out

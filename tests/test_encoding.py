@@ -1,8 +1,13 @@
-"""Canonical encoding: round trips, injectivity, stability."""
+"""Canonical encoding: round trips, injectivity, stability, strict decode,
+and agreement with the reference codec in `canon_oracle`."""
+
+import enum
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
+import canon_oracle as oracle
 from oilchain.encoding import canon_decode, canon_encode, digest, strings_under_key
 
 # values the encoder accepts
@@ -125,3 +130,136 @@ def test_strings_under_key_ignores_what_does_not_parse():
         assert strings_under_key(entry[:cut], "batch") == set()
     # an encoded key inside another payload is a spurious hit, never a miss
     assert strings_under_key(canon_encode([b"x" + entry[5:]]), "batch") == {"101"}
+
+
+# --- strict decode ------------------------------------------------------------------
+
+def _sized(tag: bytes, payload: bytes) -> bytes:
+    return tag + struct.pack(">I", len(payload)) + payload
+
+
+def _entries(*pairs: tuple[str, int]) -> bytes:
+    body = b"".join(_sized(b"S", k.encode()) + _sized(b"I", b"%d" % v) for k, v in pairs)
+    return b"D" + struct.pack(">I", len(pairs)) + body
+
+
+NON_CANONICAL = {
+    "int_plus": _sized(b"I", b"+5"),
+    "int_leading_zero": _sized(b"I", b"05"),
+    "int_zeros": _sized(b"I", b"00"),
+    "int_underscore": _sized(b"I", b"5_0"),
+    "int_leading_space": _sized(b"I", b" 5"),
+    "int_trailing_newline": _sized(b"I", b"5\n"),
+    "int_minus_zero": _sized(b"I", b"-0"),
+    "dict_repeated_key": _entries(("a", 1), ("a", 2)),
+    "dict_unsorted_keys": _entries(("b", 1), ("a", 2)),
+    "nested_dict_unsorted_keys": b"L\x00\x00\x00\x01" + _entries(("b", 1), ("a", 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_CANONICAL))
+def test_decode_refuses_what_the_encoder_never_writes(case):
+    data = NON_CANONICAL[case]
+    oracle.canon_decode(data)           # the lenient reference reads it
+    with pytest.raises(ValueError):
+        canon_decode(data)
+
+
+def test_decode_refuses_nesting_past_the_recursion_limit():
+    # the reference dies with RecursionError, which no caller catches
+    with pytest.raises(ValueError, match="nested too deeply"):
+        canon_decode(b"L\x00\x00\x00\x01" * 5000 + b"N")
+
+
+@st.composite
+def edited_encodings(draw):
+    """A valid encoding with one byte flipped, inserted or deleted, or cut short."""
+    data = bytearray(canon_encode(draw(values)))
+    at = draw(st.integers(0, len(data)))
+    edit = draw(st.sampled_from(["flip", "insert", "delete", "cut"]))
+    if edit == "flip" and at < len(data):
+        data[at] ^= draw(st.integers(1, 255))
+    elif edit == "insert":
+        data.insert(at, draw(st.integers(0, 255)))
+    elif edit == "delete" and at < len(data):
+        del data[at]
+    else:
+        del data[at:]
+    return bytes(data)
+
+
+any_bytes = st.one_of(st.binary(max_size=48), edited_encodings(),
+                      st.sampled_from(sorted(NON_CANONICAL.values())))
+
+
+@given(any_bytes)
+def test_decode_accepts_only_what_re_encodes_to_the_same_bytes(data):
+    try:
+        value = canon_decode(data)
+    except ValueError:
+        return
+    assert canon_encode(value) == data
+
+
+# --- agreement with the reference codec --------------------------------------------------
+
+class Grade(enum.IntEnum):
+    LOW = 1
+    HUGE = 2**70
+
+
+class Kind(str, enum.Enum):
+    WEIGHT = "Weight"
+    EMPTY = ""
+
+
+class Items(list):
+    pass
+
+
+def _outcome(fn, arg):
+    """fn(arg), or the type of the exception it raised."""
+    try:
+        return fn(arg)
+    except Exception as exc:  # the differential compares exception types too
+        return type(exc)
+
+
+def _is_value_error(outcome) -> bool:
+    return isinstance(outcome, type) and issubclass(outcome, ValueError)
+
+
+odd_scalars = st.one_of(
+    scalars,
+    st.integers(min_value=-(2**130), max_value=2**130),
+    st.sampled_from([*Grade, *Kind]),
+    st.floats(),
+)
+odd_values = st.recursive(
+    odd_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(inner, max_size=3).map(Items),
+        st.dictionaries(st.one_of(st.text(max_size=8), st.sampled_from(list(Kind)),
+                                  st.integers(0, 3)), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(odd_values)
+def test_encoder_matches_the_reference(value):
+    # same bytes, or the same exception type (TypeError for a float or a non-str key)
+    assert _outcome(canon_encode, value) == _outcome(oracle.canon_encode, value)
+
+
+@given(any_bytes)
+def test_decoder_refuses_wherever_the_reference_refuses(data):
+    expected = _outcome(oracle.canon_decode, data)
+    got = _outcome(canon_decode, data)
+    if _is_value_error(expected) or oracle.canon_encode(expected) != data:
+        assert _is_value_error(got)
+    else:
+        assert got == expected
+        assert canon_encode(got) == data

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import random
 from dataclasses import replace
 from unittest import mock
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import canon_oracle as oracle
 from conftest import build_random_chain, make_consortium, make_validators, mutate_chain
 from oilchain import identity, ledger
 from oilchain.errors import AccessDenied, InvalidValidatorSet, QuorumNotMet
@@ -186,26 +188,40 @@ def test_non_validator_endorsement_is_skipped():
 
 # Each endorsement that append skips is refused when a stored block carries it
 # beside a full quorum of valid ones.
+# spoiler -> (the extra endorsements, how the quorum check names the fault)
 STORED_SPOILERS = {
-    "invalid_signature": lambda digest, validators: [with_flipped_signature(
+    "invalid_signature": (lambda digest, validators: [with_flipped_signature(
         next(ledger.collect_endorsements(digest, validators[3:])))],
-    "non_validator": lambda digest, validators: list(ledger.collect_endorsements(
+        "invalid endorsement signature from 0x"),
+    "non_validator": (lambda digest, validators: list(ledger.collect_endorsements(
         digest, [identity.generate_device("outsider", 123)])),
-    "duplicate": lambda digest, validators: list(ledger.collect_endorsements(
-        digest, validators[:1])),
+        "endorsement from non-validator 0x"),
+    "duplicate": (lambda digest, validators: list(ledger.collect_endorsements(
+        digest, validators[:1])), "duplicate endorsement from 0x"),
 }
 
 
 @pytest.mark.parametrize("spoiler", sorted(STORED_SPOILERS))
 def test_stored_block_refuses_what_append_skips(spoiler):
     chain, validators = make_consortium(4)
+    extra, reason = STORED_SPOILERS[spoiler]
     stored_block(chain, lambda d: ledger.collect_endorsements(d, validators[:3]))
     at = stored_block(chain, lambda d: [*ledger.collect_endorsements(d, validators[:3]),
-                                        *STORED_SPOILERS[spoiler](d, validators)], 2)
+                                        *extra(d, validators)], 2)
     stored_block(chain, lambda d: ledger.collect_endorsements(d, validators), 3)
     report = ledger.verify_endorsement_quorum(chain)
     assert not report
     assert report.first_bad_index == at
+    assert report.reason.startswith(reason)
+
+
+def test_stored_block_short_of_the_quorum_names_the_count():
+    chain, validators = make_consortium(4)
+    stored_block(chain, lambda d: ledger.collect_endorsements(d, validators[:3]))
+    at = stored_block(chain, lambda d: ledger.collect_endorsements(d, validators[:2]), 2)
+    report = ledger.verify_endorsement_quorum(chain)
+    assert (report.valid, report.first_bad_index, report.reason) == (
+        False, at, "2 endorsements, need 3")
 
 
 def test_endorsement_over_wrong_digest_rejected():
@@ -291,6 +307,50 @@ def test_append_seals_exactly_2f_plus_1_under_up_to_f_faults(case):
             with pytest.raises(QuorumNotMet):
                 append()
             assert len(chain) == 1
+
+
+# --- the in-place writers against the reference encoding -----------------------------
+
+# field values of every kind a loaded block record can carry, and a few it cannot
+record_values = st.one_of(st.binary(max_size=6), st.text(max_size=6), st.integers(),
+                          st.booleans(), st.none(), st.floats(allow_nan=False),
+                          st.lists(st.integers(), max_size=2))
+events = st.builds(ledger.Event, name=record_values, emitter=record_values,
+                   args=st.lists(st.tuples(record_values, record_values),
+                                 max_size=3).map(tuple))
+transactions = st.builds(ledger.Transaction, caller=record_values, contract=record_values,
+                         function=record_values, args=record_values,
+                         gas_used=record_values,
+                         events=st.lists(events, max_size=3).map(tuple))
+endorsements = st.builds(ledger.Endorsement, public_key=record_values,
+                         signature=record_values)
+
+
+def _or_error(fn, *args):
+    """fn(*args), or the type of the TypeError or ValueError it raised."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def _reference_sha(prefix: bytes, value):
+    return hashlib.sha256(prefix + oracle.canon_encode(value)).digest()
+
+
+@given(record_values, st.binary(min_size=32, max_size=32), record_values,
+       st.lists(transactions, max_size=3), st.lists(endorsements, max_size=4))
+def test_block_digest_and_hash_match_the_reference_encoding(index, prev_hash, timestamp,
+                                                            txs, ends):
+    body = [index, prev_hash, timestamp,
+            [[t.caller, t.contract, t.function, t.args, t.gas_used,
+              [[e.name, e.emitter, [[k, v] for k, v in e.args]] for e in t.events]]
+             for t in txs]]
+    assert (_or_error(ledger.candidate_digest, index, prev_hash, timestamp, txs)
+            == _or_error(_reference_sha, b"", body))
+    digest = hashlib.sha256(b"candidate").digest()
+    assert (_or_error(ledger.block_hash, digest, ends)
+            == _or_error(_reference_sha, digest, [[e.public_key, e.signature] for e in ends]))
 
 
 # --- tamper evidence ----------------------------------------------------------

@@ -92,6 +92,27 @@ def test_truncated_json_line_is_refused(tmp_path):
         store.load_chain(tmp_path / "private-scratch")
 
 
+@pytest.mark.parametrize("bad_line", [
+    b'{"index":2,"prev_hash"',
+    b'{"index":2}',
+    b'[2]',
+    b'{"index":2,"prev_hash":"zz"}',
+    b'"\xff\xfe"',
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["cut-short", "fields-missing", "not-an-object", "non-hex", "not-utf-8",
+        "nested-too-deeply"])
+def test_unreadable_block_record_names_its_line(tmp_path, bad_line):
+    saved_pair(tmp_path)
+    blocks_file = tmp_path / "consortium" / "blocks.jsonl"
+    lines = blocks_file.read_bytes().splitlines()
+    # a blank line counts: the bad record is line 4 of the file
+    lines[1:3] = [lines[1], b"", bad_line]
+    blocks_file.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CorruptLedger,
+                       match=r"^unreadable block record in consortium line 4: "):
+        store.load_chain(tmp_path / "consortium")
+
+
 def test_manifest_tip_mismatch_is_refused(tmp_path):
     saved_pair(tmp_path)
     manifest_file = tmp_path / "consortium" / "manifest.json"
