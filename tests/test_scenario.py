@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import functools
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import JSON_VALUES, SCENARIO_DIR, node_paths, with_node_replaced
 from oilchain import runtime, telemetry
+from oilchain.cli import main
 from oilchain.errors import OilchainError, ParseError, QuorumNotMet, ValidationError
 from oilchain.identity import Role
 from oilchain.provenance import batch_text, build_report
@@ -218,14 +224,134 @@ def test_runs_are_byte_identical():
            [c.tip_hash for c in second.supply.all_chains()]
 
 
+def _cli(*argv: str) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue().encode()
+
+
+@functools.cache
+def pinned_outputs(path: Path | None) -> dict[str, tuple[int | None, bytes]]:
+    """Every output pinned below, by name: (exit code, or None for a value that
+    is not a command's output; bytes). `path` None stands for the gas table,
+    which reads no scenario."""
+    if path is None:
+        return {f"gas-report {fmt}": _cli("gas-report", "--format", fmt)
+                for fmt in ("text", "structured")}
+    outputs = {"report": (None, report_to_json(run_scenario_file(path).report).encode())}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        outputs["run text"] = _cli("run", str(path), "--store", str(root))
+        for command in (["trace", "101"], ["verify"]):
+            for fmt in ("text", "structured"):
+                outputs[f"{command[0]} {fmt}"] = _cli(*command, "--store", str(root),
+                                                      "--format", fmt)
+        for file in sorted(root.rglob("*")):
+            if file.is_file():
+                outputs[f"store {file.relative_to(root).as_posix()}"] = (None, file.read_bytes())
+    return outputs
+
+
 # Any change to these bytes must be made on purpose: update the hash with it.
-@pytest.mark.parametrize("path,sha256", [
-    (HAPPY, "0989c4c39dc52bcac5548c1614fb6ce73e388d103923e90398b96309394842ef"),
-    (FAULTED, "d56d3a7880266ba0a5050d0a1b27cfe105c7580393c07e540a207150df04d2c9"),
-], ids=["happy_path", "pressure_fault_hop2"])
-def test_report_bytes_are_pinned(path, sha256):
-    text = report_to_json(run_scenario_file(path).report)
-    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+PINNED = [
+    (HAPPY, "report", None,
+     "0989c4c39dc52bcac5548c1614fb6ce73e388d103923e90398b96309394842ef"),
+    (FAULTED, "report", None,
+     "d56d3a7880266ba0a5050d0a1b27cfe105c7580393c07e540a207150df04d2c9"),
+    (HAPPY, "run text", 0,
+     "0f9a46b2a67d3c5663fb40d6dff6a60c9c2cb3747311f96bbe963a35b1dfb421"),
+    (HAPPY, "trace text", 0,
+     "bfb6894b1452681c8f4f1501b89fa2947c157ce959b973c7b8a8eb3c0a0d2a51"),
+    (HAPPY, "trace structured", 0,
+     "0da9d5a5e6e5b6e359e4e9fbd2c3ae53889642256a39ffca3e32d4a66e4b3564"),
+    (HAPPY, "verify text", 0,
+     "d5dc8e2376417c524a493675f81bfec5a2f3eb1d96e842ace46dbc4e993513f6"),
+    (HAPPY, "verify structured", 0,
+     "d9526e4c0f4e709693d73db9ffacd743a043f8a4a68802f3c8c4c3d3258fc132"),
+    (HAPPY, "store consortium/blocks.jsonl", None,
+     "cbe59a24a20d0b78e7e2e5460a32c2994f9b2bbec0749aeb9e852c7310d52390"),
+    (HAPPY, "store consortium/manifest.json", None,
+     "848b70f6b6cc72f74eea5d5f4c2723e5c22365ec3043155e4d7404c399efc82f"),
+    (HAPPY, "store private-consumer/blocks.jsonl", None,
+     "435b8bcc90d66f8ec6f9a5a0b0c3e3f84e8716b182e7aa497bcba4cb0db61eb2"),
+    (HAPPY, "store private-consumer/manifest.json", None,
+     "3794ad3a3b7a418ed7145af466bdb66f5fa2a1754818b49d5d78f5e0ae32a0b5"),
+    (HAPPY, "store private-driller/blocks.jsonl", None,
+     "a8cf7916e77d473e95bd029bbbe4aa31c4b62e8b3b19d6fe0a15c0427fe71e55"),
+    (HAPPY, "store private-driller/manifest.json", None,
+     "13ba5ede735393f681eb750cdd7aba99a6a71b642a64364ee9cf33dd15380aeb"),
+    (HAPPY, "store private-pump/blocks.jsonl", None,
+     "9ac963a5db5f4bcc7a88d2eebc3ad4c03db02193ef73976c7d2a3f8cc8586698"),
+    (HAPPY, "store private-pump/manifest.json", None,
+     "1e8777037b3814cccd1782943fdeec7774f3a50b3538af72d82409c5e28cf2df"),
+    (HAPPY, "store private-refinery/blocks.jsonl", None,
+     "032acce58ce8062295241d982552e6773044e8ced1c50f22f3cfde0bfdf77801"),
+    (HAPPY, "store private-refinery/manifest.json", None,
+     "18aaf7cf84cea5720ad5e34670ec452aba9248770287a0d4d79a7f09a67739a7"),
+    (HAPPY, "store private-storage/blocks.jsonl", None,
+     "d3fc659fc3542e14e55884f179c2c8447a410031cd346c9634d5ec4eb88ad483"),
+    (HAPPY, "store private-storage/manifest.json", None,
+     "947e431ee1374804b7bd3744834456c7a0d199cf656ddb236785a064f03c8734"),
+    (HAPPY, "store report.json", None,
+     "0989c4c39dc52bcac5548c1614fb6ce73e388d103923e90398b96309394842ef"),
+    (FAULTED, "run text", 2,
+     "9a3716f1aec885335268e151b5f985d8b0a79dbfc516ee39faeb4d98d5a4f85b"),
+    (FAULTED, "trace text", 2,
+     "8fc08fe8450a52ce1dae29aace8521b8204a2736f3b0782b973ecd889648e2f1"),
+    (FAULTED, "trace structured", 2,
+     "92005251a5fd23bcfe168eb6669b37bc0b7ea79ebdf33e34a7f93edd3a97c0da"),
+    (FAULTED, "verify text", 0,
+     "e98a949bd994b23c97c5a26f31bad44b99ddc0ecd66447ddce87231e1e81fae8"),
+    (FAULTED, "verify structured", 0,
+     "905254406b8bfe838cdf8dfd3965eceba6212caa2dc2a40844a3fdfc785615c0"),
+    (FAULTED, "store consortium/blocks.jsonl", None,
+     "d33aacd7908316d603a4d8b7133568567dfcfafd6cfe285a398e3a86192b2117"),
+    (FAULTED, "store consortium/manifest.json", None,
+     "e9d0e6ac9721344e60e7b8b3bfbef3ca09de732043dd0e22ef5a8cb57ee2b872"),
+    (FAULTED, "store private-consumer/blocks.jsonl", None,
+     "435b8bcc90d66f8ec6f9a5a0b0c3e3f84e8716b182e7aa497bcba4cb0db61eb2"),
+    (FAULTED, "store private-consumer/manifest.json", None,
+     "3794ad3a3b7a418ed7145af466bdb66f5fa2a1754818b49d5d78f5e0ae32a0b5"),
+    (FAULTED, "store private-driller/blocks.jsonl", None,
+     "9f2e532a2a3df623c78638a4fc2c42782ff7d7a4101b3b4289e51d972a8ce900"),
+    (FAULTED, "store private-driller/manifest.json", None,
+     "c2e084f998ff11a720991833c50eb06c068be0df19830f3ea6a283ae56c62c46"),
+    (FAULTED, "store private-pump/blocks.jsonl", None,
+     "6c03a85c4b9ae71b175c3b43244445836085080b3f43b43644ef3bb88c5c9107"),
+    (FAULTED, "store private-pump/manifest.json", None,
+     "5bbfc054de3112be8fe78d571585cb6a28525b04118c7c56de5006428a7a1bc7"),
+    (FAULTED, "store private-refinery/blocks.jsonl", None,
+     "4ca74f27e133c554ab85527bae5d1a6276ee5ade5bb811ed013af3043f1c9925"),
+    (FAULTED, "store private-refinery/manifest.json", None,
+     "6def5c45508ba75b329bed6b650d70ae1f28a2cd55f99a6c4964b1bb0466c2f2"),
+    (FAULTED, "store private-storage/blocks.jsonl", None,
+     "8387492a3966ef7e94c47cb517df9068e6bb5c6983ce3c30a7478eef52d315a4"),
+    (FAULTED, "store private-storage/manifest.json", None,
+     "8bc7c6e5872f4a677816832064a64443a2f3480c1ed3d70d2ac224c5ae5c89e0"),
+    (FAULTED, "store report.json", None,
+     "d56d3a7880266ba0a5050d0a1b27cfe105c7580393c07e540a207150df04d2c9"),
+    (None, "gas-report text", 0,
+     "f362014e330906ea36492288dd7eab2a3a9efa39986ebc155973fbbd17e60cb1"),
+    (None, "gas-report structured", 0,
+     "5782151cdca7de5117045e876b7256fa6fc95f3bb5c55a0c7df9f6f624965cae"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,output,exit_code,sha256", PINNED,
+    ids=[path.stem if output == "report" else f"{path.stem if path else 'gas'}:{output}"
+         for path, output, *_ in PINNED])
+def test_report_bytes_are_pinned(path, output, exit_code, sha256):
+    code, data = pinned_outputs(path)[output]
+    assert code == exit_code
+    assert hashlib.sha256(data).hexdigest() == sha256
+
+
+def test_every_pinnable_output_is_pinned():
+    pinned = {(path, output) for path, output, *_ in PINNED}
+    for path in (HAPPY, FAULTED, None):
+        assert {(path, output) for output in pinned_outputs(path)} <= pinned
 
 
 def test_seed_override_changes_chains_consistently():
