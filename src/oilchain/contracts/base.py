@@ -3,10 +3,11 @@
 A contract is a plain Python object the runtime drives: it validates a call,
 mutates its own fields, and returns (return_value, emissions). Emissions are
 (event_name, ((arg_name, value), ...)) pairs; the runtime stamps the
-emitting address on them. Handlers must validate everything before mutating
-anything so a revert leaves state untouched. Every field holds an immutable
-value (bytes, int, str, bool or an enum) that handlers reassign, never mutate
-in place: the runtime's revert snapshot is a shallow copy.
+emitting address on them. Each call runs on a shallow copy of the contract,
+which the runtime installs only when the call's block commits; a revert or a
+refused block drops the copy. Every field therefore holds an immutable value
+(bytes, int, str, bool or an enum) that handlers reassign, never mutate in
+place, so the copy shares nothing a call can change.
 """
 
 from __future__ import annotations

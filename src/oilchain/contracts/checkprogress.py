@@ -50,7 +50,6 @@ class CheckProgress(ContractBase):
 
     owner: bytes
     data_source: bytes
-    tolerance: int = 0
 
     initialized: bool = False
     oil_name: str = ""
@@ -73,13 +72,9 @@ class CheckProgress(ContractBase):
 
         if "data_source" not in init_args:
             raise BadInitArgs("CheckProgress needs a data_source address")
-        tolerance = init_args.get("tolerance", 0)
-        if not isinstance(tolerance, int) or tolerance < 0:
-            raise BadInitArgs("tolerance must be a non-negative integer")
         return cls(
             owner=deployer,
             data_source=require_address(init_args["data_source"], "data_source"),
-            tolerance=tolerance,
         )
 
     # --- functions ----------------------------------------------------------
@@ -139,10 +134,10 @@ class CheckProgress(ContractBase):
             raise Unauthorized("only the data source may feed checks")
         if not self.initialized:
             raise NotInitialized("oil terms have not been entered")
-        if value > setpoint + self.tolerance:
+        if value > setpoint:
             stage = Stage.HIGH
             result = f"Current {kind.value} is very HIGH"
-        elif value < setpoint - self.tolerance:
+        elif value < setpoint:
             stage = Stage.LOW
             result = f"Current {kind.value} is very LOW"
         else:

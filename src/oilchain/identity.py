@@ -23,7 +23,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from .errors import EmptyPassphrase
 
 ADDRESS_LEN = 20
-SIGNATURE_LEN = 64
 _PBKDF2_ITERATIONS = 10_000
 
 
@@ -34,11 +33,6 @@ class Role(Enum):
     PUMP = "Pump"
     OTHER_FACTORY = "OtherFactory"
     CONSUMER = "Consumer"
-
-
-class CredentialKind(Enum):
-    SIGNATURE = "Signature"
-    PASSPHRASE = "Passphrase"
 
 
 @dataclass(frozen=True)
@@ -59,16 +53,6 @@ class Actor(KeyPair):
     """
 
     role: Role
-
-
-@dataclass(frozen=True)
-class Credential:
-    """Either a presented signature / passphrase attempt, or a stored
-    passphrase record (salt + PBKDF2 digest). Stored passphrase records never
-    contain the cleartext."""
-
-    kind: CredentialKind
-    payload: bytes = field(repr=False)
 
 
 def derive_address(public_key: bytes) -> bytes:
@@ -136,7 +120,7 @@ def verify(message: bytes, signature: bytes, public_key: bytes) -> bool:
 
 # --- passphrase credentials -------------------------------------------------
 
-def make_passphrase_credential(passphrase: str, salt: bytes) -> Credential:
+def make_passphrase_credential(passphrase: str, salt: bytes) -> bytes:
     """Stored form of a passphrase: salt || PBKDF2-HMAC-SHA256 digest.
 
     Raises EmptyPassphrase for the empty string; the cleartext is not kept.
@@ -146,23 +130,11 @@ def make_passphrase_credential(passphrase: str, salt: bytes) -> Credential:
     dig = hashlib.pbkdf2_hmac(
         "sha256", passphrase.encode("utf-8"), salt, _PBKDF2_ITERATIONS
     )
-    return Credential(kind=CredentialKind.PASSPHRASE, payload=salt + dig)
+    return salt + dig
 
 
-def check_passphrase(stored: Credential, attempt: str) -> bool:
-    """Check a cleartext attempt against a stored passphrase credential."""
-    if stored.kind is not CredentialKind.PASSPHRASE:
-        return False
-    salt, dig = stored.payload[:-32], stored.payload[-32:]
+def check_passphrase(stored: bytes, attempt: str) -> bool:
+    """Check a cleartext attempt against a stored passphrase."""
+    salt, dig = stored[:-32], stored[-32:]
     got = hashlib.pbkdf2_hmac("sha256", attempt.encode("utf-8"), salt, _PBKDF2_ITERATIONS)
     return hmac.compare_digest(got, dig)
-
-
-def signature_credential(signature: bytes) -> Credential:
-    """Presented form of a signature credential."""
-    return Credential(kind=CredentialKind.SIGNATURE, payload=signature)
-
-
-def passphrase_attempt(text: str) -> Credential:
-    """Presented form of a passphrase credential (carries the attempt)."""
-    return Credential(kind=CredentialKind.PASSPHRASE, payload=text.encode("utf-8"))

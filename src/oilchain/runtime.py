@@ -2,11 +2,12 @@
 
 Gas is not interpreted from opcodes; each function carries a fixed
 (execution, transaction) gas pair from a measured calibration table. A call
-is charged its transaction gas; if that exceeds the gas limit the call
-reverts before touching state. Reverted calls commit nothing: the chain tip
-before and after is the same hash. A call that cannot be committed (its
-args have no canonical encoding, or the ledger refuses its block for the ACL
-or the endorsement quorum) raises and leaves the contract as it was.
+is charged its transaction gas. A call runs on a working copy of its
+contract, installed only once the call's block is appended. Reverted calls
+commit nothing: the chain tip before and after is the same hash. A call that
+cannot be committed (its args have no canonical encoding, or the ledger
+refuses its block for the ACL or the endorsement quorum) raises, and its
+working copy is dropped.
 
 Fiat conversion prices execution gas:
 
@@ -27,7 +28,6 @@ from .contracts import CONTRACT_KINDS, ContractBase
 from .encoding import canon_encode, digest
 from .errors import ContractRevert, UnknownFunction
 
-DEFAULT_GAS_LIMIT = 1_000_000
 DEFAULT_ETH_USD = 2291.0
 
 GAS_PRICES_GWEI = {"slow": 82, "avg": 83, "fast": 125, "fastest": 147}
@@ -173,8 +173,8 @@ class Runtime:
 
     # --- call -----------------------------------------------------------------
 
-    def call(self, contract: bytes, function: str, args: dict, caller: bytes,
-             gas_limit: int = DEFAULT_GAS_LIMIT) -> CallResult:
+    def call(self, contract: bytes, function: str, args: dict,
+             caller: bytes) -> CallResult:
         """Dispatch one function call and commit it if it succeeds."""
         instance = self.contracts.get(contract)
         if instance is None:
@@ -184,38 +184,29 @@ class Runtime:
         cost = metered_cost(function)
         tick = self.clock.next()
 
-        if cost.transaction > gas_limit:
-            return CallResult(None, (), cost.transaction, CallStatus.REVERTED,
-                              revert_reason="gas limit exceeded")
-
         # every contract field is an immutable value that handlers reassign,
-        # never mutate, so a shallow copy is a complete snapshot
-        saved = copy.copy(instance)
+        # never mutate, so the call cannot reach the installed instance
+        working = copy.copy(instance)
         try:
-            return_value, emissions = instance.apply(function, args, caller, tick)
+            return_value, emissions = working.apply(function, args, caller, tick)
         except ContractRevert as exc:
-            self.contracts[contract] = saved
             return CallResult(None, (), cost.transaction, CallStatus.REVERTED,
                               revert_reason=str(exc))
 
-        try:
-            events = tuple(
-                ledger.Event(name=name, emitter=contract, args=tuple(args_))
-                for name, args_ in emissions
-            )
-            tx = ledger.Transaction(
-                caller=caller,
-                contract=contract,
-                function=function,
-                args=canon_encode(args),
-                gas_used=cost.transaction,
-                events=events,
-            )
-            ledger.append_block(self.chain, [tx], tick, self._endorse)
-        except Exception:
-            # a call that commits no block leaves the contract as it was
-            self.contracts[contract] = saved
-            raise
+        events = tuple(
+            ledger.Event(name=name, emitter=contract, args=tuple(args_))
+            for name, args_ in emissions
+        )
+        tx = ledger.Transaction(
+            caller=caller,
+            contract=contract,
+            function=function,
+            args=canon_encode(args),
+            gas_used=cost.transaction,
+            events=events,
+        )
+        ledger.append_block(self.chain, [tx], tick, self._endorse)
+        self.contracts[contract] = working
         return CallResult(return_value, events, cost.transaction, CallStatus.OK)
 
     # --- plain records ----------------------------------------------------------

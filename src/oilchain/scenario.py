@@ -362,11 +362,9 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
             hop = supply.initiate_hop(batch, hop_spec.seller, hop_spec.buyer, hop_spec.terms)
 
             if hop_spec.accept_method == "signature":
-                signature = identity.sign(supply.accept_digest(hop),
-                                          hop.buyer.private_key)
-                credential = identity.signature_credential(signature)
+                credential = identity.sign(supply.accept_digest(hop), hop.buyer.private_key)
             else:
-                credential = identity.passphrase_attempt(hop_spec.terms.passphrase)
+                credential = hop_spec.terms.passphrase
             supply.accept_shipment(hop, credential)
 
             readings = telemetry.generate_readings(

@@ -28,7 +28,7 @@ from .errors import (
     WrongStage,
     WrongStatus,
 )
-from .identity import Actor, Credential, CredentialKind, KeyPair, Role
+from .identity import Actor, KeyPair, Role
 from .runtime import CallResult, CallStatus, LogicalClock, Runtime
 
 
@@ -106,7 +106,7 @@ class Hop:
     tracking_contract: bytes
     data_address: bytes                 # the hop's gateway, its one telemetry source
     status: HopStatus = HopStatus.PROPOSED
-    stored_passphrase: Credential | None = None
+    stored_passphrase: bytes | None = dc_field(default=None, repr=False)
 
 
 @dataclass
@@ -308,27 +308,20 @@ class SupplyChain:
             hop.tracking_contract,
         ])
 
-    def accept_shipment(self, hop: Hop, credential: Credential) -> Hop:
+    def accept_shipment(self, hop: Hop, credential: bytes | str) -> Hop:
         """Buyer acceptance: verify the credential, record the settlement.
 
-        A failed credential raises BadCredential and leaves every chain and
-        the hop untouched.
+        The credential is the buyer's signature over `accept_digest` (bytes)
+        or a passphrase attempt (str). A failed credential raises
+        BadCredential and leaves every chain and the hop untouched.
         """
         if hop.status is not HopStatus.PROPOSED:
             raise WrongStatus(f"hop {hop.index} is {hop.status.name}, not PROPOSED")
 
-        if credential.kind is CredentialKind.SIGNATURE:
-            ok = identity.verify(self.accept_digest(hop), credential.payload,
-                                 hop.buyer.public_key)
-        elif credential.kind is CredentialKind.PASSPHRASE:
-            if hop.stored_passphrase is None:
-                ok = False
-            else:
-                try:
-                    attempt = credential.payload.decode("utf-8")
-                except UnicodeDecodeError:
-                    attempt = ""
-                ok = identity.check_passphrase(hop.stored_passphrase, attempt)
+        if isinstance(credential, bytes):
+            ok = identity.verify(self.accept_digest(hop), credential, hop.buyer.public_key)
+        elif isinstance(credential, str) and hop.stored_passphrase is not None:
+            ok = identity.check_passphrase(hop.stored_passphrase, credential)
         else:
             ok = False
         if not ok:

@@ -353,15 +353,13 @@ def test_c10_forged_credentials_never_settle():
         for i in range(100):
             style = i % 4
             if style == 0:
-                forged = identity.signature_credential(rng.randbytes(64))
+                forged = rng.randbytes(64)
             elif style == 1:
-                forged = identity.signature_credential(
-                    identity.sign(digest, stranger.private_key))
+                forged = identity.sign(digest, stranger.private_key)
             elif style == 2:
-                forged = identity.signature_credential(
-                    identity.sign(rng.randbytes(32), hop.buyer.private_key))
+                forged = identity.sign(rng.randbytes(32), hop.buyer.private_key)
             else:
-                forged = identity.passphrase_attempt(f"guess-{i}")
+                forged = f"guess-{i}"
             with pytest.raises(BadCredential):
                 supply.accept_shipment(hop, forged)
             rejected += 1
@@ -370,8 +368,7 @@ def test_c10_forged_credentials_never_settle():
         assert settlement_records(supply) == []
         assert [c.tip_hash for c in supply.all_chains()] == tips_before
 
-        genuine = identity.signature_credential(
-            identity.sign(digest, hop.buyer.private_key))
+        genuine = identity.sign(digest, hop.buyer.private_key)
         supply.accept_shipment(hop, genuine)
         assert hop.status is HopStatus.ACCEPTED
         assert len(settlement_records(supply)) == 1
@@ -384,6 +381,6 @@ def test_c10_forged_credentials_never_settle():
                                      standard_terms(setpoints,
                                                     passphrase="gate-7"))
         with pytest.raises(BadCredential):
-            supply.accept_shipment(second, identity.passphrase_attempt("gate-8"))
-        supply.accept_shipment(second, identity.passphrase_attempt("gate-7"))
+            supply.accept_shipment(second, "gate-8")
+        supply.accept_shipment(second, "gate-7")
         assert len(settlement_records(supply)) == 2

@@ -30,9 +30,8 @@ CHECKS = [("CheckTemperature", "Temperature", 22),
           ("CheckPressure", "Pressure", 8)]
 
 
-def fresh(tolerance: int = 0, initialized: bool = True) -> CheckProgress:
-    contract = CheckProgress.create(OWNER, {"data_source": DEVICE,
-                                            "tolerance": tolerance})
+def fresh(initialized: bool = True) -> CheckProgress:
+    contract = CheckProgress.create(OWNER, {"data_source": DEVICE})
     if initialized:
         contract.apply("EnterOil", ENTER_ARGS, OWNER, tick=1)
     return contract
@@ -40,13 +39,11 @@ def fresh(tolerance: int = 0, initialized: bool = True) -> CheckProgress:
 
 # --- construction -----------------------------------------------------------------
 
-def test_create_requires_data_source_and_sane_tolerance():
+def test_create_requires_a_data_source_address():
     with pytest.raises(BadInitArgs):
         CheckProgress.create(OWNER, {})
     with pytest.raises(BadInitArgs):
         CheckProgress.create(OWNER, {"data_source": "not-an-address"})
-    with pytest.raises(BadInitArgs):
-        CheckProgress.create(OWNER, {"data_source": DEVICE, "tolerance": -1})
 
 
 def test_enter_oil_stores_terms_and_emits():
@@ -138,17 +135,6 @@ def test_violation_type_last_writer_wins_and_resets():
     contract.apply("CheckHumidity", {"value": 10}, DEVICE, 3)
     assert contract.violation_type is ViolationKind.NONE
     assert contract.snapshot()["violation_type"] == "None"
-
-
-@pytest.mark.parametrize("tolerance,value,expected", [
-    (1, 9, "Accurate"), (1, 7, "Accurate"),
-    (1, 10, "HIGH"), (1, 6, "LOW"),
-    (2, 10, "Accurate"), (2, 11, "HIGH"), (2, 5, "LOW"),
-])
-def test_tolerance_widens_the_accurate_band(tolerance, value, expected):
-    contract = fresh(tolerance=tolerance)
-    result, _ = contract.apply("CheckPressure", {"value": value}, DEVICE, 1)
-    assert expected in result
 
 
 @given(value=st.integers(0, 50), setpoint=st.integers(0, 50),

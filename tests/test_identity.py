@@ -121,12 +121,12 @@ def test_passphrase_check():
 def test_passphrase_digest_depends_on_salt():
     a = identity.make_passphrase_credential("open sesame", salt=b"\x01" * 16)
     b = identity.make_passphrase_credential("open sesame", salt=b"\x02" * 16)
-    assert a.payload != b.payload
+    assert a != b
 
 
 def test_stored_passphrase_never_contains_cleartext():
     cred = identity.make_passphrase_credential("open sesame", salt=b"\x01" * 16)
-    assert b"open sesame" not in cred.payload
+    assert b"open sesame" not in cred
 
 
 def test_empty_passphrase_rejected():

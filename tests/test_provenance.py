@@ -24,7 +24,7 @@ def run_hops(supply, setpoints, count=2, feed_ticks=0, fault=None, batch_id="101
     for seller, buyer in pairs[:count]:
         hop = supply.initiate_hop(batch, seller, buyer, standard_terms(setpoints))
         signature = identity.sign(supply.accept_digest(hop), hop.buyer.private_key)
-        supply.accept_shipment(hop, identity.signature_credential(signature))
+        supply.accept_shipment(hop, signature)
         if feed_ticks:
             profile = SensorProfile(duration=feed_ticks, setpoints={
                 ReadingKind.TEMPERATURE: setpoints.temperature,

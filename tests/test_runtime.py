@@ -1,4 +1,4 @@
-"""Runtime: gas table, fiat pricing, deploy/call/record, revert atomicity."""
+"""Runtime: gas table, fiat pricing, deploy/call/record, commit on append."""
 
 from __future__ import annotations
 
@@ -166,6 +166,8 @@ def test_ok_call_commits_block_with_metered_gas():
     rt = private_runtime()
     address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
     tick_before = rt.clock.upcoming
+    held = rt.contracts[address]
+    state = held.snapshot()
     result = rt.call(address, "EnterOil", ENTER_ARGS, OWNER)
     assert result.status is CallStatus.OK
     assert result.return_value == "Oil Added"
@@ -176,6 +178,9 @@ def test_ok_call_commits_block_with_metered_gas():
     assert block.transactions[0].gas_used == 35368
     assert [e.name for e in block.transactions[0].events] == ["oilAdded"]
     assert rt.state_of(address)["initialized"] is True
+    # the call ran on a working copy, installed with its block
+    assert rt.contracts[address] is not held
+    assert held.snapshot() == state
 
 
 def test_wrong_case_function_name_is_unknown_and_draws_no_tick():
@@ -185,19 +190,6 @@ def test_wrong_case_function_name_is_unknown_and_draws_no_tick():
     with pytest.raises(UnknownFunction):
         rt.call(address, "enteroil", ENTER_ARGS, OWNER)
     assert (rt.chain.tip_hash, rt.clock.upcoming) == (tip, upcoming)
-
-
-def test_gas_limit_breach_reverts_without_commit():
-    rt = private_runtime()
-    address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
-    tip = rt.chain.tip_hash
-    state = rt.state_of(address)
-    result = rt.call(address, "EnterOil", ENTER_ARGS, OWNER, gas_limit=35367)
-    assert result.status is CallStatus.REVERTED
-    assert result.gas_used == 35368
-    assert "gas limit" in result.revert_reason
-    assert rt.chain.tip_hash == tip
-    assert rt.state_of(address) == state
 
 
 def test_contract_revert_restores_state_and_commits_nothing():
@@ -289,11 +281,13 @@ def test_starved_consortium_call_leaves_the_contract_unchanged(kind):
     rt, validators, _clock = consortium_runtime()
     address = rt.deploy(kind, init_args, OWNER)
     tip = rt.chain.tip_hash
+    installed = rt.contracts[address]
     state = rt.state_of(address)
     rt._endorse = lambda digest: ledger.collect_endorsements(digest, validators[:2])
     with pytest.raises(QuorumNotMet):
         rt.call(address, function, args, caller)
     assert rt.chain.tip_hash == tip
+    assert rt.contracts[address] is installed
     assert rt.state_of(address) == state
 
 
@@ -311,11 +305,13 @@ def test_revert_after_mutating_leaves_the_contract_unchanged(kind, monkeypatch):
     rt, _validators, _clock = consortium_runtime()
     address = rt.deploy(kind, init_args, OWNER)
     tip = rt.chain.tip_hash
+    installed = rt.contracts[address]
     state = rt.state_of(address)
     monkeypatch.setattr(cls, name, mutate_then_revert)
     result = rt.call(address, function, args, caller)
     assert result.status is CallStatus.REVERTED
     assert rt.chain.tip_hash == tip
+    assert rt.contracts[address] is installed
     assert rt.state_of(address) == state
 
 
@@ -329,8 +325,9 @@ def test_apply_refuses_a_function_with_no_handler(kind):
 
 @pytest.mark.parametrize("kind", sorted(CONTRACT_KINDS))
 def test_contract_fields_are_immutable_values(kind):
-    # Runtime.call snapshots a contract with a shallow copy before each call;
-    # that restores it on revert only while no field can be mutated in place.
+    # Runtime.call runs each call on a shallow copy of the contract; that
+    # leaves the installed contract untouched only while no field can be
+    # mutated in place.
     cls = CONTRACT_KINDS[kind]
     hints = get_type_hints(cls)
     for f in dataclasses.fields(cls):
@@ -343,11 +340,13 @@ def test_call_refused_by_the_acl_leaves_the_contract_unchanged():
     rt = private_runtime()
     address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
     tip = rt.chain.tip_hash
+    installed = rt.contracts[address]
     state = rt.state_of(address)
     rt.chain.acl.discard(OWNER)
     with pytest.raises(AccessDenied):
         rt.call(address, "EnterOil", ENTER_ARGS, OWNER)
     assert rt.chain.tip_hash == tip
+    assert rt.contracts[address] is installed
     assert rt.state_of(address) == state
 
 
@@ -355,8 +354,10 @@ def test_call_with_unencodable_args_leaves_the_contract_unchanged():
     rt = private_runtime()
     address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
     tip = rt.chain.tip_hash
+    installed = rt.contracts[address]
     state = rt.state_of(address)
     with pytest.raises(TypeError):
         rt.call(address, "EnterOil", {**ENTER_ARGS, "note": 1.5}, OWNER)
     assert rt.chain.tip_hash == tip
+    assert rt.contracts[address] is installed
     assert rt.state_of(address) == state

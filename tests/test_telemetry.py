@@ -145,7 +145,7 @@ def accepted_hop(supply, setpoints, terms_kwargs=None):
     terms = standard_terms(setpoints, **(terms_kwargs or {}))
     hop = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY, terms)
     signature = identity.sign(supply.accept_digest(hop), hop.buyer.private_key)
-    supply.accept_shipment(hop, identity.signature_credential(signature))
+    supply.accept_shipment(hop, signature)
     return batch, hop
 
 

@@ -23,8 +23,7 @@ from oilchain.workflow import HopStatus, SupplyChain, Topology
 
 
 def sign_accept(supply, hop):
-    signature = identity.sign(supply.accept_digest(hop), hop.buyer.private_key)
-    return identity.signature_credential(signature)
+    return identity.sign(supply.accept_digest(hop), hop.buyer.private_key)
 
 
 def tips(supply):
@@ -200,12 +199,11 @@ def test_signature_acceptance_records_settlement(supply, setpoints):
 
 
 @pytest.mark.parametrize("forge", [
-    lambda supply, hop: identity.signature_credential(b"\x00" * 64),
-    lambda supply, hop: identity.signature_credential(
-        identity.sign(supply.accept_digest(hop), hop.seller.private_key)),
-    lambda supply, hop: identity.signature_credential(
-        identity.sign(b"something else", hop.buyer.private_key)),
-    lambda supply, hop: identity.passphrase_attempt("guess"),
+    lambda supply, hop: b"\x00" * 64,
+    lambda supply, hop: identity.sign(supply.accept_digest(hop), hop.seller.private_key),
+    lambda supply, hop: identity.sign(b"something else", hop.buyer.private_key),
+    lambda supply, hop: "guess",
+    lambda supply, hop: None,
 ])
 def test_bad_credentials_change_nothing(supply, setpoints, forge):
     _batch, hop = proposed_hop(supply, setpoints)
@@ -220,9 +218,10 @@ def test_bad_credentials_change_nothing(supply, setpoints, forge):
 def test_passphrase_acceptance(supply, setpoints):
     _batch, hop = proposed_hop(supply, setpoints, passphrase="wholesale-gate-7")
     with pytest.raises(BadCredential):
-        supply.accept_shipment(hop, identity.passphrase_attempt("wholesale-gate-8"))
-    supply.accept_shipment(hop, identity.passphrase_attempt("wholesale-gate-7"))
+        supply.accept_shipment(hop, "wholesale-gate-8")
+    supply.accept_shipment(hop, "wholesale-gate-7")
     assert hop.status is HopStatus.ACCEPTED
+    assert "stored_passphrase" not in repr(hop)
 
 
 def test_double_accept_rejected(supply, setpoints):
