@@ -131,13 +131,17 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: nested too deeply") from None
     return parse_scenario(doc, where=str(path.name))
 
 
@@ -276,8 +280,8 @@ def _parse_telemetry(doc: dict, where: str, setpoints: Setpoints,
                      ) -> tuple[SensorProfile, tuple[FaultSpec, ...]]:
     """A hop's sensor profile and faults, each kind's setpoint resolved.
 
-    Temperature, humidity and pressure take the batch setpoints; every other
-    kind needs an `extra_setpoints` entry.
+    Temperature, humidity and pressure take the batch setpoints and may have
+    no `extra_setpoints` entry; every other kind needs one.
     """
     duration = _positive_int(_need(doc, "duration", where), f"{where}.duration", minimum=1)
     if duration > MAX_DURATION_TICKS:
@@ -289,15 +293,16 @@ def _parse_telemetry(doc: dict, where: str, setpoints: Setpoints,
     extra_doc = _typed(doc.get("extra_setpoints", {}), dict, f"{where}.extra_setpoints")
     for key, value in extra_doc.items():
         kind = _kind(key, f"{where}.extra_setpoints")
+        kw = f"{where}.extra_setpoints.{key}"
+        if kind in telemetry.CHECK_FUNCTION:
+            raise ValidationError(f"{kw}: {key} takes the batch setpoint")
         if kind is ReadingKind.LOCATION:
             if (not isinstance(value, list) or len(value) != 2
-                    or not all(isinstance(v, int) for v in value)):
-                raise ValidationError(
-                    f"{where}.extra_setpoints.Location: expected [lat, lon] integers"
-                )
+                    or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+                raise ValidationError(f"{kw}: expected [lat, lon] integers")
             extra[kind] = (value[0], value[1])
         else:
-            extra[kind] = _positive_int(value, f"{where}.extra_setpoints.{key}")
+            extra[kind] = _positive_int(value, kw)
     values = {
         **extra,
         ReadingKind.TEMPERATURE: setpoints.temperature,

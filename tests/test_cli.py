@@ -52,13 +52,20 @@ def test_run_missing_file_exits_one(capsys):
     assert err.startswith("error:")
 
 
-def test_run_invalid_scenario_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("content,needle", [
+    (b'{"schema_version": 1, "name": "x", "seed": 1,'
+     b' "topology": {"validators": 5, "roles": []}, "batches": []}', "validators"),
+    (b"\xff\xfe{}", "bad.json: not UTF-8"),
+    (b"[" * 100_000, "bad.json: nested too deeply"),
+], ids=["validator-count", "not-utf-8", "nested-past-the-recursion-limit"])
+def test_run_invalid_scenario_exits_one(tmp_path, capsys, content, needle):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"schema_version": 1, "name": "x", "seed": 1,'
-                   ' "topology": {"validators": 5, "roles": []}, "batches": []}')
-    code, _out, err = run_cli(capsys, "run", str(bad))
+    bad.write_bytes(content)
+    code, out, err = run_cli(capsys, "run", str(bad))
     assert code == 1
-    assert "validators" in err
+    assert out == ""
+    assert err.startswith("error:")
+    assert needle in err
 
 
 def _hop_telemetry(doc, hop):

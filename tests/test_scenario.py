@@ -125,6 +125,12 @@ def full_custody(doc):
      "offset"),
     (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(
         extra_setpoints={"Location": [1]}), "Location"),
+    (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(
+        extra_setpoints={"Location": [True, False]}), "telemetry.extra_setpoints.Location"),
+    (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(
+        extra_setpoints={"Temperature": 99}), "telemetry.extra_setpoints.Temperature"),
+    (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(
+        extra_setpoints={"Pressure": 8}), "telemetry.extra_setpoints.Pressure"),
     (lambda d: d.update(batches=[]), "batches"),
     (lambda d: d.update(report={"eth_usd": -3}), "eth_usd"),
     (lambda d: d.update(report={"eth_usd": 10**400}), "report.eth_usd"),
