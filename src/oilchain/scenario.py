@@ -280,8 +280,8 @@ def _parse_telemetry(doc: dict, where: str, setpoints: Setpoints,
                      ) -> tuple[SensorProfile, tuple[FaultSpec, ...]]:
     """A hop's sensor profile and faults, each kind's setpoint resolved.
 
-    Temperature, humidity and pressure take the batch setpoints and may have
-    no `extra_setpoints` entry; every other kind needs one.
+    Temperature, humidity and pressure take the batch setpoints and refuse an
+    `extra_setpoints` entry; every other kind needs one.
     """
     duration = _positive_int(_need(doc, "duration", where), f"{where}.duration", minimum=1)
     if duration > MAX_DURATION_TICKS:
