@@ -18,7 +18,7 @@ import operator
 from enum import Enum, IntEnum
 from typing import Callable, get_type_hints
 
-from ..errors import UnknownFunction
+from ..errors import BadInitArgs, UnknownFunction
 from ..identity import ADDRESS_LEN, address_hex
 
 Emission = tuple[str, tuple[tuple[str, str | int], ...]]
@@ -75,8 +75,6 @@ def _renderers(cls: type) -> tuple[tuple[str, Callable | None], ...]:
 
 
 def require_address(value, label: str) -> bytes:
-    from ..errors import BadInitArgs
-
     if not isinstance(value, bytes) or len(value) != ADDRESS_LEN:
         raise BadInitArgs(f"{label} must be a {ADDRESS_LEN}-byte address")
     return value

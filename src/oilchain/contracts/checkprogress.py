@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
-from ..errors import NegativeQuantity, NotInitialized, Unauthorized
+from ..errors import BadInitArgs, NegativeQuantity, NotInitialized, Unauthorized
 from ..identity import address_hex
 from .base import ContractBase, Emission, require_address
 
@@ -68,8 +68,8 @@ class CheckProgress(ContractBase):
 
     @classmethod
     def create(cls, deployer: bytes, init_args: dict) -> "CheckProgress":
-        from ..errors import BadInitArgs
-
+        if unknown := sorted(set(init_args) - {"data_source"}):
+            raise BadInitArgs(f"CheckProgress has unknown init args {unknown}")
         if "data_source" not in init_args:
             raise BadInitArgs("CheckProgress needs a data_source address")
         return cls(

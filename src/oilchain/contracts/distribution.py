@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
-from ..errors import Unauthorized, WrongStage
+from ..errors import BadInitArgs, Unauthorized, WrongStage
 from ..identity import Role, address_hex
 from .base import ContractBase, Emission, require_address
 
@@ -46,6 +46,9 @@ SPINE = (
     SpineStep("pumpSoldOil", "PumpOilSold", Role.PUMP),
 )
 
+# the actors a deployment names, each by address
+_ADDRESS_ARGS = ("driller", "factory", "storage", "pump")
+
 
 @dataclass
 class OilDistribution(ContractBase):
@@ -78,9 +81,9 @@ class OilDistribution(ContractBase):
 
     @classmethod
     def create(cls, deployer: bytes, init_args: dict) -> "OilDistribution":
-        from ..errors import BadInitArgs
-
-        for key in ("driller", "factory", "storage", "pump"):
+        if unknown := sorted(set(init_args) - {*_ADDRESS_ARGS, "accurate_hum"}):
+            raise BadInitArgs(f"OilDistribution has unknown init args {unknown}")
+        for key in _ADDRESS_ARGS:
             if key not in init_args:
                 raise BadInitArgs(f"OilDistribution needs a {key} address")
         hum = init_args.get("accurate_hum", 0)

@@ -29,7 +29,7 @@ class EmptyPassphrase(OilchainError):
 # --- ledger ----------------------------------------------------------------
 
 class AccessDenied(OilchainError):
-    """Caller or querier is not on a private chain's access list."""
+    """Caller is not on a private chain's access list."""
 
 
 class InvalidValidatorSet(OilchainError):
@@ -101,6 +101,3 @@ class UnknownBatch(OilchainError):
 class WindowOutOfRange(OilchainError):
     """Fault injection window falls outside the reading stream."""
 
-
-class StaleTelemetry(OilchainError):
-    """Gap between consecutive readings exceeded the hop's silence budget."""

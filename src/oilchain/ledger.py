@@ -340,15 +340,3 @@ def verify_endorsement_quorum(chain: Chain) -> VerificationReport:
                 if fault is not None:
                     return VerificationReport(False, i, fault)
     return VerificationReport(True, None)
-
-
-# --- queries ----------------------------------------------------------------
-
-def require_read_access(chain: Chain, querier: bytes | None) -> None:
-    """Private chains may only be read by ACL members; consortium reads are open."""
-    if chain.chain_class is ChainClass.PRIVATE:
-        if querier is None or querier not in chain.acl:
-            raise AccessDenied(
-                f"querier is not on the access list of chain {chain.name!r}"
-            )
-

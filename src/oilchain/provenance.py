@@ -3,8 +3,9 @@
 The walk starts at the batch's final hop and follows predecessor links back
 to the first, so the report covers the whole custody chain or fails loudly.
 Everything here is read-only and derived from the consortium chain: hop
-linkage from deployment records, condition history from violation events,
-custody movement from distribution events.
+linkage from deployment records, condition history and each tracking
+contract's final stages from stage events, custody movement from
+distribution events.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import ledger
 from .contracts.base import stage_label
-from .contracts.checkprogress import EVENT_NAME, STAGE_WORD, Stage
+from .contracts.checkprogress import EVENT_NAME, STAGE_WORD, Stage, ViolationKind
 from .contracts.distribution import SPINE
 from .encoding import canon_decode, strings_under_key
 from .errors import CorruptLedger, UnknownBatch
@@ -26,6 +27,8 @@ REPORT_SCHEMA_VERSION = 1
 VIOLATION_EVENTS = {event: kind.value for kind, event in EVENT_NAME.items()}
 
 _STAGE_FROM_WORD = {word: stage for stage, word in STAGE_WORD.items()}
+_LABEL_FROM_WORD = {word: stage_label(stage) for stage, word in STAGE_WORD.items()}
+_ACCURATE = stage_label(Stage.ACCURATE)
 
 # which hop (by seller role) each distribution event belongs to
 _EVENT_SELLER_ROLE = {step.event: step.seller.value for step in SPINE}
@@ -69,6 +72,8 @@ class HopSummary:
     product_contract: str
     tracking_contract: str
     predecessor: str | None
+    # every event on the tracking contract, oldest first; not serialized
+    tracking_events: list[tuple[ledger.Block, ledger.Event]] = field(repr=False)
     violations: list[ViolationEntry] = field(default_factory=list)
     accurate_readings: int = 0
     distribution_events: list[DistributionEntry] = field(default_factory=list)
@@ -88,6 +93,23 @@ class HopSummary:
             "distribution_events": [d.to_dict() for d in self.distribution_events],
         }
 
+    def final_state(self) -> dict[str, str]:
+        """The stages `CheckProgress` keeps, read back from its stage events,
+        newest first: each kind's last stage (Accurate with none), and the kind
+        of the last stage event, or None when that was Accurate."""
+        labels: dict[str, str] = {}         # newest first
+        for _block, event in reversed(self.tracking_events):
+            kind = VIOLATION_EVENTS.get(event.name)
+            if kind is not None and kind not in labels:
+                labels[kind] = _LABEL_FROM_WORD[str(event.arg("msg")).split(" ", 1)[0]]
+                if len(labels) == len(VIOLATION_EVENTS):
+                    break
+        state = {kind.lower(): labels.get(kind, _ACCURATE) for kind in VIOLATION_EVENTS.values()}
+        latest = next(iter(labels), None)
+        state["violation_type"] = (latest if latest is not None and labels[latest] != _ACCURATE
+                                   else ViolationKind.NONE.value)
+        return state
+
 
 @dataclass
 class ProvenanceReport:
@@ -95,6 +117,7 @@ class ProvenanceReport:
     hops: list[HopSummary]
     violation_totals: dict[str, int]
     clean: bool
+    distribution_contract: bytes        # not serialized
 
     def to_dict(self) -> dict:
         return {
@@ -215,6 +238,7 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
                 product_contract=address_hex(meta["product"]),
                 tracking_contract=address_hex(addr),
                 predecessor=address_hex(meta["predecessor"]) if meta["predecessor"] else None,
+                tracking_events=events_of[addr],
             )
             for block, event in events_of[addr]:
                 if event.name not in VIOLATION_EVENTS:
@@ -235,8 +259,10 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
                     ))
                     totals[kind] += 1
             hops.append(summary)
+        if batch_id not in distribution_of:
+            raise CorruptLedger(f"batch {batch_id!r} has hops but no distribution record")
         by_role = {s.seller_role: s for s in hops}
-        for block, event in events_of.get(distribution_of.get(batch_id), []):
+        for block, event in events_of[distribution_of[batch_id]]:
             summary = by_role.get(_EVENT_SELLER_ROLE.get(event.name))
             if summary is not None:
                 summary.distribution_events.append(DistributionEntry(
@@ -246,7 +272,8 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
                     message=_event_arg(chain, block, event, "msg"),
                 ))
         reports.append(ProvenanceReport(batch_id=batch_id, hops=hops, violation_totals=totals,
-                                        clean=not any(totals.values())))
+                                        clean=not any(totals.values()),
+                                        distribution_contract=distribution_of[batch_id]))
     return reports
 
 

@@ -19,14 +19,15 @@ with eth_usd defaulting to the rate the calibration table was taken at.
 from __future__ import annotations
 
 import copy
+from collections.abc import Set
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
 from . import ledger
 from .contracts import CONTRACT_KINDS, ContractBase
-from .encoding import canon_encode, digest
-from .errors import ContractRevert, UnknownFunction
+from .encoding import canon_decode, canon_encode, digest
+from .errors import BadInitArgs, ContractRevert, CorruptLedger, UnknownFunction
 
 DEFAULT_ETH_USD = 2291.0
 
@@ -224,9 +225,29 @@ class Runtime:
         ledger.append_block(self.chain, [tx], self.clock.next(), self._endorse)
         return tx
 
-    def state_of(self, contract: bytes) -> dict:
-        instance = self.contracts.get(contract)
-        if instance is None:
-            raise UnknownFunction(f"no contract deployed at {contract.hex()}")
-        return instance.snapshot()
 
+# --- replay -------------------------------------------------------------------
+
+def replay(chain: ledger.Chain, contracts: Set[bytes]) -> dict[bytes, ContractBase]:
+    """The contracts at these addresses that the chain deploys, rebuilt by
+    re-running their recorded constructors and calls through `create` and
+    `apply`, each at its block's tick; plain records are skipped. A record that
+    does not decode, a refused constructor, or a call that reverts or precedes
+    its constructor raises CorruptLedger naming the block."""
+    rebuilt: dict[bytes, ContractBase] = {}
+    for block in chain.blocks:
+        for tx in block.transactions:
+            if tx.contract not in contracts:
+                continue
+            try:
+                if tx.function == "constructor":
+                    record = canon_decode(tx.args)
+                    rebuilt[tx.contract] = CONTRACT_KINDS[record["kind"]].create(
+                        tx.caller, record["init"])
+                elif tx.function in rebuilt[tx.contract].functions():
+                    rebuilt[tx.contract].apply(tx.function, canon_decode(tx.args), tx.caller,
+                                               block.timestamp)
+            except (BadInitArgs, ContractRevert, LookupError, TypeError, ValueError) as exc:
+                raise CorruptLedger(f"chain {chain.name!r} block {block.index}: {tx.function}"
+                                    f" does not replay: {exc!r}", block.index) from None
+    return rebuilt

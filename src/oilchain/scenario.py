@@ -10,6 +10,7 @@ of (scenario, seed) and is compared byte-for-byte in tests.
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
@@ -22,8 +23,8 @@ from .errors import InvalidRolePair, InvalidValidatorSet, OilchainError, ParseEr
 from .identity import Role, address_hex
 from .provenance import batch_text, build_reports
 from .telemetry import FaultSpec, ReadingKind, SensorProfile
-from .workflow import (REQUIRED_ROLES, SETTLEMENT_FUNCTION, Setpoints, SupplyChain, TermSheet,
-                       Topology, check_custody)
+from .workflow import (REQUIRED_ROLES, SETTLEMENT_FUNCTION, HopStatus, Setpoints, SupplyChain,
+                       TermSheet, Topology, check_custody)
 
 SCENARIO_SCHEMA_VERSION = 1
 RUN_REPORT_SCHEMA_VERSION = 1
@@ -77,6 +78,12 @@ class RunResult:
 _TYPE_NAME = {dict: "an object", list: "a list", str: "a string"}
 
 
+def _shown(value) -> str:
+    """A value as an error message shows it: its repr, cut to about 60 characters."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _typed(value, kind: type, where: str):
     if not isinstance(value, kind):
         raise ValidationError(f"{where}: expected {_TYPE_NAME[kind]}, got {type(value).__name__}")
@@ -93,19 +100,19 @@ def _need(mapping: dict, key: str, where: str, kind: type | None = None):
 
 def _role(name, where: str) -> Role:
     if not isinstance(name, str) or name not in _ROLE_BY_NAME:
-        raise ValidationError(f"{where}: unknown role {name!r}")
+        raise ValidationError(f"{where}: unknown role {_shown(name)}")
     return _ROLE_BY_NAME[name]
 
 
 def _kind(name, where: str) -> ReadingKind:
     if not isinstance(name, str) or name not in _KIND_BY_NAME:
-        raise ValidationError(f"{where}: unknown reading kind {name!r}")
+        raise ValidationError(f"{where}: unknown reading kind {_shown(name)}")
     return _KIND_BY_NAME[name]
 
 
 def _positive_int(value, where: str, minimum: int = 0) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ValidationError(f"{where}: expected an integer >= {minimum}, got {value!r}")
+        raise ValidationError(f"{where}: expected an integer >= {minimum}, got {_shown(value)}")
     return value
 
 
@@ -113,7 +120,7 @@ def check_seed(value, where: str) -> int:
     """A run seed, from a scenario file or the command line."""
     if (not isinstance(value, int) or isinstance(value, bool)
             or not 0 <= value < identity.SEED_LIMIT):
-        raise ValidationError(f"{where}: expected an integer in [0, 2**63), got {value!r}")
+        raise ValidationError(f"{where}: expected an integer in [0, 2**63), got {_shown(value)}")
     return value
 
 
@@ -151,7 +158,7 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
     version = _need(doc, "schema_version", where)
     if version != SCENARIO_SCHEMA_VERSION:
         raise ValidationError(
-            f"{where}: schema_version {version!r} unsupported"
+            f"{where}: schema_version {_shown(version)} unsupported"
             f" (expected {SCENARIO_SCHEMA_VERSION})"
         )
     name = _need(doc, "name", where, str)
@@ -194,7 +201,7 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
         _typed(batch_doc, dict, bw)
         batch_id = _need(batch_doc, "batch_id", bw, str)
         if any(b.batch_id == batch_id for b in batches):
-            raise ValidationError(f"{bw}.batch_id: batch {batch_id!r} appears twice")
+            raise ValidationError(f"{bw}.batch_id: batch {_shown(batch_id)} appears twice")
         oil_name = _need(batch_doc, "oil_name", bw, str)
         setp = _need(batch_doc, "setpoints", bw, dict)
         setpoints = Setpoints(
@@ -220,19 +227,15 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
             accept = _typed(hop_doc.get("accept", {"method": "signature"}), dict, f"{hw}.accept")
             method = accept.get("method", "signature")
             if method not in ("signature", "passphrase"):
-                raise ValidationError(f"{hw}.accept.method: unknown method {method!r}")
+                raise ValidationError(f"{hw}.accept.method: unknown method {_shown(method)}")
             passphrase = accept.get("passphrase")
             if passphrase is not None:
                 if not _typed(passphrase, str, f"{hw}.accept.passphrase"):
                     raise ValidationError(f"{hw}.accept.passphrase: must not be empty")
             elif method == "passphrase":
                 raise ValidationError(f"{hw}.accept: passphrase method needs a passphrase")
-            tw = f"{hw}.telemetry"
-            telemetry_doc = _need(hop_doc, "telemetry", hw, dict)
-            profile, faults = _parse_telemetry(telemetry_doc, tw, setpoints)
-            silence = telemetry_doc.get("max_silence_ticks")
-            if silence is not None:
-                silence = _positive_int(silence, f"{tw}.max_silence_ticks")
+            profile, faults = _parse_telemetry(_need(hop_doc, "telemetry", hw, dict),
+                                               f"{hw}.telemetry", setpoints)
             hops.append(HopSpec(
                 seller=seller,
                 buyer=buyer,
@@ -243,7 +246,6 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
                     price=_positive_int(_need(hop_doc, "price", hw), f"{hw}.price"),
                     setpoints=setpoints,
                     passphrase=passphrase,
-                    max_silence_ticks=silence,
                 ),
                 accept_method=method,
                 profile=profile,
@@ -361,8 +363,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
                          frozenset(validators[:scenario.byzantine_validators]))
 
     for batch_spec in scenario.batches:
-        batch = supply.register_batch(batch_spec.batch_id, batch_spec.oil_name,
-                                      batch_spec.setpoints)
+        batch = supply.register_batch(batch_spec.batch_id, batch_spec.setpoints)
         for hop_spec in batch_spec.hops:
             hop = supply.initiate_hop(batch, hop_spec.seller, hop_spec.buyer, hop_spec.terms)
 
@@ -396,14 +397,22 @@ def run_scenario_file(path: str | Path, seed: int | None = None,
 
 def build_run_report(scenario: Scenario, supply: SupplyChain, seed: int,
                      eth_usd: float) -> dict:
+    """The run report, from the scenario header and the chains alone: of
+    `supply` it reads `all_chains()` and nothing else."""
+    all_chains = supply.all_chains()
+    consortium = next(c for c in all_chains if c.chain_class is ledger.ChainClass.CONSORTIUM)
+    traces = build_reports(consortium, [b.batch_id for b in scenario.batches])
+    distributions = runtime.replay(consortium, {t.distribution_contract for t in traces})
+
     chains = []
     total_tx_gas = 0
     total_exec_gas = 0
     calls = 0
     settlements = []
-    # encoded raw-telemetry records per (chain, contract), oldest first
-    records: defaultdict[tuple[str, bytes], list[bytes]] = defaultdict(list)
-    for chain in supply.all_chains():
+    # encoded raw-telemetry records per product contract, oldest first; each
+    # private chain's product contracts are deployed by its owner, so none is shared
+    records: defaultdict[bytes, list[bytes]] = defaultdict(list)
+    for chain in all_chains:
         chains.append({
             "name": chain.name,
             "class": chain.chain_class.value,
@@ -426,7 +435,7 @@ def build_run_report(scenario: Scenario, supply: SupplyChain, seed: int,
                         "tick": block.timestamp,
                     })
                 elif tx.function == telemetry.RECORD_FUNCTION:
-                    records[chain.name, tx.contract].append(tx.args)
+                    records[tx.contract].append(tx.args)
     # ticks come from the clock all chains share, so this is acceptance order
     settlements.sort(key=lambda s: s["tick"])
     settlement_tick = {(s["batch_id"], s["hop"]): s["tick"] for s in settlements}
@@ -436,33 +445,29 @@ def build_run_report(scenario: Scenario, supply: SupplyChain, seed: int,
     }
 
     batches = []
-    for trace in build_reports(supply.consortium_chain,
-                               [b.batch_id for b in scenario.batches]):
-        batch = supply.batches[trace.batch_id]
+    for spec, trace in zip(scenario.batches, traces):
         hops = []
-        for hop, summary in zip(batch.hops, trace.hops, strict=True):
-            tracking_state = supply.consortium_rt.state_of(hop.tracking_contract)
-            fed = records[supply.private_chain(hop.seller.address).name, hop.product_contract]
+        for summary in trace.hops:
+            fed = records[bytes.fromhex(summary.product_contract[2:])]
+            settled = settlement_tick.get((trace.batch_id, summary.index))
+            # delivery fires the hop's spine step; acceptance records its settlement
+            status = (HopStatus.DELIVERED if summary.distribution_events
+                      else HopStatus.PROPOSED if settled is None else HopStatus.ACCEPTED)
             hops.append({
                 **summary.to_dict(),
-                "status": stage_label(hop.status),
+                "status": stage_label(status),
                 # each committed check emitted one stage event on the tracking contract
                 "readings_fed": summary.accurate_readings + len(summary.violations) + len(fed),
                 "weight_delta": telemetry.weight_delta(fed),
-                "settlement_tick": settlement_tick.get((batch.batch_id, summary.index)),
-                "final_state": {
-                    "temperature": tracking_state["temp_stage"],
-                    "humidity": tracking_state["humidity_stage"],
-                    "pressure": tracking_state["pressure_stage"],
-                    "violation_type": tracking_state["violation_type"],
-                },
+                "settlement_tick": settled,
+                "final_state": summary.final_state(),
             })
         batches.append({
-            "batch_id": batch.batch_id,
-            "oil_name": batch.oil_name,
+            "batch_id": trace.batch_id,
+            "oil_name": spec.oil_name,
             "clean": trace.clean,
             "violation_totals": trace.violation_totals,
-            "distribution_state": supply.distribution_state(batch.batch_id),
+            "distribution_state": distributions[trace.distribution_contract].snapshot(),
             "hops": hops,
         })
 

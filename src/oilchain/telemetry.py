@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from . import ledger
 from .encoding import canon_decode, canon_encode, digest
 from .errors import WindowOutOfRange
 
@@ -137,25 +136,6 @@ def inject_fault(readings: Sequence[SensorReading], fault: FaultSpec,
 
 
 # --- reading back ----------------------------------------------------------------
-
-def telemetry_records(chain: ledger.Chain, product_contract: bytes,
-                      querier: bytes, kind: ReadingKind | None = None) -> list[dict]:
-    """Decoded raw-telemetry records for one product contract, oldest first.
-
-    Reading a private chain requires the querier to be on its ACL.
-    """
-    ledger.require_read_access(chain, querier)
-    out = []
-    for block in chain.blocks:
-        for tx in block.transactions:
-            if tx.function != RECORD_FUNCTION or tx.contract != product_contract:
-                continue
-            payload = canon_decode(tx.args)
-            if kind is not None and payload.get("kind") != kind.value:
-                continue
-            out.append(payload)
-    return out
-
 
 def weight_delta(records: Sequence[bytes]) -> int | None:
     """Last minus first value of the Weight readings among encoded raw-telemetry

@@ -1,13 +1,13 @@
 """Hop-by-hop custody workflow over the two ledgers.
 
 Each hop pairs two adjacent actors. Initiating it deploys two monitoring
-contracts: a product-info instance on the seller's private chain (readable
-by seller and buyer only) and a tracking instance on the consortium chain,
-linked to the previous hop's tracking contract. The buyer accepts with a
-signature over the hop's canonical digest, or with a passphrase; acceptance
-records the settlement transfer. An accepted hop's sensor stream is fed into
-its contracts, and delivery advances the batch's distribution contract one
-stage.
+contracts: a product-info instance on the seller's private chain, whose
+access list (seller and buyer) gates who may write to it, and a tracking
+instance on the consortium chain, linked to the previous hop's tracking
+contract. The buyer accepts with a signature over the hop's canonical
+digest, or with a passphrase; acceptance records the settlement transfer.
+An accepted hop's sensor stream is fed into its contracts, and delivery
+advances the batch's distribution contract one stage.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .encoding import digest
 from .errors import (
     BadCredential,
     InvalidRolePair,
-    StaleTelemetry,
     Unauthorized,
     ValidationError,
     WrongStage,
@@ -91,8 +90,7 @@ class TermSheet:
     quantity: int
     price: int
     setpoints: Setpoints
-    passphrase: str | None = None
-    max_silence_ticks: int | None = None
+    passphrase: str | None = dc_field(default=None, repr=False)
 
 
 @dataclass
@@ -112,7 +110,6 @@ class Hop:
 @dataclass
 class BatchRecord:
     batch_id: str
-    oil_name: str
     distribution_contract: bytes
     hops: list[Hop] = dc_field(default_factory=list)
 
@@ -173,9 +170,6 @@ class SupplyChain:
     def private_runtime(self, owner: bytes) -> Runtime:
         return self._private_rt[owner]
 
-    def private_chain(self, owner: bytes) -> ledger.Chain:
-        return self._private_rt[owner].chain
-
     def all_chains(self) -> list[ledger.Chain]:
         chains = [self.consortium_chain]
         chains.extend(rt.chain for rt in self._private_rt.values())
@@ -189,8 +183,7 @@ class SupplyChain:
 
     # --- batch ------------------------------------------------------------------
 
-    def register_batch(self, batch_id: str, oil_name: str,
-                       setpoints: Setpoints) -> BatchRecord:
+    def register_batch(self, batch_id: str, setpoints: Setpoints) -> BatchRecord:
         """Deploy the batch's distribution contract (driller-owned)."""
         if batch_id in self.batches:
             raise ValidationError(f"batch {batch_id!r} already registered")
@@ -207,8 +200,7 @@ class SupplyChain:
             deployer=driller.address,
             annotations={"record": "distribution", "batch": batch_id},
         )
-        record = BatchRecord(batch_id=batch_id, oil_name=oil_name,
-                             distribution_contract=address)
+        record = BatchRecord(batch_id=batch_id, distribution_contract=address)
         self.batches[batch_id] = record
         return record
 
@@ -364,13 +356,6 @@ class SupplyChain:
                 )
 
         ordered = sorted(readings, key=lambda r: (r.tick, telemetry.KIND_ORDER[r.kind]))
-        budget = hop.terms.max_silence_ticks
-        if budget is not None:
-            for prev, r in zip(ordered, ordered[1:]):
-                if r.tick - prev.tick > budget:
-                    raise StaleTelemetry(
-                        f"gap of {r.tick - prev.tick} ticks exceeds budget {budget}"
-                    )
 
         seller_rt = self.private_runtime(hop.seller.address)
         results = []
@@ -428,10 +413,3 @@ class SupplyChain:
 
         hop.status = HopStatus.DELIVERED
         return hop
-
-    # --- audit ---------------------------------------------------------------------
-
-    def distribution_state(self, batch_id: str) -> dict:
-        batch = self.batches[batch_id]
-        return self.consortium_rt.state_of(batch.distribution_contract)
-

@@ -15,6 +15,7 @@ from oilchain.encoding import canon_decode
 from oilchain.identity import Role
 from oilchain.runtime import LogicalClock, Runtime
 from oilchain.scenario import BatchSpec, Scenario, build_run_report
+from oilchain.telemetry import RECORD_FUNCTION
 from oilchain.workflow import (
     SETTLEMENT_FUNCTION,
     Setpoints,
@@ -44,11 +45,9 @@ def setpoints() -> Setpoints:
 
 
 def standard_terms(setpoints: Setpoints, price: int = 100, quantity: int = 10,
-                   passphrase: str | None = None,
-                   max_silence_ticks: int | None = None) -> TermSheet:
+                   passphrase: str | None = None) -> TermSheet:
     return TermSheet(oil_id="101", oil_name="Petrol", quantity=quantity,
-                     price=price, setpoints=setpoints, passphrase=passphrase,
-                     max_silence_ticks=max_silence_ticks)
+                     price=price, setpoints=setpoints, passphrase=passphrase)
 
 
 def settlement_records(supply: SupplyChain) -> list[tuple[int, dict]]:
@@ -61,13 +60,25 @@ def settlement_records(supply: SupplyChain) -> list[tuple[int, dict]]:
     )
 
 
+def hand_report(supply: SupplyChain) -> dict:
+    """The run report of a supply chain driven by hand, its batches in registration order."""
+    batches = tuple(BatchSpec(batch_id, "Petrol", Setpoints(0, 0, 0), ())
+                    for batch_id in supply.batches)
+    scenario = Scenario("by-hand", supply.seed, len(supply.topology.validators), 0, (), batches)
+    return build_run_report(scenario, supply, supply.seed, runtime.DEFAULT_ETH_USD)
+
+
 def report_hops(supply: SupplyChain) -> list[dict]:
     """The run report's hop records, batch by batch, for a supply chain driven by hand."""
-    batches = tuple(BatchSpec(batch.batch_id, batch.oil_name, Setpoints(0, 0, 0), ())
-                    for batch in supply.batches.values())
-    scenario = Scenario("by-hand", supply.seed, len(supply.topology.validators), 0, (), batches)
-    report = build_run_report(scenario, supply, supply.seed, runtime.DEFAULT_ETH_USD)
-    return [hop for batch in report["batches"] for hop in batch["hops"]]
+    return [hop for batch in hand_report(supply)["batches"] for hop in batch["hops"]]
+
+
+def telemetry_records(supply: SupplyChain, hop, kind: str | None = None) -> list[dict]:
+    """The decoded raw-telemetry records of a hop, oldest first, optionally of one kind."""
+    chain = supply.private_runtime(hop.seller.address).chain
+    records = [canon_decode(tx.args) for block in chain.blocks for tx in block.transactions
+               if tx.function == RECORD_FUNCTION and tx.contract == hop.product_contract]
+    return [r for r in records if kind is None or r["kind"] == kind]
 
 
 def make_validators(count: int, seed: int = 99) -> list[identity.KeyPair]:

@@ -67,7 +67,7 @@ def test_c01_product_registration_is_readable_and_fast():
         assert result.status is CallStatus.OK
         assert [e.name for e in result.events] == ["oilAdded"]
 
-        state = rt.state_of(address)
+        state = rt.contracts[address].snapshot()
         assert state["oil_name"] == "Petrol"
         assert state["oil_id"] == "101"
         assert state["amount"] == 10
@@ -98,8 +98,8 @@ def test_c02_low_pressure_reading_flags_a_violation():
         assert event.name == "PressureViolation"
         assert event.arg("addr") == identity.address_hex(DEVICE)
         assert event.arg("msg") == "Lower Pressure"
-        assert rt.state_of(address)["pressure_stage"] == "Low"
-        assert rt.state_of(address)["violation_type"] == "Pressure"
+        assert rt.contracts[address].snapshot()["pressure_stage"] == "Low"
+        assert rt.contracts[address].snapshot()["violation_type"] == "Pressure"
 
 
 def test_c03_checks_agree_with_a_sign_comparison_oracle():
@@ -150,7 +150,7 @@ def test_c04_first_custody_transition_stamps_and_announces():
         assert event.name == "InitiateDist"
         assert event.arg("ad") == identity.address_hex(OWNER)
         assert event.arg("msg") == "Crude Oil is Ready to go to the Factory."
-        state = rt.state_of(address)
+        state = rt.contracts[address].snapshot()
         assert state["current_trace"] == "AtDriller"
         assert state["drilling_date"] == tick
         assert rt.chain.blocks[-1].timestamp == tick
@@ -341,7 +341,7 @@ def test_c10_forged_credentials_never_settle():
         topology = Topology.from_seed(FIVE_ROLES, validator_count=4, seed=7)
         supply = SupplyChain(topology, seed=7)
         setpoints = Setpoints(temperature=22, humidity=10, pressure=8)
-        batch = supply.register_batch("101", "Petrol", setpoints)
+        batch = supply.register_batch("101", setpoints)
         hop = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY,
                                   standard_terms(setpoints))
 

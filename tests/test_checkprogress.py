@@ -44,6 +44,8 @@ def test_create_requires_a_data_source_address():
         CheckProgress.create(OWNER, {})
     with pytest.raises(BadInitArgs):
         CheckProgress.create(OWNER, {"data_source": "not-an-address"})
+    with pytest.raises(BadInitArgs, match="'bogus', 'tolerance'"):
+        CheckProgress.create(OWNER, {"data_source": DEVICE, "tolerance": 3, "bogus": 1})
 
 
 def test_enter_oil_stores_terms_and_emits():

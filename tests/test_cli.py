@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import replace
 
@@ -100,11 +101,13 @@ def _hop_telemetry(doc, hop):
         accept={"method": "signature", "passphrase": ""}),
      "batches[0].hops[0].accept.passphrase"),
     (lambda d: d.update(seed=2**63), "seed"),
+    (lambda d: d.update(seed=functools.reduce(lambda inner, _: [inner], range(900), [])),
+     "seed"),
 ], ids=["fault-kind-not-streamed", "fault-window-past-end", "fault-window-reversed",
         "repeated-batch-id", "repeated-kind", "kind-without-setpoint",
         "topology-without-storage", "buyer-not-in-topology", "hop-3-sold-by-driller",
         "hop-1-sold-by-refinery", "null-batch-id", "null-name", "no-hops",
-        "empty-passphrase-under-signature", "seed-past-2**63"])
+        "empty-passphrase-under-signature", "seed-past-2**63", "seed-nested-900-deep"])
 def test_run_refuses_bad_input_naming_the_field(tmp_path, capsys, mutate, field):
     doc = json.loads((SCENARIO_DIR / "happy_path.json").read_text())
     mutate(doc)
@@ -114,6 +117,7 @@ def test_run_refuses_bad_input_naming_the_field(tmp_path, capsys, mutate, field)
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: bad.json.{field}:")
+    assert len(err.splitlines()[0]) < 200
 
 
 @pytest.mark.parametrize("argv", [

@@ -63,6 +63,8 @@ def test_create_requires_all_four_addresses():
             OilDistribution.create(OWNER, init)
     with pytest.raises(BadInitArgs):
         OilDistribution.create(OWNER, {**INIT, "accurate_hum": "wet"})
+    with pytest.raises(BadInitArgs, match="'bogus'"):
+        OilDistribution.create(OWNER, {**INIT, "bogus": 1})
 
 
 def test_full_sequence_messages_events_and_dates():

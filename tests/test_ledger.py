@@ -443,21 +443,3 @@ def test_random_single_byte_mutations_always_detected(consortium):
         assert not report.valid
         assert report.first_bad_index is not None
         assert report.first_bad_index <= at
-
-
-# --- read access --------------------------------------------------------------
-
-def test_private_chain_reads_are_acl_gated():
-    chain = build_small_chain()
-    ledger.require_read_access(chain, ALICE)
-    with pytest.raises(AccessDenied):
-        ledger.require_read_access(chain, MALLORY)
-    with pytest.raises(AccessDenied):
-        ledger.require_read_access(chain, None)
-
-
-def test_consortium_reads_are_open():
-    chain, validators = make_consortium(4)
-    endorsed_append(chain, validators, [tx()], 1)
-    ledger.require_read_access(chain, None)
-    ledger.require_read_access(chain, MALLORY)

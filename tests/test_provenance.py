@@ -18,7 +18,7 @@ from test_acceptance import scan_trace_oracle
 
 
 def run_hops(supply, setpoints, count=2, feed_ticks=0, fault=None, batch_id="101"):
-    batch = supply.register_batch(batch_id, "Petrol", setpoints)
+    batch = supply.register_batch(batch_id, setpoints)
     pairs = [(Role.DRILLER, Role.REFINERY), (Role.REFINERY, Role.STORAGE),
              (Role.STORAGE, Role.PUMP), (Role.PUMP, Role.CONSUMER)]
     for seller, buyer in pairs[:count]:
@@ -160,6 +160,12 @@ def deploy_tracking(supply, batch_id, hop, predecessor, seller_role="Driller",
 def test_broken_predecessor_link_is_corrupt(supply):
     deploy_tracking(supply, "666", 1, predecessor=b"\xaa" * 20)
     with pytest.raises(CorruptLedger):
+        build_report(supply.consortium_chain, "666")
+
+
+def test_hops_without_a_distribution_record_are_corrupt(supply):
+    deploy_tracking(supply, "666", 1, predecessor=b"")
+    with pytest.raises(CorruptLedger, match="^batch '666' has hops but no distribution record"):
         build_report(supply.consortium_chain, "666")
 
 

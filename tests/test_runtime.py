@@ -12,7 +12,8 @@ from conftest import consortium_runtime, make_validators
 from oilchain import identity, ledger, runtime, telemetry
 from oilchain.encoding import canon_decode
 from oilchain.contracts import CONTRACT_KINDS
-from oilchain.errors import AccessDenied, ContractRevert, QuorumNotMet, UnknownFunction
+from oilchain.errors import (AccessDenied, ContractRevert, CorruptLedger, QuorumNotMet,
+                             UnknownFunction)
 from oilchain.runtime import (
     CallStatus,
     GasCost,
@@ -140,7 +141,7 @@ def test_deploy_records_constructor_and_instantiates():
     assert record["kind"] == "CheckProgress"
     assert record["init"]["data_source"] == DEVICE
     assert record["meta"] == {"batch_id": "101"}
-    assert rt.state_of(address)["owner"] == identity.address_hex(OWNER)
+    assert rt.contracts[address].snapshot()["owner"] == identity.address_hex(OWNER)
 
 
 def test_deploy_nonce_bump_gives_distinct_addresses():
@@ -177,7 +178,7 @@ def test_ok_call_commits_block_with_metered_gas():
     assert block.transactions[0].function == "EnterOil"
     assert block.transactions[0].gas_used == 35368
     assert [e.name for e in block.transactions[0].events] == ["oilAdded"]
-    assert rt.state_of(address)["initialized"] is True
+    assert rt.contracts[address].snapshot()["initialized"] is True
     # the call ran on a working copy, installed with its block
     assert rt.contracts[address] is not held
     assert held.snapshot() == state
@@ -197,13 +198,13 @@ def test_contract_revert_restores_state_and_commits_nothing():
     address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
     rt.call(address, "EnterOil", ENTER_ARGS, OWNER)
     tip = rt.chain.tip_hash
-    state = rt.state_of(address)
+    state = rt.contracts[address].snapshot()
     result = rt.call(address, "EnterOil", ENTER_ARGS, OUTSIDER)
     assert result.status is CallStatus.REVERTED
     assert result.revert_reason
     assert result.events == ()
     assert rt.chain.tip_hash == tip
-    assert rt.state_of(address) == state
+    assert rt.contracts[address].snapshot() == state
 
 
 def test_call_unknown_function_and_unknown_contract_raise():
@@ -213,8 +214,6 @@ def test_call_unknown_function_and_unknown_contract_raise():
         rt.call(address, "selfdestruct", {}, OWNER)
     with pytest.raises(UnknownFunction):
         rt.call(b"\x00" * 20, "EnterOil", ENTER_ARGS, OWNER)
-    with pytest.raises(UnknownFunction):
-        rt.state_of(b"\x00" * 20)
 
 
 def test_record_appends_plumbing_block():
@@ -276,19 +275,41 @@ MUTATING_CALLS = {
 
 
 @pytest.mark.parametrize("kind", sorted(MUTATING_CALLS))
+def test_replay_rebuilds_the_contract_and_refuses_a_call_that_reverts(kind):
+    init_args, function, args, caller = MUTATING_CALLS[kind]
+    rt = private_runtime(acl=(OWNER, DEVICE, OUTSIDER))
+    address = rt.deploy(kind, init_args, OWNER)
+    rt.record(OWNER, address, "settlement", {"amount": 1})      # a plain record, skipped
+    rt.call(address, function, args, caller)
+    rt.deploy(kind, init_args, OWNER)                           # not asked for
+    rebuilt = runtime.replay(rt.chain, {address})
+    assert list(rebuilt) == [address]
+    assert rebuilt[address].snapshot() == rt.contracts[address].snapshot()
+
+    call_index = 3
+    block = rt.chain.blocks[call_index]
+    forged = dataclasses.replace(block.transactions[0], caller=OUTSIDER)
+    rt.chain.blocks[call_index] = dataclasses.replace(block, transactions=(forged,))
+    with pytest.raises(CorruptLedger, match=f"^chain 'drill' block 3: {function} does not"
+                                            f" replay: Unauthorized") as exc:
+        runtime.replay(rt.chain, {address})
+    assert exc.value.first_bad_index == call_index
+
+
+@pytest.mark.parametrize("kind", sorted(MUTATING_CALLS))
 def test_starved_consortium_call_leaves_the_contract_unchanged(kind):
     init_args, function, args, caller = MUTATING_CALLS[kind]
     rt, validators, _clock = consortium_runtime()
     address = rt.deploy(kind, init_args, OWNER)
     tip = rt.chain.tip_hash
     installed = rt.contracts[address]
-    state = rt.state_of(address)
+    state = rt.contracts[address].snapshot()
     rt._endorse = lambda digest: ledger.collect_endorsements(digest, validators[:2])
     with pytest.raises(QuorumNotMet):
         rt.call(address, function, args, caller)
     assert rt.chain.tip_hash == tip
     assert rt.contracts[address] is installed
-    assert rt.state_of(address) == state
+    assert rt.contracts[address].snapshot() == state
 
 
 @pytest.mark.parametrize("kind", sorted(MUTATING_CALLS))
@@ -306,13 +327,13 @@ def test_revert_after_mutating_leaves_the_contract_unchanged(kind, monkeypatch):
     address = rt.deploy(kind, init_args, OWNER)
     tip = rt.chain.tip_hash
     installed = rt.contracts[address]
-    state = rt.state_of(address)
+    state = rt.contracts[address].snapshot()
     monkeypatch.setattr(cls, name, mutate_then_revert)
     result = rt.call(address, function, args, caller)
     assert result.status is CallStatus.REVERTED
     assert rt.chain.tip_hash == tip
     assert rt.contracts[address] is installed
-    assert rt.state_of(address) == state
+    assert rt.contracts[address].snapshot() == state
 
 
 @pytest.mark.parametrize("kind", sorted(MUTATING_CALLS))
@@ -341,13 +362,13 @@ def test_call_refused_by_the_acl_leaves_the_contract_unchanged():
     address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
     tip = rt.chain.tip_hash
     installed = rt.contracts[address]
-    state = rt.state_of(address)
+    state = rt.contracts[address].snapshot()
     rt.chain.acl.discard(OWNER)
     with pytest.raises(AccessDenied):
         rt.call(address, "EnterOil", ENTER_ARGS, OWNER)
     assert rt.chain.tip_hash == tip
     assert rt.contracts[address] is installed
-    assert rt.state_of(address) == state
+    assert rt.contracts[address].snapshot() == state
 
 
 def test_call_with_unencodable_args_leaves_the_contract_unchanged():
@@ -355,9 +376,9 @@ def test_call_with_unencodable_args_leaves_the_contract_unchanged():
     address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
     tip = rt.chain.tip_hash
     installed = rt.contracts[address]
-    state = rt.state_of(address)
+    state = rt.contracts[address].snapshot()
     with pytest.raises(TypeError):
         rt.call(address, "EnterOil", {**ENTER_ARGS, "note": 1.5}, OWNER)
     assert rt.chain.tip_hash == tip
     assert rt.contracts[address] is installed
-    assert rt.state_of(address) == state
+    assert rt.contracts[address].snapshot() == state

@@ -9,20 +9,24 @@ import hashlib
 import io
 import json
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import JSON_VALUES, SCENARIO_DIR, node_paths, with_node_replaced
-from oilchain import runtime, telemetry
+from conftest import (FIVE_ROLES, JSON_VALUES, SCENARIO_DIR, hand_report, node_paths,
+                      standard_terms, with_node_replaced)
+from oilchain import identity, runtime, store, telemetry
 from oilchain.cli import main
+from oilchain.contracts.base import stage_label
 from oilchain.errors import OilchainError, ParseError, QuorumNotMet, ValidationError
 from oilchain.identity import Role
 from oilchain.provenance import batch_text, build_report
 from oilchain.scenario import (
     MAX_DURATION_TICKS,
     Scenario,
+    build_run_report,
     load_scenario,
     parse_scenario,
     report_to_json,
@@ -30,6 +34,8 @@ from oilchain.scenario import (
     run_scenario,
     run_scenario_file,
 )
+from oilchain.telemetry import FaultSpec, SensorProfile
+from oilchain.workflow import HopStatus, Setpoints, SupplyChain, Topology
 
 HAPPY = SCENARIO_DIR / "happy_path.json"
 FAULTED = SCENARIO_DIR / "pressure_fault_hop2.json"
@@ -396,6 +402,7 @@ def test_happy_path_report_contents():
         "consortium", "driller", "refinery", "storage", "pump", "consumer"}
     assert all(c["blocks"] >= 1 for c in report["chains"])
     assert report["eth_usd"] == 2291.0
+    assert "wholesale-gate-7" not in repr(result.supply.batches)
 
 
 def test_faulted_run_surfaces_exactly_the_injected_violations():
@@ -504,6 +511,90 @@ def test_run_report_hops_embed_the_trace_record(path):
 
 
 @pytest.mark.parametrize("path", [HAPPY, FAULTED], ids=["happy_path", "pressure_fault_hop2"])
+def test_report_rebuilt_from_a_loaded_store_equals_the_saved_one(path, tmp_path, capsys):
+    main(["run", str(path), "--store", str(tmp_path)])
+    capsys.readouterr()
+    chains = list(store.load_store(tmp_path).values())
+    scenario = load_scenario(path)
+    # all_chains() is the one thing the report may read of a supply chain
+    chains_only = types.SimpleNamespace(all_chains=lambda: chains)
+    report = build_run_report(scenario, chains_only, scenario.seed, scenario.eth_usd)
+    assert report_to_json(report) == (tmp_path / "report.json").read_text()
+
+
+_CUSTODY_PATH = [(Role.DRILLER, Role.REFINERY), (Role.REFINERY, Role.STORAGE),
+                 (Role.STORAGE, Role.PUMP), (Role.PUMP, Role.CONSUMER)]
+_CHECKED = sorted(telemetry.CHECK_FUNCTION, key=telemetry.KIND_ORDER.__getitem__)
+
+
+@functools.cache
+def _five_role_topology() -> Topology:
+    return Topology.from_seed(FIVE_ROLES, validator_count=4, seed=7)
+
+
+@st.composite
+def _hop_plans(draw):
+    """Per hop: a noisy stream of some checked kinds with faults injected, and
+    direct stage records (some naming no kind or stage); the last hop may stop
+    short of delivery."""
+    plans = []
+    for _ in range(draw(st.integers(1, len(_CUSTODY_PATH)))):
+        duration = draw(st.integers(1, 5))
+        kinds = draw(st.lists(st.sampled_from(_CHECKED), unique=True))
+        window = st.tuples(st.integers(0, duration - 1), st.integers(0, duration - 1))
+        faults = [
+            FaultSpec(kind, min(ticks), max(ticks), draw(st.integers(-4, 4)))
+            for kind, ticks in draw(st.lists(st.tuples(st.sampled_from(kinds), window),
+                                             max_size=2) if kinds else st.just([]))
+        ]
+        records = draw(st.lists(st.tuples(
+            st.sampled_from(["Temperature", "Humidity", "Pressure", "Bogus"]),
+            st.integers(0, 3)), max_size=3))
+        plans.append((SensorProfile(duration, {k: 8 for k in kinds}, draw(st.integers(0, 3))),
+                      faults, records))
+    return plans, draw(st.sampled_from(HopStatus))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hop_plans(), st.integers(0, 2**32))
+def test_ledger_derived_state_equals_the_live_contracts(plan, seed):
+    hop_plans, last_status = plan
+    supply = SupplyChain(_five_role_topology(), seed=7)
+    setpoints = Setpoints(temperature=8, humidity=8, pressure=8)
+    batch = supply.register_batch("101", setpoints)
+    for i, (profile, faults, records) in enumerate(hop_plans):
+        seller, buyer = _CUSTODY_PATH[i]
+        hop = supply.initiate_hop(batch, seller, buyer, standard_terms(setpoints))
+        last = i == len(hop_plans) - 1
+        if last and last_status is HopStatus.PROPOSED:
+            break
+        supply.accept_shipment(hop, identity.sign(supply.accept_digest(hop),
+                                                  hop.buyer.private_key))
+        readings = telemetry.generate_readings(profile, seed + i, hop.data_address)
+        for fault in faults:
+            readings = telemetry.inject_fault(readings, fault)
+        supply.feed(hop, readings)
+        for vtype, stage in records:
+            supply.consortium_rt.call(hop.tracking_contract, "OccuredViolation",
+                                      {"vtype": vtype, "stage": stage}, hop.data_address)
+        if not (last and last_status is HopStatus.ACCEPTED):
+            supply.deliver(hop)
+
+    reported = hand_report(supply)["batches"][0]
+    live = supply.consortium_rt.contracts
+    assert reported["distribution_state"] == live[batch.distribution_contract].snapshot()
+    for hop, hop_report in zip(batch.hops, reported["hops"], strict=True):
+        state = live[hop.tracking_contract].snapshot()
+        assert hop_report["final_state"] == {
+            "temperature": state["temp_stage"],
+            "humidity": state["humidity_stage"],
+            "pressure": state["pressure_stage"],
+            "violation_type": state["violation_type"],
+        }
+        assert hop_report["status"] == stage_label(hop.status)
+
+
+@pytest.mark.parametrize("path", [HAPPY, FAULTED], ids=["happy_path", "pressure_fault_hop2"])
 def test_readings_fed_counts_committed_checks_and_records(path):
     result = run_scenario_file(path)
     supply = result.supply
@@ -517,7 +608,7 @@ def test_readings_fed_counts_committed_checks_and_records(path):
                                  strict=True):
             checks = committed(supply.consortium_chain, hop.tracking_contract,
                                telemetry.CHECK_FUNCTION.values())
-            records = committed(supply.private_chain(hop.seller.address),
+            records = committed(supply.private_runtime(hop.seller.address).chain,
                                 hop.product_contract, {telemetry.RECORD_FUNCTION})
             assert checks
             assert reported["readings_fed"] == checks + records

@@ -1,4 +1,4 @@
-"""Sensor streams: determinism, fault windows, dispatch, read-back, staleness."""
+"""Sensor streams: determinism, fault windows, dispatch, read-back."""
 
 from __future__ import annotations
 
@@ -6,15 +6,9 @@ import random
 
 import pytest
 
-from conftest import report_hops, standard_terms
-from oilchain import identity, telemetry
-from oilchain.errors import (
-    AccessDenied,
-    StaleTelemetry,
-    Unauthorized,
-    WindowOutOfRange,
-    WrongStatus,
-)
+from conftest import report_hops, standard_terms, telemetry_records
+from oilchain import identity
+from oilchain.errors import Unauthorized, WindowOutOfRange, WrongStatus
 from oilchain.identity import Role
 from oilchain.telemetry import (
     FaultSpec,
@@ -140,10 +134,9 @@ def test_fault_into_empty_stream_rejected():
 
 # --- dispatch into a live hop ---------------------------------------------------------
 
-def accepted_hop(supply, setpoints, terms_kwargs=None):
-    batch = supply.register_batch("101", "Petrol", setpoints)
-    terms = standard_terms(setpoints, **(terms_kwargs or {}))
-    hop = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY, terms)
+def accepted_hop(supply, setpoints):
+    batch = supply.register_batch("101", setpoints)
+    hop = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY, standard_terms(setpoints))
     signature = identity.sign(supply.accept_digest(hop), hop.buyer.private_key)
     supply.accept_shipment(hop, signature)
     return batch, hop
@@ -157,7 +150,7 @@ def hop_stream(hop, duration=4, amplitude=0, setpoints=None):
 
 
 def test_feed_requires_accepted_hop(supply, setpoints):
-    batch = supply.register_batch("101", "Petrol", setpoints)
+    batch = supply.register_batch("101", setpoints)
     hop = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY,
                               standard_terms(setpoints))
     with pytest.raises(WrongStatus):
@@ -198,9 +191,7 @@ def test_reverted_checks_are_not_counted_as_fed(supply, setpoints):
     results = supply.feed(hop, hop_stream(hop, duration=3))
     assert len(results) == 9
     assert all(r.status.value == "Reverted" for r in results)
-    records = telemetry.telemetry_records(supply.private_chain(hop.seller.address),
-                                          hop.product_contract,
-                                          querier=hop.seller.address)
+    records = telemetry_records(supply, hop)
     assert len(records) == 6            # Location and Weight, three ticks each
     assert report_hops(supply)[0]["readings_fed"] == len(records)
 
@@ -208,36 +199,25 @@ def test_reverted_checks_are_not_counted_as_fed(supply, setpoints):
 def test_unchecked_kinds_land_on_the_seller_private_chain(supply, setpoints):
     _batch, hop = accepted_hop(supply, setpoints)
     supply.feed(hop, hop_stream(hop, duration=3))
-    chain = supply.private_chain(hop.seller.address)
-    records = telemetry.telemetry_records(chain, hop.product_contract,
-                                          querier=hop.seller.address)
+    records = telemetry_records(supply, hop)
     assert len(records) == 6  # Location and Weight, three ticks each
     assert {r["kind"] for r in records} == {"Location", "Weight"}
     assert all(r["source"] == hop.data_address for r in records)
-    weights = telemetry.telemetry_records(chain, hop.product_contract,
-                                          querier=hop.buyer.address,
-                                          kind=ReadingKind.WEIGHT)
+    weights = telemetry_records(supply, hop, kind="Weight")
     assert [w["value"] for w in weights] == [500, 500, 500]
 
 
-def test_location_history_and_read_gating(supply, setpoints):
+def test_location_history_lands_in_tick_order(supply, setpoints):
     _batch, hop = accepted_hop(supply, setpoints)
     fixes = [r for r in hop_stream(hop, duration=5)
              if r.kind is ReadingKind.LOCATION]
     supply.feed(hop, fixes)
     assert report_hops(supply)[0]["readings_fed"] == 5
-    chain = supply.private_chain(hop.seller.address)
-    history = telemetry.telemetry_records(chain, hop.product_contract,
-                                          querier=hop.buyer.address,
-                                          kind=ReadingKind.LOCATION)
+    history = telemetry_records(supply, hop, kind="Location")
     assert [h["tick"] for h in history] == [0, 1, 2, 3, 4]
     assert all(tuple(h["value"]) == FULL_SETPOINTS[ReadingKind.LOCATION]
                for h in history)
     assert all(h["source"] == hop.data_address for h in history)
-    consumer = supply.actor(Role.CONSUMER)
-    with pytest.raises(AccessDenied):
-        telemetry.telemetry_records(chain, hop.product_contract,
-                                    querier=consumer.address)
 
 
 def test_violation_events_match_out_of_band_values(supply, setpoints):
@@ -252,20 +232,6 @@ def test_violation_events_match_out_of_band_values(supply, setpoints):
     messages = [e.arg("msg") for e in events]
     assert messages.count("Higher Pressure") == 2
     assert messages.count("Accurate Pressure") == 2
-
-
-def test_silence_budget_enforced(supply, setpoints):
-    _batch, hop = accepted_hop(supply, setpoints, {"max_silence_ticks": 2})
-    readings = [SensorReading(ReadingKind.PRESSURE, t, 8, hop.data_address)
-                for t in (0, 1, 4)]
-    with pytest.raises(StaleTelemetry):
-        supply.feed(hop, readings)
-    assert report_hops(supply)[0]["readings_fed"] == 0
-    assert hop.status is HopStatus.ACCEPTED
-    ok = [SensorReading(ReadingKind.PRESSURE, t, 8, hop.data_address)
-          for t in (0, 2, 4)]
-    supply.feed(hop, ok)
-    assert report_hops(supply)[0]["readings_fed"] == 3
 
 
 def test_feed_order_is_tick_then_kind(supply, setpoints):

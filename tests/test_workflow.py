@@ -30,6 +30,12 @@ def tips(supply):
     return [c.tip_hash for c in supply.all_chains()]
 
 
+def custody(supply, batch_id="101"):
+    """The live distribution contract's state."""
+    address = supply.batches[batch_id].distribution_contract
+    return supply.consortium_rt.contracts[address].snapshot()
+
+
 def weight_readings(hop, values, start_tick=0):
     return [SensorReading(ReadingKind.WEIGHT, start_tick + i, v, hop.data_address)
             for i, v in enumerate(values)]
@@ -59,14 +65,14 @@ def test_supply_chain_layout(supply):
         "consumer", "driller", "pump", "refinery", "storage"]
     for role in FIVE_ROLES:
         actor = supply.actor(role)
-        assert supply.private_chain(actor.address).acl == {actor.address}
+        assert supply.private_runtime(actor.address).chain.acl == {actor.address}
 
 
 # --- batch registration -----------------------------------------------------------------
 
 def test_register_batch_deploys_distribution_contract(supply, setpoints):
-    batch = supply.register_batch("101", "Petrol", setpoints)
-    state = supply.distribution_state("101")
+    batch = supply.register_batch("101", setpoints)
+    state = supply.consortium_rt.contracts[batch.distribution_contract].snapshot()
     assert state["kind"] == "OilDistribution"
     assert state["current_trace"] == "Created"
     assert state["accurate_hum"] == setpoints.humidity
@@ -78,19 +84,19 @@ def test_register_batch_deploys_distribution_contract(supply, setpoints):
 
 
 def test_register_batch_rejects_duplicates_and_missing_roles(supply, setpoints):
-    supply.register_batch("101", "Petrol", setpoints)
+    supply.register_batch("101", setpoints)
     with pytest.raises(ValidationError):
-        supply.register_batch("101", "Petrol", setpoints)
+        supply.register_batch("101", setpoints)
     thin = Topology.from_seed([Role.DRILLER, Role.REFINERY, Role.STORAGE],
                               validator_count=4, seed=7)
     with pytest.raises(ValidationError):
-        SupplyChain(thin, seed=7).register_batch("102", "Petrol", setpoints)
+        SupplyChain(thin, seed=7).register_batch("102", setpoints)
 
 
 # --- hop initiation ----------------------------------------------------------------------
 
 def test_first_hop_wires_contracts_and_access(supply, setpoints):
-    batch = supply.register_batch("101", "Petrol", setpoints)
+    batch = supply.register_batch("101", setpoints)
     seller = supply.actor(Role.DRILLER)
     buyer = supply.actor(Role.REFINERY)
     hop = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY,
@@ -99,11 +105,11 @@ def test_first_hop_wires_contracts_and_access(supply, setpoints):
     assert hop.index == 1
     assert build_report(supply.consortium_chain, "101").hops[0].predecessor is None
 
-    private = supply.private_chain(seller.address)
-    assert private.acl == {seller.address, buyer.address}
+    seller_rt = supply.private_runtime(seller.address)
+    assert seller_rt.chain.acl == {seller.address, buyer.address}
 
-    product = supply.private_runtime(seller.address).state_of(hop.product_contract)
-    tracking = supply.consortium_rt.state_of(hop.tracking_contract)
+    product = seller_rt.contracts[hop.product_contract].snapshot()
+    tracking = supply.consortium_rt.contracts[hop.tracking_contract].snapshot()
     for state in (product, tracking):
         assert state["initialized"] is True
         assert state["oil_id"] == "101" and state["oil_name"] == "Petrol"
@@ -131,14 +137,14 @@ def test_first_hop_wires_contracts_and_access(supply, setpoints):
     (Role.PUMP, Role.REFINERY),
 ])
 def test_non_adjacent_role_pairs_rejected(supply, setpoints, seller, buyer):
-    batch = supply.register_batch("101", "Petrol", setpoints)
+    batch = supply.register_batch("101", setpoints)
     with pytest.raises(InvalidRolePair):
         supply.initiate_hop(batch, seller, buyer, standard_terms(setpoints))
     assert batch.hops == []
 
 
 def test_first_hop_must_be_sold_by_the_driller(supply, setpoints):
-    batch = supply.register_batch("101", "Petrol", setpoints)
+    batch = supply.register_batch("101", setpoints)
     with pytest.raises(InvalidRolePair):
         supply.initiate_hop(batch, Role.REFINERY, Role.STORAGE,
                             standard_terms(setpoints))
@@ -146,7 +152,7 @@ def test_first_hop_must_be_sold_by_the_driller(supply, setpoints):
 
 
 def test_follow_on_hops_need_the_exact_predecessor(supply, setpoints):
-    batch = supply.register_batch("101", "Petrol", setpoints)
+    batch = supply.register_batch("101", setpoints)
     first = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY,
                                 standard_terms(setpoints))
     second = supply.initiate_hop(batch, Role.REFINERY, Role.STORAGE,
@@ -162,7 +168,7 @@ def test_follow_on_hops_need_the_exact_predecessor(supply, setpoints):
 
 
 def test_custody_continuity_between_hops(supply, setpoints):
-    batch = supply.register_batch("101", "Petrol", setpoints)
+    batch = supply.register_batch("101", setpoints)
     first = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY,
                                 standard_terms(setpoints))
     with pytest.raises(InvalidRolePair):
@@ -174,7 +180,7 @@ def test_custody_continuity_between_hops(supply, setpoints):
 # --- acceptance ---------------------------------------------------------------------------
 
 def proposed_hop(supply, setpoints, **terms_kwargs):
-    batch = supply.register_batch("101", "Petrol", setpoints)
+    batch = supply.register_batch("101", setpoints)
     hop = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY,
                               standard_terms(setpoints, **terms_kwargs))
     return batch, hop
@@ -185,8 +191,7 @@ def test_signature_acceptance_records_settlement(supply, setpoints):
     supply.accept_shipment(hop, sign_accept(supply, hop))
     assert hop.status is HopStatus.ACCEPTED
 
-    private = supply.private_chain(hop.seller.address)
-    block = private.blocks[-1]
+    block = supply.private_runtime(hop.seller.address).chain.blocks[-1]
     tx = block.transactions[0]
     assert tx.function == "settlement"
     assert tx.caller == hop.buyer.address
@@ -222,6 +227,7 @@ def test_passphrase_acceptance(supply, setpoints):
     supply.accept_shipment(hop, "wholesale-gate-7")
     assert hop.status is HopStatus.ACCEPTED
     assert "stored_passphrase" not in repr(hop)
+    assert "wholesale-gate-7" not in repr(hop)
 
 
 def test_double_accept_rejected(supply, setpoints):
@@ -261,7 +267,7 @@ def test_delivery_advances_distribution_and_stamps_tick(supply, setpoints):
     _batch, hop = proposed_hop(supply, setpoints)
     supply.accept_shipment(hop, sign_accept(supply, hop))
     supply.deliver(hop)
-    state = supply.distribution_state("101")
+    state = custody(supply)
     assert state["current_trace"] == "AtDriller"
     assert state["oil_id"] == "101"
     assert state["drill_price"] == 100
@@ -272,15 +278,15 @@ def test_delivery_advances_distribution_and_stamps_tick(supply, setpoints):
 
 
 def test_full_path_reaches_sold(supply, setpoints):
-    batch = supply.register_batch("101", "Petrol", setpoints)
+    batch = supply.register_batch("101", setpoints)
     advance(supply, batch, Role.DRILLER, Role.REFINERY, setpoints)
-    assert supply.distribution_state("101")["current_trace"] == "AtDriller"
+    assert custody(supply)["current_trace"] == "AtDriller"
     advance(supply, batch, Role.REFINERY, Role.STORAGE, setpoints, price=120)
-    assert supply.distribution_state("101")["current_trace"] == "AtFactory"
+    assert custody(supply)["current_trace"] == "AtFactory"
     advance(supply, batch, Role.STORAGE, Role.PUMP, setpoints, price=150)
-    assert supply.distribution_state("101")["current_trace"] == "AtStorage"
+    assert custody(supply)["current_trace"] == "AtStorage"
     h4 = advance(supply, batch, Role.PUMP, Role.CONSUMER, setpoints, price=180)
-    state = supply.distribution_state("101")
+    state = custody(supply)
     assert state["current_trace"] == "Sold"
     assert state["pump_price"] == 180
     assert [h.status for h in batch.hops] == [HopStatus.DELIVERED] * 4
@@ -296,7 +302,7 @@ def test_full_path_reaches_sold(supply, setpoints):
 
 
 def test_out_of_order_delivery_hits_the_stage_gate(supply, setpoints):
-    batch = supply.register_batch("101", "Petrol", setpoints)
+    batch = supply.register_batch("101", setpoints)
     supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY, standard_terms(setpoints))
     h2 = supply.initiate_hop(batch, Role.REFINERY, Role.STORAGE,
                              standard_terms(setpoints))
@@ -304,20 +310,20 @@ def test_out_of_order_delivery_hits_the_stage_gate(supply, setpoints):
     with pytest.raises(WrongStage):
         supply.deliver(h2)
     assert h2.status is HopStatus.ACCEPTED
-    assert supply.distribution_state("101")["current_trace"] == "Created"
+    assert custody(supply)["current_trace"] == "Created"
 
 
 def test_other_factory_branch_ends_at_storage(setpoints):
     roles = FIVE_ROLES + [Role.OTHER_FACTORY]
     topo = Topology.from_seed(roles, validator_count=4, seed=7)
     supply = SupplyChain(topo, seed=7)
-    batch = supply.register_batch("101", "Petrol", setpoints)
+    batch = supply.register_batch("101", setpoints)
     advance(supply, batch, Role.DRILLER, Role.REFINERY, setpoints)
     advance(supply, batch, Role.REFINERY, Role.STORAGE, setpoints)
     h3 = advance(supply, batch, Role.STORAGE, Role.OTHER_FACTORY, setpoints)
     # the storage hand-off still books the oil into storage, then the
     # branch terminates: an OtherFactory cannot sell onward
-    assert supply.distribution_state("101")["current_trace"] == "AtStorage"
+    assert custody(supply)["current_trace"] == "AtStorage"
     assert h3.status is HopStatus.DELIVERED
     with pytest.raises(InvalidRolePair):
         supply.initiate_hop(batch, Role.OTHER_FACTORY, Role.CONSUMER,
@@ -334,7 +340,7 @@ def test_weight_delta_is_last_minus_first(supply, setpoints):
 
 
 def test_trace_is_read_only_and_checks_batch(supply, setpoints):
-    batch = supply.register_batch("101", "Petrol", setpoints)
+    batch = supply.register_batch("101", setpoints)
     advance(supply, batch, Role.DRILLER, Role.REFINERY, setpoints)
     before = tips(supply)
     report = build_report(supply.consortium_chain, "101")
