@@ -14,6 +14,7 @@ import reprlib
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import identity, ledger, runtime, telemetry
@@ -31,9 +32,6 @@ RUN_REPORT_SCHEMA_VERSION = 1
 
 # longest telemetry stream a hop may ask for; a stream is built whole in memory
 MAX_DURATION_TICKS = 10_000
-
-_ROLE_BY_NAME = {role.value: role for role in Role}
-_KIND_BY_NAME = {kind.value: kind for kind in ReadingKind}
 
 
 @dataclass(frozen=True)
@@ -74,8 +72,14 @@ class RunResult:
 
 
 # --- parsing ---------------------------------------------------------------------
+#
+# One table per JSON object of a scenario document states each of its fields
+# once: `key=converter` when the key is required, `key=(converter, default)`
+# when it is not, the default being a document value. A converter takes a
+# value and its path and returns the parsed value or raises ValidationError
+# naming that path. The rules that span fields follow the tables.
 
-_TYPE_NAME = {dict: "an object", list: "a list", str: "a string"}
+_REQUIRED = object()
 
 
 def _shown(value) -> str:
@@ -84,35 +88,46 @@ def _shown(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _typed(value, kind: type, where: str):
-    if not isinstance(value, kind):
-        raise ValidationError(f"{where}: expected {_TYPE_NAME[kind]}, got {type(value).__name__}")
-    return value
+def _instance(kind: type, name: str):
+    """The converter of a value that must be a `kind`, called `name` in messages."""
+    def convert(value, where: str):
+        if not isinstance(value, kind):
+            raise ValidationError(f"{where}: expected {name}, got {type(value).__name__}")
+        return value
+    return convert
 
 
-def _need(mapping: dict, key: str, where: str, kind: type | None = None):
-    if key not in mapping:
-        raise ValidationError(f"{where}: missing required field {key!r}")
-    if kind is not None:
-        _typed(mapping[key], kind, f"{where}.{key}")
-    return mapping[key]
+_string = _instance(str, "a string")
+_mapping = _instance(dict, "an object")
+_list = _instance(list, "a list")
 
 
-def _role(name, where: str) -> Role:
-    if not isinstance(name, str) or name not in _ROLE_BY_NAME:
-        raise ValidationError(f"{where}: unknown role {_shown(name)}")
-    return _ROLE_BY_NAME[name]
+def _list_of(item):
+    """The converter of a list whose items each go through `item`, to a tuple."""
+    return lambda value, where: tuple(item(v, f"{where}[{i}]")
+                                      for i, v in enumerate(_list(value, where)))
 
 
-def _kind(name, where: str) -> ReadingKind:
-    if not isinstance(name, str) or name not in _KIND_BY_NAME:
-        raise ValidationError(f"{where}: unknown reading kind {_shown(name)}")
-    return _KIND_BY_NAME[name]
+def _member(by_name: dict, what: str):
+    """The converter of a name to what `by_name` maps it to."""
+    def convert(name, where: str):
+        if not isinstance(name, str) or name not in by_name:
+            raise ValidationError(f"{where}: unknown {what} {_shown(name)}")
+        return by_name[name]
+    return convert
 
 
-def _positive_int(value, where: str, minimum: int = 0) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ValidationError(f"{where}: expected an integer >= {minimum}, got {_shown(value)}")
+_role = _member({role.value: role for role in Role}, "role")
+_kind = _member({kind.value: kind for kind in ReadingKind}, "reading kind")
+_accept_method = _member({method: method for method in ("signature", "passphrase")}, "method")
+
+
+def _bounded_int(value, where: str, minimum: int | None = 0) -> int:
+    """An integer, at least `minimum` unless that is None."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}, got {_shown(value)}"
+        raise ValidationError(f"{where}: expected an integer{bound}")
     return value
 
 
@@ -134,6 +149,85 @@ def check_eth_usd(value, where: str) -> float:
     return float(value)
 
 
+def _schema_version(value, where: str) -> int:
+    if type(value) is not int or value != SCENARIO_SCHEMA_VERSION:
+        raise ValidationError(
+            f"{where}: {_shown(value)} unsupported (expected {SCENARIO_SCHEMA_VERSION})")
+    return value
+
+
+def _passphrase(value, where: str) -> str | None:
+    if value is not None and not _string(value, where):
+        raise ValidationError(f"{where}: must not be empty")
+    return value
+
+
+def _extra_setpoints(value, where: str) -> dict[ReadingKind, telemetry.Value]:
+    """Setpoints by kind name: a Location is a [lat, lon] pair of integers,
+    any other kind an integer >= 0."""
+    extra: dict[ReadingKind, telemetry.Value] = {}
+    for key, setpoint in _mapping(value, where).items():
+        kind = _kind(key, where)
+        if kind is not ReadingKind.LOCATION:
+            extra[kind] = _bounded_int(setpoint, f"{where}.{key}")
+        elif (isinstance(setpoint, list) and len(setpoint) == 2
+              and all(type(v) is int for v in setpoint)):
+            extra[kind] = (setpoint[0], setpoint[1])
+        else:
+            raise ValidationError(f"{where}.{key}: expected [lat, lon] integers")
+    return extra
+
+
+class _Table:
+    """The fields of one JSON object. Reading an object refuses a key the table
+    does not list, converts every field, and passes them by name to `build`."""
+
+    def __init__(self, build=dict, /, **fields):
+        self.build = build
+        self.fields = {key: f if isinstance(f, tuple) else (f, _REQUIRED)
+                       for key, f in fields.items()}
+
+    def __call__(self, value, where: str):
+        doc = _mapping(value, where)
+        for key in doc:
+            if key not in self.fields:
+                import difflib      # only a refused document needs it
+                path = f"{where}.{key}" if key.isidentifier() else f"{where}[{_shown(key)}]"
+                close = difflib.get_close_matches(key, self.fields, n=1)
+                hint = f"; did you mean {close[0]!r}?" if close else ""
+                raise ValidationError(f"{path}: unknown key{hint}")
+        values = {}
+        for key, (convert, default) in self.fields.items():
+            if key not in doc and default is _REQUIRED:
+                raise ValidationError(f"{where}: missing required field {key!r}")
+            values[key] = convert(doc.get(key, default), f"{where}.{key}")
+        return self.build(**values)
+
+
+_FAULT = _Table(FaultSpec, kind=_kind, start=_bounded_int, end=_bounded_int,
+                offset=partial(_bounded_int, minimum=None))
+_TELEMETRY = _Table(duration=partial(_bounded_int, minimum=1), kinds=_list_of(_kind),
+                    noise_amplitude=(_bounded_int, 0), extra_setpoints=(_extra_setpoints, {}),
+                    faults=(_list_of(_FAULT), []))
+_ACCEPT = _Table(method=(_accept_method, "signature"), passphrase=(_passphrase, None))
+_HOP = _Table(seller=_role, buyer=_role, price=_bounded_int, quantity=_bounded_int,
+              accept=(_ACCEPT, {}), telemetry=_TELEMETRY)
+_SETPOINTS = _Table(Setpoints, temperature=_bounded_int, humidity=_bounded_int,
+                    pressure=_bounded_int)
+_BATCH = _Table(batch_id=_string, oil_name=_string, setpoints=_SETPOINTS, hops=_list_of(_HOP))
+_TOPOLOGY = _Table(validators=partial(_bounded_int, minimum=1),
+                   faulty_validators=(_bounded_int, 0), byzantine_validators=(_bounded_int, 0),
+                   roles=_list_of(_role))
+_REPORT = _Table(eth_usd=(check_eth_usd, runtime.DEFAULT_ETH_USD))
+_DOCUMENT = _Table(schema_version=_schema_version, name=_string, seed=check_seed,
+                   topology=_TOPOLOGY, batches=_list_of(_BATCH), report=(_REPORT, {}))
+
+# the scenario schema: every table by name
+TABLES = {"document": _DOCUMENT, "topology": _TOPOLOGY, "batch": _BATCH,
+          "setpoints": _SETPOINTS, "hop": _HOP, "accept": _ACCEPT, "telemetry": _TELEMETRY,
+          "fault": _FAULT, "report": _REPORT}
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file."""
     path = Path(path)
@@ -147,204 +241,104 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     except RecursionError:
         raise ParseError(f"{path}: nested too deeply") from None
     return parse_scenario(doc, where=str(path.name))
 
 
 def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
+    """Read a document through its tables, then check the rules across fields."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{where}: document must be an object")
-    version = _need(doc, "schema_version", where)
-    if version != SCENARIO_SCHEMA_VERSION:
-        raise ValidationError(
-            f"{where}: schema_version {_shown(version)} unsupported"
-            f" (expected {SCENARIO_SCHEMA_VERSION})"
-        )
-    name = _need(doc, "name", where, str)
-    seed = check_seed(_need(doc, "seed", where), f"{where}.seed")
-
-    topo = _need(doc, "topology", where, dict)
-    validators = _positive_int(_need(topo, "validators", f"{where}.topology"),
-                               f"{where}.topology.validators", minimum=1)
+    fields = _DOCUMENT(doc, where)
+    topo, tw = fields["topology"], f"{where}.topology"
+    validators, faulty, byzantine, roles = (
+        topo["validators"], topo["faulty_validators"], topo["byzantine_validators"], topo["roles"])
     try:
         ledger.quorum_fault_bound(validators)
     except InvalidValidatorSet as exc:
-        raise ValidationError(f"{where}.topology.validators: {exc}") from exc
-    faulty = _positive_int(topo.get("faulty_validators", 0),
-                           f"{where}.topology.faulty_validators")
+        raise ValidationError(f"{tw}.validators: {exc}") from exc
     if faulty > validators:
-        raise ValidationError(
-            f"{where}.topology.faulty_validators: {faulty} silent validators"
-            f" exceed the {validators} validators"
-        )
-    byzantine = _positive_int(topo.get("byzantine_validators", 0),
-                              f"{where}.topology.byzantine_validators")
+        raise ValidationError(f"{tw}.faulty_validators: {faulty} silent validators"
+                              f" exceed the {validators} validators")
     if faulty + byzantine > validators:
-        raise ValidationError(
-            f"{where}.topology.byzantine_validators: {faulty} silent plus"
-            f" {byzantine} Byzantine validators exceed the {validators} validators"
-        )
-    roles = tuple(
-        _role(r, f"{where}.topology.roles[{i}]")
-        for i, r in enumerate(_need(topo, "roles", f"{where}.topology", list))
-    )
+        raise ValidationError(f"{tw}.byzantine_validators: {faulty} silent plus {byzantine}"
+                              f" Byzantine validators exceed the {validators} validators")
     if len(set(roles)) != len(roles):
-        raise ValidationError(f"{where}.topology.roles: duplicate role")
+        raise ValidationError(f"{tw}.roles: duplicate role")
     for role in REQUIRED_ROLES:
         if role not in roles:
-            raise ValidationError(f"{where}.topology.roles: missing required role {role.value}")
-
-    batches = []
-    for bi, batch_doc in enumerate(_need(doc, "batches", where, list)):
-        bw = f"{where}.batches[{bi}]"
-        _typed(batch_doc, dict, bw)
-        batch_id = _need(batch_doc, "batch_id", bw, str)
-        if any(b.batch_id == batch_id for b in batches):
-            raise ValidationError(f"{bw}.batch_id: batch {_shown(batch_id)} appears twice")
-        oil_name = _need(batch_doc, "oil_name", bw, str)
-        setp = _need(batch_doc, "setpoints", bw, dict)
-        setpoints = Setpoints(
-            temperature=_positive_int(_need(setp, "temperature", f"{bw}.setpoints"),
-                                      f"{bw}.setpoints.temperature"),
-            humidity=_positive_int(_need(setp, "humidity", f"{bw}.setpoints"),
-                                   f"{bw}.setpoints.humidity"),
-            pressure=_positive_int(_need(setp, "pressure", f"{bw}.setpoints"),
-                                   f"{bw}.setpoints.pressure"),
-        )
-        hops = []
-        for hi, hop_doc in enumerate(_need(batch_doc, "hops", bw, list)):
-            hw = f"{bw}.hops[{hi}]"
-            _typed(hop_doc, dict, hw)
-            seller = _role(_need(hop_doc, "seller", hw), f"{hw}.seller")
-            buyer = _role(_need(hop_doc, "buyer", hw), f"{hw}.buyer")
-            try:
-                check_custody(hops[-1].buyer if hops else None, seller, buyer)
-            except InvalidRolePair as exc:
-                raise ValidationError(f"{hw}.seller: {exc}") from exc
-            if buyer not in roles:
-                raise ValidationError(f"{hw}.buyer: topology has no {buyer.value} actor")
-            accept = _typed(hop_doc.get("accept", {"method": "signature"}), dict, f"{hw}.accept")
-            method = accept.get("method", "signature")
-            if method not in ("signature", "passphrase"):
-                raise ValidationError(f"{hw}.accept.method: unknown method {_shown(method)}")
-            passphrase = accept.get("passphrase")
-            if passphrase is not None:
-                if not _typed(passphrase, str, f"{hw}.accept.passphrase"):
-                    raise ValidationError(f"{hw}.accept.passphrase: must not be empty")
-            elif method == "passphrase":
-                raise ValidationError(f"{hw}.accept: passphrase method needs a passphrase")
-            profile, faults = _parse_telemetry(_need(hop_doc, "telemetry", hw, dict),
-                                               f"{hw}.telemetry", setpoints)
-            hops.append(HopSpec(
-                seller=seller,
-                buyer=buyer,
-                terms=TermSheet(
-                    oil_id=batch_id,
-                    oil_name=oil_name,
-                    quantity=_positive_int(_need(hop_doc, "quantity", hw), f"{hw}.quantity"),
-                    price=_positive_int(_need(hop_doc, "price", hw), f"{hw}.price"),
-                    setpoints=setpoints,
-                    passphrase=passphrase,
-                ),
-                accept_method=method,
-                profile=profile,
-                faults=faults,
-            ))
-        if not hops:
-            raise ValidationError(f"{bw}.hops: at least one hop required")
-        batches.append(BatchSpec(
-            batch_id=batch_id,
-            oil_name=oil_name,
-            setpoints=setpoints,
-            hops=tuple(hops),
-        ))
+            raise ValidationError(f"{tw}.roles: missing required role {role.value}")
+    batches: list[BatchSpec] = []
+    for i, batch in enumerate(fields["batches"]):
+        bw = f"{where}.batches[{i}]"
+        if any(b.batch_id == batch["batch_id"] for b in batches):
+            raise ValidationError(f"{bw}.batch_id: batch {_shown(batch['batch_id'])} appears twice")
+        batches.append(_batch(batch, bw, roles))
     if not batches:
         raise ValidationError(f"{where}.batches: at least one batch required")
-
-    report = _typed(doc.get("report", {}), dict, f"{where}.report")
-    eth_usd = check_eth_usd(report.get("eth_usd", runtime.DEFAULT_ETH_USD),
-                            f"{where}.report.eth_usd")
-
-    return Scenario(
-        name=name,
-        seed=seed,
-        validator_count=validators,
-        faulty_validators=faulty,
-        roles=roles,
-        batches=tuple(batches),
-        eth_usd=eth_usd,
-        byzantine_validators=byzantine,
-    )
+    return Scenario(fields["name"], fields["seed"], validators, faulty, roles, tuple(batches),
+                    fields["report"]["eth_usd"], byzantine)
 
 
-def _parse_telemetry(doc: dict, where: str, setpoints: Setpoints,
-                     ) -> tuple[SensorProfile, tuple[FaultSpec, ...]]:
+def _batch(batch: dict, where: str, roles: tuple[Role, ...]) -> BatchSpec:
+    """A batch whose hops go in custody order, each to an actor of the topology."""
+    hops: list[HopSpec] = []
+    for j, hop in enumerate(batch["hops"]):
+        hw = f"{where}.hops[{j}]"
+        try:
+            check_custody(hops[-1].buyer if hops else None, hop["seller"], hop["buyer"])
+        except InvalidRolePair as exc:
+            raise ValidationError(f"{hw}.seller: {exc}") from exc
+        if hop["buyer"] not in roles:
+            raise ValidationError(f"{hw}.buyer: topology has no {hop['buyer'].value} actor")
+        accept = hop["accept"]
+        if accept["method"] == "passphrase" and accept["passphrase"] is None:
+            raise ValidationError(f"{hw}.accept: passphrase method needs a passphrase")
+        terms = TermSheet(batch["batch_id"], batch["oil_name"], hop["quantity"], hop["price"],
+                          batch["setpoints"], accept["passphrase"])
+        profile, faults = _telemetry(hop["telemetry"], f"{hw}.telemetry", batch["setpoints"])
+        hops.append(HopSpec(hop["seller"], hop["buyer"], terms, accept["method"], profile, faults))
+    if not hops:
+        raise ValidationError(f"{where}.hops: at least one hop required")
+    return BatchSpec(batch["batch_id"], batch["oil_name"], batch["setpoints"], tuple(hops))
+
+
+def _telemetry(fields: dict, where: str, setpoints: Setpoints,
+               ) -> tuple[SensorProfile, tuple[FaultSpec, ...]]:
     """A hop's sensor profile and faults, each kind's setpoint resolved.
 
     Temperature, humidity and pressure take the batch setpoints and refuse an
     `extra_setpoints` entry; every other kind needs one.
     """
-    duration = _positive_int(_need(doc, "duration", where), f"{where}.duration", minimum=1)
+    duration, extra = fields["duration"], fields["extra_setpoints"]
     if duration > MAX_DURATION_TICKS:
-        raise ValidationError(
-            f"{where}.duration: at most {MAX_DURATION_TICKS} ticks, got {duration}"
-        )
-    amplitude = _positive_int(doc.get("noise_amplitude", 0), f"{where}.noise_amplitude")
-    extra = {}
-    extra_doc = _typed(doc.get("extra_setpoints", {}), dict, f"{where}.extra_setpoints")
-    for key, value in extra_doc.items():
-        kind = _kind(key, f"{where}.extra_setpoints")
-        kw = f"{where}.extra_setpoints.{key}"
+        raise ValidationError(f"{where}.duration: at most {MAX_DURATION_TICKS} ticks,"
+                              f" got {duration}")
+    for kind in extra:
         if kind in telemetry.CHECK_FUNCTION:
-            raise ValidationError(f"{kw}: {key} takes the batch setpoint")
-        if kind is ReadingKind.LOCATION:
-            if (not isinstance(value, list) or len(value) != 2
-                    or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
-                raise ValidationError(f"{kw}: expected [lat, lon] integers")
-            extra[kind] = (value[0], value[1])
-        else:
-            extra[kind] = _positive_int(value, kw)
-    values = {
-        **extra,
-        ReadingKind.TEMPERATURE: setpoints.temperature,
-        ReadingKind.HUMIDITY: setpoints.humidity,
-        ReadingKind.PRESSURE: setpoints.pressure,
-    }
+            raise ValidationError(f"{where}.extra_setpoints.{kind.value}:"
+                                  f" {kind.value} takes the batch setpoint")
+    values = {**extra, ReadingKind.TEMPERATURE: setpoints.temperature,
+              ReadingKind.HUMIDITY: setpoints.humidity, ReadingKind.PRESSURE: setpoints.pressure}
     streamed: dict[ReadingKind, telemetry.Value] = {}
-    for i, name in enumerate(_need(doc, "kinds", where, list)):
-        kind = _kind(name, f"{where}.kinds[{i}]")
+    for i, kind in enumerate(fields["kinds"]):
         if kind in streamed:
             raise ValidationError(f"{where}.kinds[{i}]: duplicate reading kind {kind.value}")
         if kind not in values:
-            raise ValidationError(
-                f"{where}.kinds[{i}]: reading kind {kind.value} needs an extra_setpoints entry"
-            )
+            raise ValidationError(f"{where}.kinds[{i}]: reading kind {kind.value}"
+                                  f" needs an extra_setpoints entry")
         streamed[kind] = values[kind]
-    faults = []
-    for fi, fault_doc in enumerate(_typed(doc.get("faults", []), list, f"{where}.faults")):
-        fw = f"{where}.faults[{fi}]"
-        _typed(fault_doc, dict, fw)
-        offset = _need(fault_doc, "offset", fw)
-        if not isinstance(offset, int) or isinstance(offset, bool):
-            raise ValidationError(f"{fw}.offset: expected an integer")
-        kind = _kind(_need(fault_doc, "kind", fw), f"{fw}.kind")
-        if kind not in streamed:
-            raise ValidationError(f"{fw}.kind: the hop streams no {kind.value} readings")
-        fault = FaultSpec(
-            kind=kind,
-            start=_positive_int(_need(fault_doc, "start", fw), f"{fw}.start"),
-            end=_positive_int(_need(fault_doc, "end", fw), f"{fw}.end"),
-            offset=offset,
-        )
+    for i, fault in enumerate(fields["faults"]):
+        fw = f"{where}.faults[{i}]"
+        if fault.kind not in streamed:
+            raise ValidationError(f"{fw}.kind: the hop streams no {fault.kind.value} readings")
         if fault.start > fault.end or fault.end >= duration:
-            raise ValidationError(
-                f"{fw}: window [{fault.start}, {fault.end}]"
-                f" is not inside ticks [0, {duration - 1}]"
-            )
-        faults.append(fault)
-    profile = SensorProfile(duration=duration, setpoints=streamed, noise_amplitude=amplitude)
-    return profile, tuple(faults)
+            raise ValidationError(f"{fw}: window [{fault.start}, {fault.end}]"
+                                  f" is not inside ticks [0, {duration - 1}]")
+    return SensorProfile(duration, streamed, fields["noise_amplitude"]), fields["faults"]
 
 
 # --- running ----------------------------------------------------------------------
@@ -533,6 +527,7 @@ __all__ = [
     "OilchainError",
     "RunResult",
     "Scenario",
+    "TABLES",
     "build_run_report",
     "check_eth_usd",
     "check_seed",

@@ -132,7 +132,7 @@ def load_chain(directory: Path) -> ledger.Chain:
     directory = Path(directory)
     try:
         manifest = json.loads((directory / _MANIFEST).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CorruptLedger(f"unreadable manifest in {directory.name}: {exc}") from exc
     try:
         if not isinstance(manifest, dict):

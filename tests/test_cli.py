@@ -58,7 +58,9 @@ def test_run_missing_file_exits_one(capsys):
      b' "topology": {"validators": 5, "roles": []}, "batches": []}', "validators"),
     (b"\xff\xfe{}", "bad.json: not UTF-8"),
     (b"[" * 100_000, "bad.json: nested too deeply"),
-], ids=["validator-count", "not-utf-8", "nested-past-the-recursion-limit"])
+    (b'{"schema_version": 1, "name": "x", "seed": ' + b"7" * 5000 + b"}", "bad.json"),
+], ids=["validator-count", "not-utf-8", "nested-past-the-recursion-limit",
+        "seed-of-5000-digits"])
 def test_run_invalid_scenario_exits_one(tmp_path, capsys, content, needle):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
@@ -103,11 +105,19 @@ def _hop_telemetry(doc, hop):
     (lambda d: d.update(seed=2**63), "seed"),
     (lambda d: d.update(seed=functools.reduce(lambda inner, _: [inner], range(900), [])),
      "seed"),
+    (lambda d: _hop_telemetry(d, 0).update(nosie_amplitude=3),
+     "batches[0].hops[0].telemetry.nosie_amplitude"),
+    (lambda d: d["topology"].update(faulty_validator=1), "topology.faulty_validator"),
+    (lambda d: _hop_telemetry(d, 1).update(max_silence_ticks=0),
+     "batches[0].hops[1].telemetry.max_silence_ticks"),
+    (lambda d: d.update(comment="draft"), "comment"),
 ], ids=["fault-kind-not-streamed", "fault-window-past-end", "fault-window-reversed",
         "repeated-batch-id", "repeated-kind", "kind-without-setpoint",
         "topology-without-storage", "buyer-not-in-topology", "hop-3-sold-by-driller",
         "hop-1-sold-by-refinery", "null-batch-id", "null-name", "no-hops",
-        "empty-passphrase-under-signature", "seed-past-2**63", "seed-nested-900-deep"])
+        "empty-passphrase-under-signature", "seed-past-2**63", "seed-nested-900-deep",
+        "misspelt-noise-amplitude", "misspelt-faulty-validators", "leftover-max-silence-ticks",
+        "unknown-top-level-key"])
 def test_run_refuses_bad_input_naming_the_field(tmp_path, capsys, mutate, field):
     doc = json.loads((SCENARIO_DIR / "happy_path.json").read_text())
     mutate(doc)
@@ -383,6 +393,20 @@ def test_a_validator_count_not_3f_plus_1_is_refused_naming_the_chain(happy_store
     assert code == 1
     assert out == ""
     assert err == "error: invalid manifest in consortium: validator count must be 3f+1, got 2\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace(b'"schema_version": 2', b'"schema_version": ' + b"7" * 5000),
+    lambda text: text + b"\xff\xfe",
+], ids=["schema-version-of-5000-digits", "not-utf-8"])
+def test_unreadable_manifest_is_refused_naming_the_chain(happy_store, capsys, edit):
+    manifest_file = happy_store / "private-driller" / "manifest.json"
+    manifest_file.write_bytes(edit(manifest_file.read_bytes()))
+    code, out, err = run_cli(capsys, "verify", "--store", str(happy_store))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "manifest in private-driller" in err
 
 
 def test_verify_names_a_resealed_minority_block(happy_store, capsys):

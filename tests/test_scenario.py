@@ -8,12 +8,14 @@ import functools
 import hashlib
 import io
 import json
+import re
+import string
 import tempfile
 import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (FIVE_ROLES, JSON_VALUES, SCENARIO_DIR, hand_report, node_paths,
                       standard_terms, with_node_replaced)
@@ -25,6 +27,7 @@ from oilchain.identity import Role
 from oilchain.provenance import batch_text, build_report
 from oilchain.scenario import (
     MAX_DURATION_TICKS,
+    TABLES,
     Scenario,
     build_run_report,
     load_scenario,
@@ -34,11 +37,12 @@ from oilchain.scenario import (
     run_scenario,
     run_scenario_file,
 )
-from oilchain.telemetry import FaultSpec, SensorProfile
+from oilchain.telemetry import FaultSpec, ReadingKind, SensorProfile
 from oilchain.workflow import HopStatus, Setpoints, SupplyChain, Topology
 
 HAPPY = SCENARIO_DIR / "happy_path.json"
 FAULTED = SCENARIO_DIR / "pressure_fault_hop2.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def minimal_doc() -> dict:
@@ -195,6 +199,108 @@ def test_any_one_node_replaced_parses_or_raises_oilchain_error(node, value):
     except OilchainError:
         return
     assert isinstance(parsed, Scenario)
+
+
+@pytest.mark.parametrize("mutate,path,suggestion", [
+    (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(nosie_amplitude=3),
+     "scenario.batches[0].hops[0].telemetry.nosie_amplitude", "noise_amplitude"),
+    (lambda d: d["topology"].update(faulty_validator=1),
+     "scenario.topology.faulty_validator", "faulty_validators"),
+    (lambda d: d["batches"][0]["hops"][0]["telemetry"].update(max_silence_ticks=0),
+     "scenario.batches[0].hops[0].telemetry.max_silence_ticks", None),
+    (lambda d: d.update({"see notes": 1}), "scenario['see notes']", None),
+    (lambda d: d["batches"][0]["setpoints"].update(presure=8),
+     "scenario.batches[0].setpoints.presure", "pressure"),
+])
+def test_unknown_keys_are_refused_naming_their_path(mutate, path, suggestion):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(broken(mutate))
+    hint = f"; did you mean {suggestion!r}?" if suggestion else ""
+    assert str(err.value) == f"{path}: unknown key{hint}"
+
+
+def test_readme_lists_every_scenario_key():
+    section = README.read_text().split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    missing = [key for table in TABLES.values() for key in table.fields
+               if f"`{key}`" not in section]
+    assert missing == []
+
+
+# --- one random edit of a bundled scenario -----------------------------------------
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def path_text(path) -> str:
+    return "scenario" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def json_type(value) -> str:
+    for name, kinds in (("null", type(None)), ("boolean", bool), ("number", (int, float)),
+                        ("string", str), ("array", list), ("object", dict)):
+        if isinstance(value, kinds):
+            return name
+    raise TypeError(value)
+
+
+OBJECT_NODES = [(i, path) for i, path in BUNDLED_NODES
+                if isinstance(node_at(BUNDLED_DOCS[i], path), dict)]
+VALUE_NODES = [(i, path) for i, path in BUNDLED_NODES if path]
+# a misspelling is a key that no table and no reading kind uses
+KNOWN_KEYS = {key for table in TABLES.values() for key in table.fields} | {
+    kind.value for kind in ReadingKind}
+ANY_TYPE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def misspelling(draw, key: str) -> str:
+    """`key` with one character deleted, inserted or replaced."""
+    i = draw(st.integers(0, len(key) - 1))
+    char = draw(st.sampled_from(string.ascii_letters + "_"))
+    return draw(st.sampled_from([key[:i] + key[i + 1:], key[:i] + char + key[i:],
+                                 key[:i] + char + key[i + 1:]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_edit_parses_or_is_refused_naming_a_node(data):
+    edit = data.draw(st.sampled_from(["drop", "misspell", "retype"]))
+    if edit == "retype":
+        doc_index, path = data.draw(st.sampled_from(VALUE_NODES))
+        original = json_type(node_at(BUNDLED_DOCS[doc_index], path))
+        value = data.draw(ANY_TYPE.filter(lambda v: json_type(v) != original))
+        doc = with_node_replaced(BUNDLED_DOCS[doc_index], path, value)
+    else:
+        doc_index, path = data.draw(st.sampled_from(OBJECT_NODES))
+        doc = copy.deepcopy(BUNDLED_DOCS[doc_index])
+        node = node_at(doc, path)
+        key = data.draw(st.sampled_from(sorted(node)))
+        if edit == "drop":
+            del node[key]
+        else:
+            new_key = data.draw(misspelling(key))
+            assume(new_key not in KNOWN_KEYS)
+            node[new_key] = node[key]
+    try:
+        parse_scenario(doc)
+    except ValidationError as err:
+        message = str(err)
+        # the message starts with the path of a node of the edited document
+        head = message.split(": ", 1)[0]
+        assert re.fullmatch(r"scenario(\.\w+|\[\d+\])*", head), message
+        node_at(doc, [int(i) if i else k for k, i in re.findall(r"\.(\w+)|\[(\d+)\]", head)])
+        if edit == "misspell":
+            assert message.startswith(path_text(path)), message
+            assert path[-1:] == ("extra_setpoints",) or "; did you mean" in message, message
+        return
+    assert edit != "misspell", "a misspelt key was accepted"
 
 
 HAPPY_DOC = BUNDLED_DOCS[0]
