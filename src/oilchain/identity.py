@@ -94,23 +94,59 @@ def generate_device(label: str, seed: int) -> KeyPair:
 
 
 @functools.lru_cache(maxsize=1024)
-def _signing_key(private_key: bytes) -> Ed25519PrivateKey:
-    """The key object for raw private key bytes, built once per key.
+def _signing_key(private_key: bytes) -> tuple[Ed25519PrivateKey, bytes]:
+    """The key object and raw public key for raw private key bytes, built
+    once per key.
 
     Ed25519 signing is deterministic, so the cached object signs exactly as a
     fresh one would. The bound keeps a process that signs with many keys from
     holding every key object it ever built.
     """
-    return Ed25519PrivateKey.from_private_bytes(private_key)
+    key = Ed25519PrivateKey.from_private_bytes(private_key)
+    return key, key.public_key().public_bytes_raw()
+
+
+# how many of its latest signatures `sign` remembers; fixed, not configurable
+SIGNATURE_MEMO_SIZE = 256
+
+# (public key, message) -> the signature `sign` returned, oldest first
+_signed: dict[tuple[bytes, bytes], bytes] = {}
 
 
 def sign(message: bytes, private_key: bytes) -> bytes:
-    """Ed25519 signature (64 bytes) over the message."""
-    return _signing_key(private_key).sign(message)
+    """Ed25519 signature (64 bytes) over the message.
+
+    The signature is remembered under (public key, message) until
+    SIGNATURE_MEMO_SIZE later ones push it out, for `signed_here`.
+    """
+    key, public_key = _signing_key(private_key)
+    signature = key.sign(message)
+    _signed[(public_key, bytes(message))] = signature
+    if len(_signed) > SIGNATURE_MEMO_SIZE:
+        del _signed[next(iter(_signed))]
+    return signature
+
+
+def signed_here(message: bytes, signature: bytes, public_key: bytes) -> bool:
+    """True iff `sign` in this process recently returned exactly `signature`
+    for `message` under the private key of `public_key`.
+
+    Such a signature is valid without verifying it (Ed25519 signing is
+    correct and deterministic). False says nothing: the signature may still
+    be valid, made elsewhere or pushed out of the memo; `verify` decides.
+    """
+    try:
+        remembered = _signed.get((public_key, message))
+    except TypeError:                   # unhashable key material is never remembered
+        return False
+    return remembered is not None and remembered == signature
 
 
 def verify(message: bytes, signature: bytes, public_key: bytes) -> bool:
-    """True iff signature is valid. Malformed inputs return False, never raise."""
+    """True iff signature is valid. Malformed inputs return False, never raise.
+
+    Always runs Ed25519: it never reads what `sign` remembers.
+    """
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
         return True

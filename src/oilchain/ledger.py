@@ -7,7 +7,10 @@ byte of recorded history that changes breaks verification from that block
 onward. Consortium blocks carry validator endorsements: signatures over the
 candidate digest. Appending seals the first 2f+1 valid, distinct ones a
 3f+1 validator set offers; a stored block must carry only valid, distinct
-ones, at least 2f+1.
+ones, at least 2f+1. Appending takes a signature that `identity.sign` made
+in this process over that digest, under the endorser's key, as valid
+without running Ed25519 again (`identity.signed_here`); it verifies every
+other one. Checking a stored block verifies every endorsement it carries.
 """
 
 from __future__ import annotations
@@ -223,20 +226,28 @@ def collect_endorsements(digest: bytes,
 
 
 def _endorsement_fault(digest: bytes, endorsement: Endorsement,
-                       validators: Sequence[bytes], seen: set[bytes]) -> str | None:
+                       validators: Sequence[bytes], seen: set[bytes],
+                       valid: Callable[[bytes, bytes, bytes], bool]) -> str | None:
     """Why an endorsement does not count toward a quorum, or None if it does.
 
-    Counting it adds its validator to `seen`, so a repeat is refused.
+    `valid(digest, signature, public_key)` judges the signature, after the
+    validator and duplicate checks. Counting an endorsement adds its
+    validator to `seen`, so a repeat is refused.
     """
     addr = endorsement.validator
     if addr not in validators:
         return f"endorsement from non-validator {identity.address_hex(addr)}"
     if addr in seen:
         return f"duplicate endorsement from {identity.address_hex(addr)}"
-    if not identity.verify(digest, endorsement.signature, endorsement.public_key):
+    if not valid(digest, endorsement.signature, endorsement.public_key):
         return f"invalid endorsement signature from {identity.address_hex(addr)}"
     seen.add(addr)
     return None
+
+
+def _signed_here_or_valid(digest: bytes, signature: bytes, public_key: bytes) -> bool:
+    return (identity.signed_here(digest, signature, public_key)
+            or identity.verify(digest, signature, public_key))
 
 
 def _seal_quorum(chain: Chain, index: int, digest: bytes,
@@ -246,13 +257,23 @@ def _seal_quorum(chain: Chain, index: int, digest: bytes,
     Skips any endorsement that is invalid, from a non-validator or a
     duplicate, and reads the supply no further than the quorum. Raises
     QuorumNotMet, naming the chain and block, if the supply runs out first.
+
+    After the validator and duplicate checks, a signature that
+    `identity.sign` returned in this process for (this digest, the
+    endorsement's public key) is byte-compared with that memo entry instead
+    of verified: signing already proved it valid. Any other signature, such
+    as a Byzantine validator's over another digest, one made elsewhere,
+    edited, offered under another validator's key or pushed out of the
+    memo, goes through `identity.verify` and is skipped with the same reason
+    as before.
     """
     needed = quorum_size(len(chain.validators))
     sealed: list[Endorsement] = []
     seen: set[bytes] = set()
     skipped: list[str] = []
     for endorsement in offered:
-        fault = _endorsement_fault(digest, endorsement, chain.validators, seen)
+        fault = _endorsement_fault(digest, endorsement, chain.validators, seen,
+                                   _signed_here_or_valid)
         if fault is not None:
             skipped.append(fault)
             continue
@@ -325,7 +346,8 @@ def verify_endorsement_quorum(chain: Chain) -> VerificationReport:
 
     A stored block is held to the strict rule: every endorsement it carries
     is a valid signature from a distinct validator, and there are at least
-    2f+1 of them. first_bad_index is the earliest block that fails, and
+    2f+1 of them. Every signature is verified with Ed25519, even one this
+    process made. first_bad_index is the earliest block that fails, and
     reason says which of those checks it failed.
     """
     if chain.chain_class is ChainClass.CONSORTIUM:
@@ -336,7 +358,8 @@ def verify_endorsement_quorum(chain: Chain) -> VerificationReport:
                     False, i, f"{len(block.endorsements)} endorsements, need {needed}")
             seen: set[bytes] = set()
             for e in block.endorsements:
-                fault = _endorsement_fault(block.digest, e, chain.validators, seen)
+                fault = _endorsement_fault(block.digest, e, chain.validators, seen,
+                                           identity.verify)
                 if fault is not None:
                     return VerificationReport(False, i, fault)
     return VerificationReport(True, None)

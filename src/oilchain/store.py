@@ -185,7 +185,8 @@ def load_store(root: Path) -> dict[str, ledger.Chain]:
     """Load every chain directory under root, keyed by directory name."""
     root = Path(root)
     if not root.is_dir():
-        raise CorruptLedger(f"store directory {root} does not exist")
+        problem = "is not a directory" if root.exists() else "does not exist"
+        raise CorruptLedger(f"store directory {root} {problem}")
     chains = {}
     for directory in _chain_dirs(root):
         chains[directory.name] = load_chain(directory)

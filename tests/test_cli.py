@@ -167,6 +167,19 @@ def test_store_path_that_is_a_file_exits_one_naming_it(tmp_path, capsys):
     assert path.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["trace", "101"]], ids=["verify", "trace"])
+@pytest.mark.parametrize("is_file,problem", [(True, "is not a directory"),
+                                             (False, "does not exist")],
+                         ids=["file", "missing"])
+def test_reading_a_store_that_is_no_directory_exits_one_naming_it(tmp_path, capsys, argv,
+                                                                 is_file, problem):
+    path = SCENARIO_DIR / "happy_path.json" if is_file else tmp_path / "missing"
+    code, out, err = run_cli(capsys, *argv, "--store", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: store directory {path} {problem}\n"
+
+
 def test_run_persists_store_and_report(tmp_path, capsys):
     root = tmp_path / "ledgers"
     code, out, _err = run_cli(capsys, "run", HAPPY, "--store", str(root),
@@ -452,3 +465,21 @@ def test_verify_refuses_a_repeated_endorsement(happy_store, capsys):
     assert code == 1
     repeated = identity.address_hex(block.endorsements[0].validator)
     assert f"QUORUM FAILED at block {index}: duplicate endorsement from {repeated}\n" in out
+
+
+def test_verify_refuses_an_endorsement_edited_after_an_in_process_run(tmp_path, capsys):
+    # the run's own signatures are still remembered by identity.sign in this
+    # process; reading the store must verify every endorsement regardless
+    supply = run_scenario_file(HAPPY).supply
+    root = tmp_path / "store"
+    store.save_store(root, supply.all_chains())
+    chain = next(c for c in supply.all_chains() if c.chain_class is ledger.ChainClass.CONSORTIUM)
+    index = len(chain.blocks) // 2
+    block = chain.blocks[index]
+    first, *rest = block.endorsements
+    edited = replace(first, signature=first.signature[:-1] + bytes([first.signature[-1] ^ 1]))
+    _reseal(root, chain, index, replace(block, endorsements=(edited, *rest)))
+    code, out, _err = run_cli(capsys, "verify", "--store", str(root))
+    assert code == 1
+    signer = identity.address_hex(first.validator)
+    assert f"QUORUM FAILED at block {index}: invalid endorsement signature from {signer}\n" in out

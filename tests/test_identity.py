@@ -109,6 +109,18 @@ def test_signing_key_is_built_once_per_key(monkeypatch):
     assert built == [kp.private_key]
 
 
+def test_signed_here_only_for_the_signature_sign_returned():
+    kp = identity.generate_device("memo", 3)
+    other = identity.generate_device("memo", 4)
+    signature = identity.sign(b"msg", kp.private_key)
+    assert identity.signed_here(b"msg", signature, kp.public_key)
+    assert not identity.signed_here(b"msg", signature[:-1], kp.public_key)
+    assert not identity.signed_here(b"other msg", signature, kp.public_key)
+    assert not identity.signed_here(b"msg", signature, other.public_key)
+    assert not identity.signed_here(b"never signed", None, kp.public_key)
+    assert not identity.signed_here(b"msg", signature, bytearray(kp.public_key))
+
+
 # --- passphrases ------------------------------------------------------------
 
 def test_passphrase_check():

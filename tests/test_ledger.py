@@ -265,6 +265,84 @@ def test_quorum_failure_names_the_chain_and_block():
         endorsed_append(chain, validators, [tx()], 2, subset=[0, 1])
 
 
+# --- sealing this process's own endorsements ------------------------------------
+
+def ed25519_verifies():
+    """Counts Ed25519 verifies: `identity.verify` builds one public key per call."""
+    return mock.patch.object(identity.Ed25519PublicKey, "from_public_bytes",
+                             wraps=identity.Ed25519PublicKey.from_public_bytes)
+
+
+@pytest.mark.parametrize("count", [4, 7, 13])
+def test_sealing_this_process_own_endorsements_runs_no_ed25519_verify(count):
+    chain, validators = make_consortium(count)
+    with ed25519_verifies() as verifies:
+        for timestamp in (1, 2):
+            endorsed_append(chain, validators, [tx()], timestamp)
+    assert verifies.call_count == 0
+    assert len(chain) == 3
+    assert ledger.verify_endorsement_quorum(chain)
+
+
+OUTSIDER = identity.generate_device("outsider", 123)
+
+# An endorsement the seal may not take from the memo of `identity.sign`
+# -> (the endorsement, given the digest and validators; the reason append
+# skips it with; how many Ed25519 verifies that takes)
+SEAL_SPOILERS = {
+    "byzantine": (lambda d, vs: next(ledger.collect_endorsements(
+        d, vs[:1], byzantine={vs[0].address})), "invalid endorsement signature from", 1),
+    "flipped_byte": (lambda d, vs: with_flipped_signature(
+        next(ledger.collect_endorsements(d, vs[:1]))), "invalid endorsement signature from", 1),
+    "another_validators_key": (lambda d, vs: ledger.Endorsement(
+        vs[1].public_key, identity.sign(d, vs[0].private_key)),
+        "invalid endorsement signature from", 1),
+    "signed_here_over_another_digest": (lambda d, vs: ledger.Endorsement(
+        vs[0].public_key, identity.sign(hashlib.sha256(d).digest(), vs[0].private_key)),
+        "invalid endorsement signature from", 1),
+    "non_validator": (lambda d, vs: next(ledger.collect_endorsements(d, [OUTSIDER])),
+                      "endorsement from non-validator", 0),
+}
+
+
+@pytest.mark.parametrize("spoiler", sorted(SEAL_SPOILERS))
+def test_seal_verifies_what_this_process_did_not_sign_for_the_digest(spoiler):
+    chain, validators = make_consortium(4)
+    make, reason, expected_verifies = SEAL_SPOILERS[spoiler]
+    spoilt = []
+
+    def endorse(digest):
+        spoilt.append(make(digest, validators))
+        yield spoilt[0]
+        yield from ledger.collect_endorsements(digest, validators[1:3])
+
+    with ed25519_verifies() as verifies, pytest.raises(QuorumNotMet) as refused:
+        ledger.append_block(chain, [tx()], 1, endorse)
+    named = identity.address_hex(spoilt[0].validator)
+    assert str(refused.value).endswith(f"got 2 valid; skipped {reason} {named}")
+    assert verifies.call_count == expected_verifies
+    assert len(chain) == 1
+
+
+def test_the_signature_memo_holds_no_more_than_its_bound():
+    key = identity.generate_device("memo", 1)
+    messages = [i.to_bytes(2, "big") for i in range(10_000)]
+    signatures = [identity.sign(m, key.private_key) for m in messages]
+    assert len(identity._signed) <= identity.SIGNATURE_MEMO_SIZE
+    assert identity.signed_here(messages[-1], signatures[-1], key.public_key)
+    assert not identity.signed_here(messages[0], signatures[0], key.public_key)
+    assert identity.verify(messages[0], signatures[0], key.public_key)
+
+
+def test_quorum_recheck_verifies_every_endorsement_this_process_sealed():
+    chain, validators = make_consortium(7)
+    for timestamp in (1, 2, 3):
+        endorsed_append(chain, validators, [tx()], timestamp)
+    with ed25519_verifies() as verifies:
+        assert ledger.verify_endorsement_quorum(chain)
+    assert verifies.call_count == sum(len(b.endorsements) for b in chain.blocks) == 15
+
+
 # --- commit certificates under silent and Byzantine validators ------------------
 
 @functools.cache
@@ -290,12 +368,17 @@ def fault_assignments(draw):
 def test_append_seals_exactly_2f_plus_1_under_up_to_f_faults(case):
     validators, silent, byzantine, f = case
     chain = ledger.new_consortium_chain("consortium", [v.address for v in validators])
-    with mock.patch.object(identity, "sign", wraps=identity.sign) as signer:
+    with mock.patch.object(identity, "sign", wraps=identity.sign) as signer, \
+            ed25519_verifies() as verifies:
         def append():
             return ledger.append_block(chain, [tx()], 1, lambda d: ledger.collect_endorsements(
                 d, validators, faulty=silent, byzantine=byzantine))
         if len(silent) + len(byzantine) <= f:
             block = append()
+            # only Byzantine endorsements went through Ed25519, each once
+            verified = [identity.derive_address(c.args[0]) for c in verifies.call_args_list]
+            assert len(verified) == len(set(verified))
+            assert set(verified) <= byzantine
             sealed = [e.validator for e in block.endorsements]
             assert len(sealed) == len(set(sealed)) == 2 * f + 1
             assert (silent | byzantine).isdisjoint(sealed)
