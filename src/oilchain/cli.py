@@ -3,9 +3,9 @@
 Subcommands:
 
     run         replay a scenario file, print its report, optionally persist
-    trace       rebuild a batch's provenance report from a persisted store
+    trace       replay a persisted store's consortium chain, then trace a batch
     gas-report  print the per-function gas and fiat cost table
-    verify      re-verify every chain in a persisted store
+    verify      re-verify every chain in a persisted store, then replay it
 
 Exit codes: 0 on success with nothing flagged, 1 on operational errors
 (bad input, corrupt store, unknown batch), 2 when violations are found.
@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import ledger, provenance, runtime, scenario, store
-from .errors import OilchainError, ValidationError
+from .errors import CorruptLedger, OilchainError, ValidationError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,15 +46,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    chains = store.load_store(Path(args.store))
-    consortium = None
-    for chain in chains.values():
-        if chain.chain_class is ledger.ChainClass.CONSORTIUM:
-            consortium = chain
-            break
+    chains = store.load_store(Path(args.store)).values()
+    consortium = next((c for c in chains if c.chain_class is ledger.ChainClass.CONSORTIUM), None)
     if consortium is None:
-        print("error: store holds no consortium chain", file=sys.stderr)
-        return EXIT_ERROR
+        raise CorruptLedger("store holds no consortium chain")
+    _replay_all(consortium)
     report = provenance.build_report(consortium, args.batch_id)
     if args.format == "structured":
         sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -92,19 +88,24 @@ def _cmd_gas_report(args) -> int:
 def _cmd_verify(args) -> int:
     chains = store.load_store(Path(args.store))
     lines = []
-    ok = True
     for name, chain in chains.items():
-        quorum = ledger.verify_endorsement_quorum(chain)
-        ok = ok and quorum.valid
+        check, report = "QUORUM", ledger.verify_endorsement_quorum(chain)
+        if report:
+            try:
+                _replay_all(chain)
+            except CorruptLedger as exc:
+                at = exc.first_bad_index
+                check, report = "REPLAY", ledger.VerificationReport(
+                    False, at, str(exc).removeprefix(f"chain {chain.name!r} block {at}: "))
         line = {
             "chain": name,
             "class": chain.chain_class.value,
             "blocks": len(chain),
             "tip_hash": chain.tip_hash.hex(),
-            "status": "ok" if quorum else f"QUORUM FAILED at block {quorum.first_bad_index}",
+            "status": "ok" if report else f"{check} FAILED at block {report.first_bad_index}",
         }
-        if not quorum:
-            line["reason"] = quorum.reason
+        if not report:
+            line["reason"] = report.reason
         lines.append(line)
     if args.format == "structured":
         sys.stdout.write(json.dumps({"chains": lines}, indent=2) + "\n")
@@ -113,7 +114,12 @@ def _cmd_verify(args) -> int:
             reason = f": {line['reason']}" if "reason" in line else ""
             print(f"{line['chain']:<20} {line['class']:<11} blocks={line['blocks']:<5}"
                   f" {line['status']}{reason}")
-    return EXIT_OK if ok else EXIT_ERROR
+    return EXIT_OK if all(line["status"] == "ok" for line in lines) else EXIT_ERROR
+
+
+def _replay_all(chain: ledger.Chain) -> None:
+    """Replay every transaction on the chain: CorruptLedger names the first that fails."""
+    runtime.replay(chain, {tx.contract for block in chain.blocks for tx in block.transactions})
 
 
 class _Parser(argparse.ArgumentParser):

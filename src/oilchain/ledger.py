@@ -323,21 +323,19 @@ def append_block(chain: Chain, transactions: Sequence[Transaction], timestamp: i
 def verify_chain(chain: Chain) -> VerificationReport:
     """Recompute every hash and link. Valid iff nothing was altered.
 
-    first_bad_index is the earliest block whose stored fields no longer match
-    what its contents imply, or hold a value the canonical encoding refuses.
+    first_bad_index is the earliest block whose stored fields do not match its
+    contents or do not encode, and reason names the check it failed.
     """
     for i, block in enumerate(chain.blocks):
         if block.index != i:
-            return VerificationReport(False, i)
-        expected_prev = GENESIS_PREV_HASH if i == 0 else chain.blocks[i - 1].hash
-        if block.prev_hash != expected_prev:
-            return VerificationReport(False, i)
+            return VerificationReport(False, i, "index out of order")
+        if block.prev_hash != (chain.blocks[i - 1].hash if i else GENESIS_PREV_HASH):
+            return VerificationReport(False, i, "prev_hash does not link")
         try:
-            recomputed = block_hash(block.digest, block.endorsements)
+            if block_hash(block.digest, block.endorsements) != block.hash:
+                return VerificationReport(False, i, "hash does not match")
         except (TypeError, ValueError):
-            return VerificationReport(False, i)
-        if recomputed != block.hash:
-            return VerificationReport(False, i)
+            return VerificationReport(False, i, "contents not encodable")
     return VerificationReport(True, None)
 
 

@@ -1,13 +1,12 @@
-"""Deterministic contract runtime: deploy, dispatch, meter, commit.
+"""Deterministic contract runtime: one execute step, committed and replayed.
 
 Gas is not interpreted from opcodes; each function carries a fixed
-(execution, transaction) gas pair from a measured calibration table. A call
-is charged its transaction gas. A call runs on a working copy of its
-contract, installed only once the call's block is appended. Reverted calls
-commit nothing: the chain tip before and after is the same hash. A call that
-cannot be committed (its args have no canonical encoding, or the ledger
-refuses its block for the ACL or the endorsement quorum) raises, and its
-working copy is dropped.
+(execution, transaction) gas pair from a measured calibration table, and a
+transaction is charged its transaction gas. `Runtime` runs a call on a
+working copy of its contract, installed only once the call's block is
+appended: a reverted call, or one whose args do not encode or whose block
+the ledger refuses, commits nothing. `replay` re-runs the same `execute`
+step over a chain and refuses a transaction whose events or gas differ.
 
 Fiat conversion prices execution gas:
 
@@ -19,7 +18,7 @@ with eth_usd defaulting to the rate the calibration table was taken at.
 from __future__ import annotations
 
 import copy
-from collections.abc import Set
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
@@ -32,9 +31,6 @@ from .errors import BadInitArgs, ContractRevert, CorruptLedger, UnknownFunction
 DEFAULT_ETH_USD = 2291.0
 
 GAS_PRICES_GWEI = {"slow": 82, "avg": 83, "fast": 125, "fastest": 147}
-
-PLUMBING_EXECUTION_GAS = 21_000
-PLUMBING_TRANSACTION_GAS = 42_000
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,8 @@ GAS_TABLE = {
     "pumpSoldOil": GasCost(68923, 90579),
 }
 
-_PLUMBING = GasCost(PLUMBING_EXECUTION_GAS, PLUMBING_TRANSACTION_GAS)
+# what an untabulated function (a constructor or a plain record) costs
+_PLUMBING = GasCost(21_000, 42_000)
 
 
 def metered_cost(function: str) -> GasCost:
@@ -122,6 +119,22 @@ def contract_address(deployer: bytes, nonce: int) -> bytes:
     return digest([deployer, nonce])[-20:]
 
 
+def execute(contracts: Mapping[bytes, ContractBase], caller: bytes, contract: bytes,
+            function: str, args: dict, tick: int
+            ) -> tuple[ContractBase | None, object, tuple[ledger.Event, ...]]:
+    """One transaction: a `constructor` goes through `create`, a function the
+    contract in `contracts` declares through `apply` (in place), anything else
+    is a plain record. Returns (instance left or None, return value, events)."""
+    if function == "constructor":
+        return CONTRACT_KINDS[args["kind"]].create(caller, args["init"]), None, ()
+    instance = contracts.get(contract)
+    if instance is None or function not in instance.functions():
+        return None, None, ()
+    return_value, emissions = instance.apply(function, args, caller, tick)
+    return instance, return_value, tuple(
+        ledger.Event(name, contract, tuple(args_)) for name, args_ in emissions)
+
+
 class Runtime:
     """Executes contracts against one chain.
 
@@ -139,8 +152,6 @@ class Runtime:
         self.contracts: dict[bytes, ContractBase] = {}
         self._nonces: dict[bytes, int] = {}
 
-    # --- deploy ---------------------------------------------------------------
-
     def deploy(self, kind: str, init_args: dict, deployer: bytes,
                annotations: dict | None = None) -> bytes:
         """Instantiate a contract and record its creation in a new block.
@@ -151,28 +162,14 @@ class Runtime:
         """
         if kind not in CONTRACT_KINDS:
             raise UnknownFunction(f"unknown contract kind {kind!r}")
-
         nonce = self._nonces.get(deployer, 0)
         address = contract_address(deployer, nonce)
-        instance = CONTRACT_KINDS[kind].create(deployer, init_args)
-
         record = {"kind": kind, "init": init_args}
         if annotations:
             record["meta"] = annotations
-        tx = ledger.Transaction(
-            caller=deployer,
-            contract=address,
-            function="constructor",
-            args=canon_encode(record),
-            gas_used=metered_cost("constructor").transaction,
-        )
-        ledger.append_block(self.chain, [tx], self.clock.next(), self._endorse)
-
+        self._commit({}, deployer, address, "constructor", record)
         self._nonces[deployer] = nonce + 1
-        self.contracts[address] = instance
         return address
-
-    # --- call -----------------------------------------------------------------
 
     def call(self, contract: bytes, function: str, args: dict,
              caller: bytes) -> CallResult:
@@ -182,72 +179,71 @@ class Runtime:
             raise UnknownFunction(f"no contract deployed at {contract.hex()}")
         if function not in instance.functions():
             raise UnknownFunction(f"{instance.KIND} has no function {function!r}")
-        cost = metered_cost(function)
-        tick = self.clock.next()
-
-        # every contract field is an immutable value that handlers reassign,
-        # never mutate, so the call cannot reach the installed instance
-        working = copy.copy(instance)
+        gas = metered_cost(function).transaction
         try:
-            return_value, emissions = working.apply(function, args, caller, tick)
+            # every contract field is an immutable value that handlers reassign,
+            # never mutate, so the call cannot reach the installed instance
+            return_value, tx = self._commit({contract: copy.copy(instance)}, caller, contract,
+                                            function, args)
         except ContractRevert as exc:
-            return CallResult(None, (), cost.transaction, CallStatus.REVERTED,
-                              revert_reason=str(exc))
-
-        events = tuple(
-            ledger.Event(name=name, emitter=contract, args=tuple(args_))
-            for name, args_ in emissions
-        )
-        tx = ledger.Transaction(
-            caller=caller,
-            contract=contract,
-            function=function,
-            args=canon_encode(args),
-            gas_used=cost.transaction,
-            events=events,
-        )
-        ledger.append_block(self.chain, [tx], tick, self._endorse)
-        self.contracts[contract] = working
-        return CallResult(return_value, events, cost.transaction, CallStatus.OK)
-
-    # --- plain records ----------------------------------------------------------
+            self.clock.next()           # a reverted call still spends its tick
+            return CallResult(None, (), gas, CallStatus.REVERTED, revert_reason=str(exc))
+        return CallResult(return_value, tx.events, gas, CallStatus.OK)
 
     def record(self, caller: bytes, contract: bytes, function: str,
                payload: dict) -> ledger.Transaction:
-        """Append a non-contract record (telemetry, settlement) as its own block."""
-        tx = ledger.Transaction(
-            caller=caller,
-            contract=contract,
-            function=function,
-            args=canon_encode(payload),
-            gas_used=metered_cost(function).transaction,
-        )
+        """Append a non-contract record (telemetry, settlement) as its own block;
+        one naming a contract function or `constructor` would replay as a call."""
+        declared = self.contracts[contract].functions() if contract in self.contracts else ()
+        if function == "constructor" or function in declared:
+            raise ValueError(f"{function!r} on {contract.hex()} is a call, not a record")
+        return self._commit({}, caller, contract, function, payload)[1]
+
+    def _commit(self, working: dict[bytes, ContractBase], caller: bytes, contract: bytes,
+                function: str, args: dict) -> tuple[object, ledger.Transaction]:
+        """Execute on `working` at the upcoming tick, append the block, then
+        install the instance left. Nothing is drawn or appended if execution raises."""
+        instance, return_value, events = execute(working, caller, contract, function, args,
+                                                 self.clock.upcoming)
+        tx = ledger.Transaction(caller, contract, function, canon_encode(args),
+                                metered_cost(function).transaction, events)
         ledger.append_block(self.chain, [tx], self.clock.next(), self._endorse)
-        return tx
+        if instance is not None:
+            self.contracts[contract] = instance
+        return return_value, tx
 
 
 # --- replay -------------------------------------------------------------------
 
 def replay(chain: ledger.Chain, contracts: Set[bytes]) -> dict[bytes, ContractBase]:
     """The contracts at these addresses that the chain deploys, rebuilt by
-    re-running their recorded constructors and calls through `create` and
-    `apply`, each at its block's tick; plain records are skipped. A record that
-    does not decode, a refused constructor, or a call that reverts or precedes
-    its constructor raises CorruptLedger naming the block."""
+    re-running every transaction on them through `execute`, each at its
+    block's tick. Raises CorruptLedger naming the chain, block and function
+    when a transaction's args do not decode, the contract refuses it, or its
+    events or metered gas differ from the record."""
     rebuilt: dict[bytes, ContractBase] = {}
     for block in chain.blocks:
         for tx in block.transactions:
             if tx.contract not in contracts:
                 continue
             try:
-                if tx.function == "constructor":
-                    record = canon_decode(tx.args)
-                    rebuilt[tx.contract] = CONTRACT_KINDS[record["kind"]].create(
-                        tx.caller, record["init"])
-                elif tx.function in rebuilt[tx.contract].functions():
-                    rebuilt[tx.contract].apply(tx.function, canon_decode(tx.args), tx.caller,
-                                               block.timestamp)
+                instance, _, events = execute(rebuilt, tx.caller, tx.contract, tx.function,
+                                              canon_decode(tx.args), block.timestamp)
+                why = _disagreement(tx, events)
             except (BadInitArgs, ContractRevert, LookupError, TypeError, ValueError) as exc:
+                why = repr(exc)
+            if why:
                 raise CorruptLedger(f"chain {chain.name!r} block {block.index}: {tx.function}"
-                                    f" does not replay: {exc!r}", block.index) from None
+                                    f" does not replay: {why}", block.index)
+            if instance is not None:
+                rebuilt[tx.contract] = instance
     return rebuilt
+
+
+def _disagreement(tx: ledger.Transaction, events: tuple[ledger.Event, ...]) -> str:
+    """How a re-executed transaction differs from its record; empty if it does not."""
+    if events != tx.events:
+        shown = ([(e.name, dict(e.args)) for e in side] for side in (events, tx.events))
+        return "emits {}, the record holds {}".format(*shown)
+    gas = metered_cost(tx.function).transaction
+    return f"costs {gas} gas, the record holds {tx.gas_used}" if gas != tx.gas_used else ""

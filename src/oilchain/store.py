@@ -171,7 +171,7 @@ def load_chain(directory: Path) -> ledger.Chain:
     if not report.valid:
         raise CorruptLedger(
             f"chain {chain.name!r} failed verification,"
-            f" first_bad_index={report.first_bad_index}",
+            f" first_bad_index={report.first_bad_index}: {report.reason}",
             first_bad_index=report.first_bad_index,
         )
     if not blocks or manifest.get("tip_hash") != chain.tip_hash.hex():

@@ -3,9 +3,10 @@
 Rows A-C edit a saved `pressure_fault_hop2` store; rows D and E forge on a
 live `happy_path` run through the public `Runtime.deploy`, with no key beyond
 the run's own, and save it. Each row's target is that every command it runs
-exits 1 and names the forged chain. A row still open carries a strict xfail
-naming the ROADMAP item that closes it, and its failure message shows what
-each command does today.
+exits 1 and names the forged chain; a closed row also names the failure each
+command shows. A row still open carries a strict xfail naming the ROADMAP
+item that closes it, and its failure message shows what each command does
+today.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from oilchain.identity import Role
 from oilchain.scenario import run_scenario_file
 from oilchain.workflow import SETTLEMENT_FUNCTION
 
-VERIFY = ["verify"]
-TRACE = ["trace", "101"]
+VERIFY = ("verify",)
+TRACE = ("trace", "101")
 
 
 def lower_pressure(event) -> bool:
@@ -85,21 +86,27 @@ def second_distribution_contract(supply):
         deployer=pump, annotations={"record": "distribution", "batch": "101"})
 
 
-def row(probe, forge, chain, commands, item):
-    return pytest.param(forge, chain, commands, id=probe, marks=pytest.mark.xfail(
-        strict=True, reason=f"ROADMAP {item}"))
+def closed(probe, forge, chain, failures):
+    """A row every command refuses: `failures` maps each to what it shows."""
+    return pytest.param(forge, chain, failures, id=probe)
+
+
+def open_row(probe, forge, chain, commands, item):
+    return pytest.param(forge, chain, dict.fromkeys(commands, ""), id=probe,
+                        marks=pytest.mark.xfail(strict=True, reason=f"ROADMAP {item}"))
 
 
 ROWS = [
-    row("A-erase-and-resign-under-fresh-keys", erase_violations_under_fresh_keys,
-        "consortium", [VERIFY, TRACE], "items 3, 5"),
-    row("B-erase-and-rehash", erase_violations_keeping_endorsements,
-        "consortium", [VERIFY, TRACE], "items 3, 5"),
-    row("C-private-settlement-edited", settle_for_one, "private-refinery", [VERIFY], "item 4"),
-    row("D-hop-deployed-in-anothers-name", fifth_hop_in_the_drillers_name,
-        "consortium", [VERIFY, TRACE], "item 9"),
-    row("E-second-distribution-contract", second_distribution_contract,
-        "consortium", [VERIFY, TRACE], "item 9"),
+    closed("A-erase-and-resign-under-fresh-keys", erase_violations_under_fresh_keys,
+           "consortium", {VERIFY: "REPLAY FAILED at block 27", TRACE: "block 27: CheckPressure"}),
+    closed("B-erase-and-rehash", erase_violations_keeping_endorsements,
+           "consortium", {VERIFY: "QUORUM FAILED at block 27", TRACE: "block 27: CheckPressure"}),
+    open_row("C-private-settlement-edited", settle_for_one, "private-refinery", [VERIFY],
+             "item 4"),
+    open_row("D-hop-deployed-in-anothers-name", fifth_hop_in_the_drillers_name,
+             "consortium", [VERIFY, TRACE], "item 9"),
+    open_row("E-second-distribution-contract", second_distribution_contract,
+             "consortium", [VERIFY, TRACE], "item 9"),
 ]
 
 
@@ -111,16 +118,16 @@ def faulted_store(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("forge,chain,commands", ROWS)
-def test_forgery_is_refused(forge, chain, commands, faulted_store, tmp_path, capsys):
+@pytest.mark.parametrize("forge,chain,failures", ROWS)
+def test_forgery_is_refused(forge, chain, failures, faulted_store, tmp_path, capsys):
     root = tmp_path / "store"
     forge(root, faulted_store)
     outcomes = []
-    for argv in commands:
+    for argv, failure in failures.items():
         code = main([*argv, "--store", str(root)])
         out, err = capsys.readouterr()
         lines = (err + out).splitlines()
         shown = next((line for line in lines if chain in line), lines[0])
-        outcomes.append((" ".join(argv), code, chain in err + out, shown))
+        outcomes.append((" ".join(argv), code, chain in shown and failure in shown, shown))
     assert all(code == 1 and named for _, code, named, _ in outcomes), "\n".join(
         f"{argv}: exit {code}: {shown}" for argv, code, _, shown in outcomes)

@@ -372,6 +372,23 @@ def test_verify_structured(happy_store, capsys):
                for c in doc["chains"])
 
 
+def test_verify_replays_a_private_chain_naming_the_transaction(happy_store, capsys):
+    # a re-sealed private chain passes the hash check; replay meters the
+    # settlement record again and refuses its edited gas
+    chain = store.load_chain(happy_store / "private-driller")
+    block = next(block for block in chain.blocks for tx in block.transactions
+                 if tx.function == "settlement")
+    _reseal(happy_store, chain, block.index, replace(block, transactions=tuple(
+        replace(tx, gas_used=1) for tx in block.transactions)))
+    code, out, _err = run_cli(capsys, "verify", "--store", str(happy_store),
+                              "--format", "structured")
+    assert code == 1
+    [failed] = [line for line in json.loads(out)["chains"] if line["status"] != "ok"]
+    assert (failed["chain"], failed["status"], failed["reason"]) == (
+        "private-driller", f"REPLAY FAILED at block {block.index}",
+        "settlement does not replay: costs 42000 gas, the record holds 1")
+
+
 def test_verify_corrupt_store(happy_store, capsys):
     blocks = happy_store / "private-driller" / "blocks.jsonl"
     text = blocks.read_text()

@@ -1,4 +1,4 @@
-"""Runtime: gas table, fiat pricing, deploy/call/record, commit on append."""
+"""Runtime: gas table, fiat pricing, deploy/call/record, commit on append, replay."""
 
 from __future__ import annotations
 
@@ -7,13 +7,15 @@ from enum import Enum
 from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import consortium_runtime, make_validators
-from oilchain import identity, ledger, runtime, telemetry
+import forgery
+from conftest import FIVE_ROLES, SCENARIO_DIR, consortium_runtime, make_validators
+from oilchain import identity, ledger, runtime, store, telemetry
 from oilchain.encoding import canon_decode
 from oilchain.contracts import CONTRACT_KINDS
-from oilchain.errors import (AccessDenied, ContractRevert, CorruptLedger, QuorumNotMet,
-                             UnknownFunction)
+from oilchain.errors import (AccessDenied, BadInitArgs, ContractRevert, CorruptLedger,
+                             QuorumNotMet, UnknownFunction)
 from oilchain.runtime import (
     CallStatus,
     GasCost,
@@ -24,6 +26,8 @@ from oilchain.runtime import (
     gas_report,
     metered_cost,
 )
+from oilchain.scenario import run_scenario_file
+from oilchain.workflow import Topology
 
 OWNER = b"\x31" * 20
 DEVICE = b"\x32" * 20
@@ -152,6 +156,15 @@ def test_deploy_nonce_bump_gives_distinct_addresses():
     assert second == contract_address(OWNER, 1)
 
 
+def test_deploy_refused_by_its_constructor_draws_no_tick_and_appends_nothing():
+    rt = private_runtime()
+    tip, upcoming = rt.chain.tip_hash, rt.clock.upcoming
+    with pytest.raises(BadInitArgs):
+        rt.deploy("CheckProgress", {"data_source": DEVICE, "tolerance": 3}, OWNER)
+    assert (rt.chain.tip_hash, rt.clock.upcoming, rt.contracts) == (tip, upcoming, {})
+    assert rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER) == contract_address(OWNER, 0)
+
+
 def test_deploy_unknown_kind_and_unlisted_deployer():
     rt = private_runtime()
     with pytest.raises(UnknownFunction):
@@ -207,6 +220,15 @@ def test_contract_revert_restores_state_and_commits_nothing():
     assert rt.contracts[address].snapshot() == state
 
 
+def test_reverted_call_spends_its_tick():
+    rt = private_runtime()
+    address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
+    upcoming = rt.clock.upcoming
+    assert rt.call(address, "EnterOil", ENTER_ARGS, OUTSIDER).status is CallStatus.REVERTED
+    rt.call(address, "EnterOil", ENTER_ARGS, OWNER)
+    assert rt.chain.blocks[-1].timestamp == upcoming + 1
+
+
 def test_call_unknown_function_and_unknown_contract_raise():
     rt = private_runtime()
     address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
@@ -224,6 +246,18 @@ def test_record_appends_plumbing_block():
     assert canon_decode(tx.args) == {"amount": 100}
     with pytest.raises(AccessDenied):
         rt.record(OUTSIDER, b"\x00" * 20, "settlement", {"amount": 1})
+
+
+@pytest.mark.parametrize("function", ["EnterOil", "constructor"])
+def test_record_naming_a_call_is_refused(function):
+    # replay runs a constructor or a declared function as a call, so a record
+    # under either name would not replay as the record it was written as
+    rt = private_runtime()
+    address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
+    tip, upcoming = rt.chain.tip_hash, rt.clock.upcoming
+    with pytest.raises(ValueError, match="is a call, not a record"):
+        rt.record(OWNER, address, function, ENTER_ARGS)
+    assert (rt.chain.tip_hash, rt.clock.upcoming) == (tip, upcoming)
 
 
 # --- consortium wiring ----------------------------------------------------------------
@@ -294,6 +328,82 @@ def test_replay_rebuilds_the_contract_and_refuses_a_call_that_reverts(kind):
                                             f" replay: Unauthorized") as exc:
         runtime.replay(rt.chain, {address})
     assert exc.value.first_bad_index == call_index
+
+
+def every_contract(chain: ledger.Chain) -> set[bytes]:
+    return {tx.contract for block in chain.blocks for tx in block.transactions}
+
+
+@pytest.fixture(scope="module")
+def faulted_consortium(tmp_path_factory):
+    """The saved consortium chain of `pressure_fault_hop2`, and the run's validator keys."""
+    root = tmp_path_factory.mktemp("faulted")
+    path = SCENARIO_DIR / "pressure_fault_hop2.json"
+    store.save_store(root, run_scenario_file(path).supply.all_chains())
+    signers = Topology.from_seed(FIVE_ROLES, validator_count=4, seed=42).validators
+    return store.load_chain(root / "consortium"), signers
+
+
+def drop_an_event(tx, draw):
+    k = draw(st.integers(0, len(tx.events) - 1))
+    return dataclasses.replace(tx, events=tx.events[:k] + tx.events[k + 1:])
+
+
+def change_an_event_arg(tx, draw):
+    k = draw(st.integers(0, len(tx.events) - 1))
+    event = tx.events[k]
+    a = draw(st.integers(0, len(event.args) - 1))
+    name, old = event.args[a]
+    new = draw(st.one_of(st.integers(-2**63, 2**63 - 1),
+                         st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+               .filter(lambda value: value != old))
+    args = (*event.args[:a], (name, new), *event.args[a + 1:])
+    events = list(tx.events)
+    events[k] = dataclasses.replace(event, args=args)
+    return dataclasses.replace(tx, events=tuple(events))
+
+
+def add_an_event(tx, draw):
+    name = draw(st.sampled_from(["PressureViolation", "oilAdded", "readyToFactory"]))
+    msg = draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+    return dataclasses.replace(tx, events=(ledger.Event(name, tx.contract, (("msg", msg),)),))
+
+
+def change_gas_used(tx, draw):
+    gas = draw(st.integers(0, 10**6).filter(lambda value: value != tx.gas_used))
+    return dataclasses.replace(tx, gas_used=gas)
+
+
+# each edit, and the transactions it applies to
+TX_EDITS = {
+    drop_an_event: lambda tx: tx.events,
+    change_an_event_arg: lambda tx: any(event.args for event in tx.events),
+    add_an_event: lambda tx: not tx.events,
+    change_gas_used: lambda tx: True,
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_replay_refuses_any_edited_transaction_resigned_by_the_validators(faulted_consortium,
+                                                                           data):
+    # the forgery passes the hash check and carries a quorum from the run's
+    # own validator keys: only re-executing the contracts can refuse it
+    chain, signers = faulted_consortium
+    edit = data.draw(st.sampled_from(list(TX_EDITS)), label="edit")
+    at, position = data.draw(st.sampled_from([
+        (block.index, j) for block in chain.blocks
+        for j, tx in enumerate(block.transactions) if TX_EDITS[edit](tx)]), label="tx")
+    block = chain.blocks[at]
+    transactions = list(block.transactions)
+    transactions[position] = edit(transactions[position], data.draw)
+    blocks = list(chain.blocks)
+    blocks[at] = dataclasses.replace(block, transactions=tuple(transactions))
+    forged = forgery.rehash(dataclasses.replace(chain, blocks=blocks), signers)
+    assert ledger.verify_chain(forged)
+    with pytest.raises(CorruptLedger, match=f"block {at}: .* does not replay") as exc:
+        runtime.replay(forged, every_contract(forged))
+    assert exc.value.first_bad_index == at
 
 
 @pytest.mark.parametrize("kind", sorted(MUTATING_CALLS))

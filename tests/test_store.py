@@ -83,6 +83,25 @@ def test_unencodable_value_is_refused_at_its_block(tmp_path):
     assert err.value.first_bad_index == 2
 
 
+@pytest.mark.parametrize("edit,reason", [
+    (lambda record: record.update(index=record["index"] + 5), "index out of order"),
+    (lambda record: record.update(prev_hash="00" * 32), "prev_hash does not link"),
+    (lambda record: record.update(timestamp=record["timestamp"] + 0.5),
+     "contents not encodable"),
+    (lambda record: record.update(timestamp=record["timestamp"] + 1), "hash does not match"),
+], ids=["index", "prev_hash", "unencodable", "hash"])
+def test_refusal_names_the_check_that_failed(tmp_path, edit, reason):
+    saved_pair(tmp_path)
+    blocks_file = tmp_path / "consortium" / "blocks.jsonl"
+    lines = blocks_file.read_text().splitlines()
+    record = json.loads(lines[2])
+    edit(record)
+    lines[2] = json.dumps(record, separators=(",", ":"))
+    blocks_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptLedger, match=f"failed verification, first_bad_index=2: {reason}$"):
+        store.load_chain(tmp_path / "consortium")
+
+
 def test_truncated_json_line_is_refused(tmp_path):
     saved_pair(tmp_path)
     blocks_file = tmp_path / "private-scratch" / "blocks.jsonl"
