@@ -2,11 +2,13 @@
 
 Gas is not interpreted from opcodes; each function carries a fixed
 (execution, transaction) gas pair from a measured calibration table, and a
-transaction is charged its transaction gas. `Runtime` runs a call on a
-working copy of its contract, installed only once the call's block is
-appended: a reverted call, or one whose args do not encode or whose block
-the ledger refuses, commits nothing. `replay` re-runs the same `execute`
-step over a chain and refuses a transaction whose events or gas differ.
+transaction is charged its transaction gas. `Runtime` commits a block of
+one or more calls at one tick, each run on a working copy of its contract
+that is installed only once the block is appended: a reverted call stays
+out of its block, and a block with an arg that does not encode, or one the
+ledger refuses, commits nothing. `replay` re-runs the same `execute` step
+over a chain, each transaction at its block's tick, and refuses one whose
+events or gas differ.
 
 Fiat conversion prices execution gas:
 
@@ -21,7 +23,7 @@ import copy
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import ledger
 from .contracts import CONTRACT_KINDS, ContractBase
@@ -123,20 +125,36 @@ def execute(contracts: Mapping[bytes, ContractBase], caller: bytes, contract: by
             function: str, args: dict, tick: int
             ) -> tuple[ContractBase | None, object, tuple[ledger.Event, ...]]:
     """One transaction: a `constructor` goes through `create`, a function the
-    contract in `contracts` declares through `apply` (in place), anything else
-    is a plain record. Returns (instance left or None, return value, events)."""
+    contract in `contracts` declares through `apply` (in place), and anything
+    else is a plain record, unless the gas table meters its name: that is
+    refused with ValueError, since the record would be charged as the call.
+    Returns (instance left or None, return value, events)."""
     if function == "constructor":
         return CONTRACT_KINDS[args["kind"]].create(caller, args["init"]), None, ()
     instance = contracts.get(contract)
     if instance is None or function not in instance.functions():
+        if function in GAS_TABLE:
+            raise ValueError(f"{function!r} on {contract.hex()} is metered as a call,"
+                             f" not a record")
         return None, None, ()
     return_value, emissions = instance.apply(function, args, caller, tick)
     return instance, return_value, tuple(
         ledger.Event(name, contract, tuple(args_)) for name, args_ in emissions)
 
 
+@dataclass(frozen=True)
+class Call:
+    """One transaction of a block: `caller` runs `function` on `contract`
+    with `args`, or records `args` under that name."""
+
+    caller: bytes
+    contract: bytes
+    function: str
+    args: dict
+
+
 class Runtime:
-    """Executes contracts against one chain.
+    """Executes contracts against one chain, a block of one or more calls at a time.
 
     Consortium chains need an `endorse` callable that turns a candidate
     digest into validator endorsements; private chains gate on their ACL.
@@ -167,50 +185,92 @@ class Runtime:
         record = {"kind": kind, "init": init_args}
         if annotations:
             record["meta"] = annotations
-        self._commit({}, deployer, address, "constructor", record)
+        self._commit([Call(deployer, address, "constructor", record)])
         self._nonces[deployer] = nonce + 1
         return address
 
     def call(self, contract: bytes, function: str, args: dict,
              caller: bytes) -> CallResult:
-        """Dispatch one function call and commit it if it succeeds."""
-        instance = self.contracts.get(contract)
-        if instance is None:
-            raise UnknownFunction(f"no contract deployed at {contract.hex()}")
-        if function not in instance.functions():
-            raise UnknownFunction(f"{instance.KIND} has no function {function!r}")
-        gas = metered_cost(function).transaction
-        try:
-            # every contract field is an immutable value that handlers reassign,
-            # never mutate, so the call cannot reach the installed instance
-            return_value, tx = self._commit({contract: copy.copy(instance)}, caller, contract,
-                                            function, args)
-        except ContractRevert as exc:
-            self.clock.next()           # a reverted call still spends its tick
-            return CallResult(None, (), gas, CallStatus.REVERTED, revert_reason=str(exc))
-        return CallResult(return_value, tx.events, gas, CallStatus.OK)
+        """Dispatch one function call as its own block, committed if it succeeds."""
+        return self.call_block([Call(caller, contract, function, args)])[0]
+
+    def call_block(self, calls: Sequence[Call]) -> list[CallResult]:
+        """Dispatch function calls as one block, in order and at one tick, each
+        seeing what the calls before it left; the results in call order.
+
+        A reverted call stays out of the block, and the tick is spent even if
+        every call reverts.
+        """
+        for c in calls:
+            instance = self.contracts.get(c.contract)
+            if instance is None:
+                raise UnknownFunction(f"no contract deployed at {c.contract.hex()}")
+            if c.function not in instance.functions():
+                raise UnknownFunction(f"{instance.KIND} has no function {c.function!r}")
+        results = []
+        for c, outcome in zip(calls, self._commit(calls)):
+            gas = metered_cost(c.function).transaction
+            if isinstance(outcome, ContractRevert):
+                results.append(CallResult(None, (), gas, CallStatus.REVERTED,
+                                          revert_reason=str(outcome)))
+            else:
+                return_value, tx = outcome
+                results.append(CallResult(return_value, tx.events, gas, CallStatus.OK))
+        return results
 
     def record(self, caller: bytes, contract: bytes, function: str,
                payload: dict) -> ledger.Transaction:
-        """Append a non-contract record (telemetry, settlement) as its own block;
-        one naming a contract function or `constructor` would replay as a call."""
-        declared = self.contracts[contract].functions() if contract in self.contracts else ()
-        if function == "constructor" or function in declared:
-            raise ValueError(f"{function!r} on {contract.hex()} is a call, not a record")
-        return self._commit({}, caller, contract, function, payload)[1]
+        """Append a non-contract record (telemetry, settlement) as its own block."""
+        return self.record_block([Call(caller, contract, function, payload)])[0]
 
-    def _commit(self, working: dict[bytes, ContractBase], caller: bytes, contract: bytes,
-                function: str, args: dict) -> tuple[object, ledger.Transaction]:
-        """Execute on `working` at the upcoming tick, append the block, then
-        install the instance left. Nothing is drawn or appended if execution raises."""
-        instance, return_value, events = execute(working, caller, contract, function, args,
-                                                 self.clock.upcoming)
-        tx = ledger.Transaction(caller, contract, function, canon_encode(args),
-                                metered_cost(function).transaction, events)
-        ledger.append_block(self.chain, [tx], self.clock.next(), self._endorse)
-        if instance is not None:
-            self.contracts[contract] = instance
-        return return_value, tx
+    def record_block(self, records: Sequence[Call]) -> list[ledger.Transaction]:
+        """Append non-contract records as one block. One naming `constructor` or
+        a function of its contract would replay as a call, so it is refused,
+        and `execute` refuses one under a metered function name."""
+        for r in records:
+            held = self.contracts.get(r.contract)
+            if r.function == "constructor" or held is not None and r.function in held.functions():
+                raise ValueError(f"{r.function!r} on {r.contract.hex()} is a call, not a record")
+        return [tx for _, tx in self._commit(records)]
+
+    def _commit(self, calls: Sequence[Call]) -> list[tuple[object, ledger.Transaction]
+                                                      | ContractRevert]:
+        """Execute `calls` in order at the upcoming tick, each on a working copy
+        of its contract that holds what the calls before it left, append those
+        that did not revert as one block, then install the instances left.
+
+        Returns each call's (return value, transaction), or the ContractRevert
+        it raised. The tick is drawn even if every call reverts, and then no
+        block is appended. Nothing is drawn or appended if an arg does not
+        encode or a call raises anything else, and nothing is installed if the
+        ledger refuses the block.
+        """
+        encoded = [canon_encode(c.args) for c in calls]
+        tick = self.clock.upcoming
+        working: dict[bytes, ContractBase] = {}
+        outcomes: list[tuple[object, ledger.Transaction] | ContractRevert] = []
+        block: list[ledger.Transaction] = []
+        for c, args in zip(calls, encoded):
+            held = working.get(c.contract, self.contracts.get(c.contract))
+            # every contract field is an immutable value that handlers reassign,
+            # never mutate, so the call cannot reach the instance it copies
+            scratch = {} if held is None else {c.contract: copy.copy(held)}
+            try:
+                instance, return_value, events = execute(scratch, c.caller, c.contract,
+                                                         c.function, c.args, tick)
+            except ContractRevert as exc:
+                outcomes.append(exc)
+                continue
+            if instance is not None:
+                working[c.contract] = instance
+            block.append(ledger.Transaction(c.caller, c.contract, c.function, args,
+                                            metered_cost(c.function).transaction, events))
+            outcomes.append((return_value, block[-1]))
+        self.clock.next()
+        if block:
+            ledger.append_block(self.chain, block, tick, self._endorse)
+        self.contracts.update(working)
+        return outcomes
 
 
 # --- replay -------------------------------------------------------------------

@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
+from itertools import groupby
+from operator import attrgetter
 
 from . import identity, ledger, telemetry
 from .contracts.distribution import SPINE
@@ -28,7 +30,7 @@ from .errors import (
     WrongStatus,
 )
 from .identity import Actor, KeyPair, Role
-from .runtime import CallResult, CallStatus, LogicalClock, Runtime
+from .runtime import Call, CallResult, CallStatus, LogicalClock, Runtime
 
 
 class HopStatus(IntEnum):
@@ -341,9 +343,10 @@ class SupplyChain:
              ) -> list[CallResult]:
         """Dispatch an accepted hop's sensor stream, in tick order.
 
-        Checked kinds become tracking-contract calls made by the gateway
-        address; everything else is recorded on the seller's private chain.
-        Returns the per-check call results in dispatch order.
+        Each sample tick is one block per chain: its checked kinds one
+        consortium block of tracking-contract calls made by the gateway
+        address, everything else one block of records on the seller's
+        private chain. Returns the per-check call results in dispatch order.
         """
         if hop.status is not HopStatus.ACCEPTED:
             raise WrongStatus(
@@ -359,26 +362,21 @@ class SupplyChain:
 
         seller_rt = self.private_runtime(hop.seller.address)
         results = []
-        for r in ordered:
-            if r.kind in telemetry.CHECK_FUNCTION:
-                results.append(self.consortium_rt.call(
-                    hop.tracking_contract,
-                    telemetry.CHECK_FUNCTION[r.kind],
-                    {"value": r.value},
-                    caller=hop.data_address,
-                ))
-            else:
-                seller_rt.record(
-                    caller=hop.seller.address,
-                    contract=hop.product_contract,
-                    function=telemetry.RECORD_FUNCTION,
-                    payload={
-                        "kind": r.kind.value,
-                        "tick": r.tick,
-                        "value": r.value,
-                        "source": r.source,
-                    },
-                )
+        for _tick, instant in groupby(ordered, key=attrgetter("tick")):
+            checks, records = [], []
+            for r in instant:
+                if r.kind in telemetry.CHECK_FUNCTION:
+                    checks.append(Call(hop.data_address, hop.tracking_contract,
+                                       telemetry.CHECK_FUNCTION[r.kind], {"value": r.value}))
+                else:
+                    records.append(Call(hop.seller.address, hop.product_contract,
+                                        telemetry.RECORD_FUNCTION,
+                                        {"kind": r.kind.value, "tick": r.tick,
+                                         "value": r.value, "source": r.source}))
+            if checks:
+                results.extend(self.consortium_rt.call_block(checks))
+            if records:
+                seller_rt.record_block(records)
         return results
 
     # --- delivery -------------------------------------------------------------------

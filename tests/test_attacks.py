@@ -4,9 +4,10 @@ Rows A-C edit a saved `pressure_fault_hop2` store; rows D and E forge on a
 live `happy_path` run through the public `Runtime.deploy`, with no key beyond
 the run's own, and save it. Each row's target is that every command it runs
 exits 1 and names the forged chain; a closed row also names the failure each
-command shows. A row still open carries a strict xfail naming the ROADMAP
-item that closes it, and its failure message shows what each command does
-today.
+command shows, `{erased}` standing for the first consortium block of the saved
+store that holds an erased event. A row still open carries a strict xfail
+naming the ROADMAP item that closes it, and its failure message shows what
+each command does today.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ TRACE = ("trace", "101")
 
 def lower_pressure(event) -> bool:
     return event.name == "PressureViolation" and str(event.arg("msg")).startswith("Lower")
+
+
+def first_erased_block(faulted_store) -> int:
+    """The first consortium block of the saved store holding a Lower Pressure event."""
+    chain = store.load_chain(faulted_store / "consortium")
+    return next(block.index for block in chain.blocks for tx in block.transactions
+                if any(map(lower_pressure, tx.events)))
 
 
 def on_the_saved_faulted_store(edit):
@@ -98,9 +106,11 @@ def open_row(probe, forge, chain, commands, item):
 
 ROWS = [
     closed("A-erase-and-resign-under-fresh-keys", erase_violations_under_fresh_keys,
-           "consortium", {VERIFY: "REPLAY FAILED at block 27", TRACE: "block 27: CheckPressure"}),
+           "consortium", {VERIFY: "REPLAY FAILED at block {erased}",
+                          TRACE: "block {erased}: CheckPressure"}),
     closed("B-erase-and-rehash", erase_violations_keeping_endorsements,
-           "consortium", {VERIFY: "QUORUM FAILED at block 27", TRACE: "block 27: CheckPressure"}),
+           "consortium", {VERIFY: "QUORUM FAILED at block {erased}",
+                          TRACE: "block {erased}: CheckPressure"}),
     open_row("C-private-settlement-edited", settle_for_one, "private-refinery", [VERIFY],
              "item 4"),
     open_row("D-hop-deployed-in-anothers-name", fifth_hop_in_the_drillers_name,
@@ -122,8 +132,10 @@ def faulted_store(tmp_path_factory):
 def test_forgery_is_refused(forge, chain, failures, faulted_store, tmp_path, capsys):
     root = tmp_path / "store"
     forge(root, faulted_store)
+    erased = first_erased_block(faulted_store)
     outcomes = []
     for argv, failure in failures.items():
+        failure = failure.format(erased=erased)
         code = main([*argv, "--store", str(root)])
         out, err = capsys.readouterr()
         lines = (err + out).splitlines()

@@ -11,6 +11,7 @@ import pytest
 from conftest import SCENARIO_DIR
 from oilchain import identity, ledger, runtime, store
 from oilchain.cli import main
+from oilchain.encoding import canon_encode
 from oilchain.scenario import run_scenario_file
 
 HAPPY = str(SCENARIO_DIR / "happy_path.json")
@@ -387,6 +388,19 @@ def test_verify_replays_a_private_chain_naming_the_transaction(happy_store, caps
     assert (failed["chain"], failed["status"], failed["reason"]) == (
         "private-driller", f"REPLAY FAILED at block {block.index}",
         "settlement does not replay: costs 42000 gas, the record holds 1")
+
+
+def test_verify_refuses_a_plain_record_under_a_metered_name(tmp_path, capsys):
+    # it would replay clean as a plain record, yet be charged the call's gas
+    owner = b"\x31" * 20
+    chain = ledger.new_private_chain("driller", {owner})
+    ledger.append_block(chain, [ledger.Transaction(
+        owner, b"\x00" * 20, "readyToFactory", canon_encode({"price": 1}),
+        runtime.metered_cost("readyToFactory").transaction)], 1)
+    store.save_store(tmp_path, [chain])
+    code, out, _err = run_cli(capsys, "verify", "--store", str(tmp_path))
+    assert code == 1
+    assert "REPLAY FAILED at block 1: readyToFactory does not replay" in out
 
 
 def test_verify_corrupt_store(happy_store, capsys):

@@ -1,4 +1,5 @@
-"""Runtime: gas table, fiat pricing, deploy/call/record, commit on append, replay."""
+"""Runtime: gas table, fiat pricing, deploy/call/record, blocks of several calls,
+commit on append, replay."""
 
 from __future__ import annotations
 
@@ -12,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 import forgery
 from conftest import FIVE_ROLES, SCENARIO_DIR, consortium_runtime, make_validators
 from oilchain import identity, ledger, runtime, store, telemetry
-from oilchain.encoding import canon_decode
+from oilchain.encoding import canon_decode, canon_encode
 from oilchain.contracts import CONTRACT_KINDS
 from oilchain.errors import (AccessDenied, BadInitArgs, ContractRevert, CorruptLedger,
                              QuorumNotMet, UnknownFunction)
 from oilchain.runtime import (
+    Call,
     CallStatus,
     GasCost,
     LogicalClock,
@@ -260,6 +262,103 @@ def test_record_naming_a_call_is_refused(function):
     assert (rt.chain.tip_hash, rt.clock.upcoming) == (tip, upcoming)
 
 
+def test_record_under_a_metered_name_is_refused_whatever_the_target():
+    # a plain record named like a tabulated function would be charged that
+    # function's execution gas in the report totals
+    rt = private_runtime()
+    tip, upcoming = rt.chain.tip_hash, rt.clock.upcoming
+    with pytest.raises(ValueError, match="'readyToFactory' on 0{40} is metered as a call"):
+        rt.record(OWNER, b"\x00" * 20, "readyToFactory", {"price": 1})
+    assert (rt.chain.tip_hash, rt.clock.upcoming) == (tip, upcoming)
+
+
+def test_replay_refuses_a_stored_record_under_a_metered_name():
+    chain = ledger.new_private_chain("drill", {OWNER})
+    tx = ledger.Transaction(OWNER, b"\x00" * 20, "readyToFactory", canon_encode({"price": 1}),
+                            metered_cost("readyToFactory").transaction)
+    ledger.append_block(chain, [tx], 1)
+    with pytest.raises(CorruptLedger, match="^chain 'drill' block 1: readyToFactory does not"
+                                            " replay: .*metered as a call") as exc:
+        runtime.replay(chain, {tx.contract})
+    assert exc.value.first_bad_index == 1
+
+
+# --- blocks of several calls ----------------------------------------------------------
+
+CHECKS = ("CheckTemperature", "CheckHumidity", "CheckPressure")
+
+
+def entered_check_progress():
+    """A consortium runtime holding a CheckProgress whose terms are entered, and its address."""
+    rt, _validators, _clock = consortium_runtime()
+    address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
+    rt.call(address, "EnterOil", ENTER_ARGS, OWNER)
+    return rt, address
+
+
+def test_calls_in_a_block_run_at_one_tick_on_what_the_calls_before_left():
+    rt, _validators, _clock = consortium_runtime()
+    address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
+    upcoming = rt.clock.upcoming
+    # the check reverts with NotInitialized unless it sees the terms entered before it
+    results = rt.call_block([Call(OWNER, address, "EnterOil", ENTER_ARGS),
+                             Call(DEVICE, address, "CheckPressure", {"value": 6})])
+    assert [r.status for r in results] == [CallStatus.OK, CallStatus.OK]
+    assert results[1].return_value == "Current Pressure is very LOW"
+    block = rt.chain.blocks[-1]
+    assert [tx.function for tx in block.transactions] == ["EnterOil", "CheckPressure"]
+    assert (block.timestamp, rt.clock.upcoming) == (upcoming, upcoming + 1)
+    assert rt.contracts[address].snapshot()["pressure_stage"] == "Low"
+    assert runtime.replay(rt.chain, {address})[address].snapshot() == \
+        rt.contracts[address].snapshot()
+
+
+def test_a_reverted_call_stays_out_of_its_block():
+    rt, address = entered_check_progress()
+    upcoming, length = rt.clock.upcoming, len(rt.chain)
+    results = rt.call_block([
+        Call(DEVICE, address, "CheckTemperature", {"value": 30}),
+        Call(OUTSIDER, address, "CheckHumidity", {"value": 30}),     # not the data source
+        Call(DEVICE, address, "CheckPressure", {"value": 1}),
+    ])
+    assert [r.status for r in results] == [CallStatus.OK, CallStatus.REVERTED, CallStatus.OK]
+    assert results[1].revert_reason == "only the data source may feed checks"
+    assert len(rt.chain) == length + 1
+    block = rt.chain.blocks[-1]
+    assert [tx.function for tx in block.transactions] == ["CheckTemperature", "CheckPressure"]
+    assert [tx.events for tx in block.transactions] == [results[0].events, results[2].events]
+    state = rt.contracts[address].snapshot()
+    assert [state[f"{kind}_stage"] for kind in ("temp", "humidity", "pressure")] == [
+        "High", "Accurate", "Low"]
+    assert state["violation_type"] == "Pressure"
+    assert (block.timestamp, rt.clock.upcoming) == (upcoming, upcoming + 1)
+
+
+def test_a_block_whose_every_call_reverts_spends_one_tick_and_appends_nothing():
+    rt, address = entered_check_progress()
+    tip, upcoming = rt.chain.tip_hash, rt.clock.upcoming
+    installed = rt.contracts[address]
+    results = rt.call_block([Call(OUTSIDER, address, check, {"value": 1}) for check in CHECKS])
+    assert [r.status for r in results] == [CallStatus.REVERTED] * 3
+    assert (rt.chain.tip_hash, rt.clock.upcoming) == (tip, upcoming + 1)
+    assert rt.contracts[address] is installed
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_a_block_with_args_that_do_not_encode_draws_no_tick_and_commits_nothing(position):
+    rt, address = entered_check_progress()
+    calls = [Call(DEVICE, address, check, {"value": 1}) for check in CHECKS]
+    calls[position] = dataclasses.replace(calls[position], args={"value": 1, "note": 1.5})
+    tip, upcoming = rt.chain.tip_hash, rt.clock.upcoming
+    installed = rt.contracts[address]
+    state = installed.snapshot()
+    with pytest.raises(TypeError):
+        rt.call_block(calls)
+    assert (rt.chain.tip_hash, rt.clock.upcoming) == (tip, upcoming)
+    assert rt.contracts[address] is installed
+    assert installed.snapshot() == state
+
+
 # --- consortium wiring ----------------------------------------------------------------
 
 def test_consortium_runtime_requires_endorser():
@@ -406,20 +505,34 @@ def test_replay_refuses_any_edited_transaction_resigned_by_the_validators(faulte
     assert exc.value.first_bad_index == at
 
 
+# Two more state-changing calls per contract kind, each valid after the one before:
+# (function, args, caller).
+FOLLOW_UP_CALLS = {
+    "CheckProgress": [("CheckTemperature", {"value": 30}, DEVICE),
+                      ("CheckPressure", {"value": 1}, DEVICE)],
+    "OilDistribution": [("readyToStorage", {"price": 100, "quantity": 10}, DEVICE),
+                        ("oilInOilStorage", {"price": 100, "quantity": 10}, b"\x33" * 20)],
+}
+
+
+@pytest.mark.parametrize("size", [1, 3], ids=["call", "3-call-block"])
 @pytest.mark.parametrize("kind", sorted(MUTATING_CALLS))
-def test_starved_consortium_call_leaves_the_contract_unchanged(kind):
+def test_starved_consortium_call_leaves_the_contract_unchanged(kind, size):
     init_args, function, args, caller = MUTATING_CALLS[kind]
     rt, validators, _clock = consortium_runtime()
     address = rt.deploy(kind, init_args, OWNER)
-    tip = rt.chain.tip_hash
-    installed = rt.contracts[address]
-    state = rt.contracts[address].snapshot()
+    rt.deploy(kind, init_args, OWNER)                   # a contract the block does not touch
+    tip, length = rt.chain.tip_hash, len(rt.chain)
+    installed = dict(rt.contracts)
+    states = {a: contract.snapshot() for a, contract in installed.items()}
+    calls = [(function, args, caller), *FOLLOW_UP_CALLS[kind]][:size]
     rt._endorse = lambda digest: ledger.collect_endorsements(digest, validators[:2])
     with pytest.raises(QuorumNotMet):
-        rt.call(address, function, args, caller)
-    assert rt.chain.tip_hash == tip
-    assert rt.contracts[address] is installed
-    assert rt.contracts[address].snapshot() == state
+        rt.call_block([Call(c, address, f, a) for f, a, c in calls])
+    assert (rt.chain.tip_hash, len(rt.chain)) == (tip, length)
+    assert rt.contracts.keys() == installed.keys()
+    assert all(rt.contracts[a] is contract for a, contract in installed.items())
+    assert {a: contract.snapshot() for a, contract in rt.contracts.items()} == states
 
 
 @pytest.mark.parametrize("kind", sorted(MUTATING_CALLS))

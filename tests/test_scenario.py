@@ -374,59 +374,59 @@ def pinned_outputs(path: Path | None) -> dict[str, tuple[int | None, bytes]]:
 # Any change to these bytes must be made on purpose: update the hash with it.
 PINNED = [
     (HAPPY, "report", None,
-     "0989c4c39dc52bcac5548c1614fb6ce73e388d103923e90398b96309394842ef"),
+     "427f75733cc9d0cd11dc5a222fe13cd85c69c2bec8c573d38e24639c571dee4d"),
     (FAULTED, "report", None,
-     "d56d3a7880266ba0a5050d0a1b27cfe105c7580393c07e540a207150df04d2c9"),
+     "4bf2de7b8f5a21dfcd4e07260a827ccb75da8e2d8b4dfdfd975e6835313bfe51"),
     (HAPPY, "run text", 0,
-     "0f9a46b2a67d3c5663fb40d6dff6a60c9c2cb3747311f96bbe963a35b1dfb421"),
+     "4de62d124914de67546807cd70fe3269716f29182eed357588e8710e6b239fec"),
     (HAPPY, "trace text", 0,
-     "bfb6894b1452681c8f4f1501b89fa2947c157ce959b973c7b8a8eb3c0a0d2a51"),
+     "4df0ae94aacb3662724ec87e177788a6ba8a6ce35d307d0e87ee962bb2a09f2f"),
     (HAPPY, "trace structured", 0,
-     "0da9d5a5e6e5b6e359e4e9fbd2c3ae53889642256a39ffca3e32d4a66e4b3564"),
+     "9115045f8f261d59c89aa0ac19a42f11cd8ae6111ed5e480927635b062ad1bb6"),
     (HAPPY, "verify text", 0,
-     "d5dc8e2376417c524a493675f81bfec5a2f3eb1d96e842ace46dbc4e993513f6"),
+     "80c51a6acfe8d3b2aad3683cb9d0dc1ca586ce70def5ab5f01db3af20dd3f17b"),
     (HAPPY, "verify structured", 0,
-     "d9526e4c0f4e709693d73db9ffacd743a043f8a4a68802f3c8c4c3d3258fc132"),
+     "b64dd5da42c1ed744a95e31850a28c467c7323ee570d4b15efb27cdf4d7d3011"),
     (HAPPY, "store consortium/blocks.jsonl", None,
-     "cbe59a24a20d0b78e7e2e5460a32c2994f9b2bbec0749aeb9e852c7310d52390"),
+     "b3425044ba3e43bf5ca76336be7cfc89a7711c6d8b0dbdaa14b66cbfff750b78"),
     (HAPPY, "store consortium/manifest.json", None,
-     "848b70f6b6cc72f74eea5d5f4c2723e5c22365ec3043155e4d7404c399efc82f"),
+     "9403a4bcca658f37f2b69f222459dafbbd08f1c8337789663169f0856160319c"),
     (HAPPY, "store private-consumer/blocks.jsonl", None,
      "435b8bcc90d66f8ec6f9a5a0b0c3e3f84e8716b182e7aa497bcba4cb0db61eb2"),
     (HAPPY, "store private-consumer/manifest.json", None,
      "3794ad3a3b7a418ed7145af466bdb66f5fa2a1754818b49d5d78f5e0ae32a0b5"),
     (HAPPY, "store private-driller/blocks.jsonl", None,
-     "a8cf7916e77d473e95bd029bbbe4aa31c4b62e8b3b19d6fe0a15c0427fe71e55"),
+     "f9604cff7bc00fbd588129293bfc35731e1836ce64fdae73aa43bd89ec750f43"),
     (HAPPY, "store private-driller/manifest.json", None,
-     "13ba5ede735393f681eb750cdd7aba99a6a71b642a64364ee9cf33dd15380aeb"),
+     "babe93e9c1b0996da47be7c840cf18a8662fc3fbeaeafa66c67ec8fdf167ded5"),
     (HAPPY, "store private-pump/blocks.jsonl", None,
-     "9ac963a5db5f4bcc7a88d2eebc3ad4c03db02193ef73976c7d2a3f8cc8586698"),
+     "9e2d0604a778ead82b3a86eaf4c08db8d5c06c9c7cd98476b069ac98211ef4ff"),
     (HAPPY, "store private-pump/manifest.json", None,
-     "1e8777037b3814cccd1782943fdeec7774f3a50b3538af72d82409c5e28cf2df"),
+     "13801f026a970850442085b08818c401d0a73e4d7e8d59922c924152c41ff03a"),
     (HAPPY, "store private-refinery/blocks.jsonl", None,
-     "032acce58ce8062295241d982552e6773044e8ced1c50f22f3cfde0bfdf77801"),
+     "c059672d8a198bf18047694a9c084bd301dd6e44e5ed2e39f2cb1bba46fb0d83"),
     (HAPPY, "store private-refinery/manifest.json", None,
-     "18aaf7cf84cea5720ad5e34670ec452aba9248770287a0d4d79a7f09a67739a7"),
+     "fece98df31c60ce1a4a530a61e612ce4d0acc3e2bee893ffad83051357b98c9d"),
     (HAPPY, "store private-storage/blocks.jsonl", None,
-     "d3fc659fc3542e14e55884f179c2c8447a410031cd346c9634d5ec4eb88ad483"),
+     "bc9c521bceab3a284b7680ca68e3008237d01d367a88008919aedaea8e5991ba"),
     (HAPPY, "store private-storage/manifest.json", None,
-     "947e431ee1374804b7bd3744834456c7a0d199cf656ddb236785a064f03c8734"),
+     "2759c164ef4944a2b8a003f65f392028fa99dee6fc3b7da961a51a2ba62cd40c"),
     (HAPPY, "store report.json", None,
-     "0989c4c39dc52bcac5548c1614fb6ce73e388d103923e90398b96309394842ef"),
+     "427f75733cc9d0cd11dc5a222fe13cd85c69c2bec8c573d38e24639c571dee4d"),
     (FAULTED, "run text", 2,
-     "9a3716f1aec885335268e151b5f985d8b0a79dbfc516ee39faeb4d98d5a4f85b"),
+     "5edeaa7648bd57824a12f46446df0330c43427e618ceb29b15842cd8513986c1"),
     (FAULTED, "trace text", 2,
-     "8fc08fe8450a52ce1dae29aace8521b8204a2736f3b0782b973ecd889648e2f1"),
+     "d2dbf17cdc91152ceb675abefc3ff93186281ca5a06dda049b9180a865ade3f3"),
     (FAULTED, "trace structured", 2,
-     "92005251a5fd23bcfe168eb6669b37bc0b7ea79ebdf33e34a7f93edd3a97c0da"),
+     "8fa89a458829a812baaf2ee17c6c2a8771be83acfee66e47895b57d21c206505"),
     (FAULTED, "verify text", 0,
-     "e98a949bd994b23c97c5a26f31bad44b99ddc0ecd66447ddce87231e1e81fae8"),
+     "06742895e45310e05f3a82a71f8eb49ec253a2acbddfe240e04b63c8022ac0f9"),
     (FAULTED, "verify structured", 0,
-     "905254406b8bfe838cdf8dfd3965eceba6212caa2dc2a40844a3fdfc785615c0"),
+     "c861b8d4ba8e2805e70b57d367236faf6b977e5dd75ea1062a60df86827a6661"),
     (FAULTED, "store consortium/blocks.jsonl", None,
-     "d33aacd7908316d603a4d8b7133568567dfcfafd6cfe285a398e3a86192b2117"),
+     "f7fd8b54a3ac211b34f2d86e7d1735694dd153d52e91b14b1ccf7620dea94088"),
     (FAULTED, "store consortium/manifest.json", None,
-     "e9d0e6ac9721344e60e7b8b3bfbef3ca09de732043dd0e22ef5a8cb57ee2b872"),
+     "96829270780b0d83fc8c6b05d050e440173453dfa5ad7a20ca9dfd6d8890edd9"),
     (FAULTED, "store private-consumer/blocks.jsonl", None,
      "435b8bcc90d66f8ec6f9a5a0b0c3e3f84e8716b182e7aa497bcba4cb0db61eb2"),
     (FAULTED, "store private-consumer/manifest.json", None,
@@ -436,19 +436,19 @@ PINNED = [
     (FAULTED, "store private-driller/manifest.json", None,
      "c2e084f998ff11a720991833c50eb06c068be0df19830f3ea6a283ae56c62c46"),
     (FAULTED, "store private-pump/blocks.jsonl", None,
-     "6c03a85c4b9ae71b175c3b43244445836085080b3f43b43644ef3bb88c5c9107"),
+     "0352bb351874199e2268b882f7bb042c8877563acc5970d495961847f944e687"),
     (FAULTED, "store private-pump/manifest.json", None,
-     "5bbfc054de3112be8fe78d571585cb6a28525b04118c7c56de5006428a7a1bc7"),
+     "0776fda5222e631a94dcf8b689523624fdadc780001d985da9740930cce65e3f"),
     (FAULTED, "store private-refinery/blocks.jsonl", None,
-     "4ca74f27e133c554ab85527bae5d1a6276ee5ade5bb811ed013af3043f1c9925"),
+     "484e4b712328141cf3d1539aca65e82f87a19d1d50363e4298a6cc0d2cd44403"),
     (FAULTED, "store private-refinery/manifest.json", None,
-     "6def5c45508ba75b329bed6b650d70ae1f28a2cd55f99a6c4964b1bb0466c2f2"),
+     "33a07fd454ae239cc4f8512dae4c63d0927ceacf3bbf6dfef94d74b3425124d2"),
     (FAULTED, "store private-storage/blocks.jsonl", None,
-     "8387492a3966ef7e94c47cb517df9068e6bb5c6983ce3c30a7478eef52d315a4"),
+     "7a82bf7c556407334f6d4f2e03ed7519debaac4be9f8cde04c1ae6ac8d2983d5"),
     (FAULTED, "store private-storage/manifest.json", None,
-     "8bc7c6e5872f4a677816832064a64443a2f3480c1ed3d70d2ac224c5ae5c89e0"),
+     "4859c3617cdf709bbdb65cca1746c641ab0e36fa3a29b39416b72cb27279d942"),
     (FAULTED, "store report.json", None,
-     "d56d3a7880266ba0a5050d0a1b27cfe105c7580393c07e540a207150df04d2c9"),
+     "4bf2de7b8f5a21dfcd4e07260a827ccb75da8e2d8b4dfdfd975e6835313bfe51"),
     (None, "gas-report text", 0,
      "f362014e330906ea36492288dd7eab2a3a9efa39986ebc155973fbbd17e60cb1"),
     (None, "gas-report structured", 0,
@@ -525,6 +525,40 @@ def test_faulted_run_surfaces_exactly_the_injected_violations():
         assert violation["message"] == "Lower Pressure"
     # the custody chain still completes; violations are audit findings
     assert batch["distribution_state"]["current_trace"] == "Sold"
+
+
+def _fifty_tick_happy_path() -> dict:
+    doc = copy.deepcopy(HAPPY_DOC)
+    for hop in doc["batches"][0]["hops"]:
+        hop["telemetry"]["duration"] = 50
+    return doc
+
+
+@pytest.mark.parametrize("doc", [*BUNDLED_DOCS, _fifty_tick_happy_path()],
+                         ids=["happy_path", "pressure_fault_hop2", "happy_path-50-ticks"])
+def test_each_sample_tick_is_one_consortium_block(doc, monkeypatch):
+    signs = 0
+    sign = identity.sign
+
+    def counted_sign(*args, **kwargs):
+        nonlocal signs
+        signs += 1
+        return sign(*args, **kwargs)
+
+    monkeypatch.setattr(identity, "sign", counted_sign)
+    scenario = parse_scenario(doc)
+    chain = run_scenario(scenario).supply.consortium_chain
+    hops = [hop for batch in scenario.batches for hop in batch.hops]
+    checks = set(telemetry.CHECK_FUNCTION.values())
+    outside_feed = sum(tx.function not in checks
+                       for block in chain.blocks for tx in block.transactions)
+    checked_ticks = sum(hop.profile.duration for hop in hops
+                        if not telemetry.CHECK_FUNCTION.keys().isdisjoint(hop.profile.setpoints))
+    blocks = len(chain) - 1
+    assert blocks == outside_feed + checked_ticks
+    # 2f+1 = 3 of the 4 validators sign each block, none silent or Byzantine
+    acceptances = sum(hop.accept_method == "signature" for hop in hops)
+    assert signs == 3 * blocks + acceptances
 
 
 def test_gas_totals_match_a_chain_scan():
