@@ -3,7 +3,7 @@
 Subcommands:
 
     run         replay a scenario file, print its report, optionally persist
-    trace       replay a persisted store's consortium chain, then trace a batch
+    trace       trace a batch through a persisted store, its contracts replayed
     gas-report  print the per-function gas and fiat cost table
     verify      re-verify every chain in a persisted store, then replay it
 
@@ -50,8 +50,10 @@ def _cmd_trace(args) -> int:
     consortium = next((c for c in chains if c.chain_class is ledger.ChainClass.CONSORTIUM), None)
     if consortium is None:
         raise CorruptLedger("store holds no consortium chain")
-    _replay_all(consortium)
     report = provenance.build_report(consortium, args.batch_id)
+    # the report reads these contracts' events: each must replay to what it holds
+    runtime.replay(consortium, {bytes.fromhex(h.tracking_contract[2:]) for h in report.hops}
+                   | {report.distribution_contract})
     if args.format == "structured":
         sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
     else:

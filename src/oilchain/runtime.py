@@ -145,12 +145,48 @@ def execute(contracts: Mapping[bytes, ContractBase], caller: bytes, contract: by
 @dataclass(frozen=True)
 class Call:
     """One transaction of a block: `caller` runs `function` on `contract`
-    with `args`, or records `args` under that name."""
+    with `args`, or records `args` under that name. A deployment (see
+    `deployment`) leaves `contract` empty: the commit gives it the address
+    the caller's nonce names."""
 
     caller: bytes
     contract: bytes
     function: str
     args: dict
+
+
+# what a commit gives back for each call: (return value, transaction), or the revert
+Outcome = tuple[object, ledger.Transaction] | ContractRevert
+
+
+def deployment(kind: str, init_args: dict, deployer: bytes,
+               annotations: dict | None = None) -> Call:
+    """The call that deploys a `kind` contract owned by `deployer`.
+
+    `annotations` ride along in the deployment transaction so later audits
+    can reconstruct linkage without any in-memory state. The contract's
+    address is the deployment transaction's `contract`.
+    """
+    if kind not in CONTRACT_KINDS:
+        raise UnknownFunction(f"unknown contract kind {kind!r}")
+    record = {"kind": kind, "init": init_args}
+    if annotations:
+        record["meta"] = annotations
+    return Call(deployer, b"", "constructor", record)
+
+
+def call_results(calls: Sequence[Call], outcomes: Sequence[Outcome]) -> list[CallResult]:
+    """Each function call's result, from its commit outcome."""
+    results = []
+    for c, outcome in zip(calls, outcomes):
+        gas = metered_cost(c.function).transaction
+        if isinstance(outcome, ContractRevert):
+            results.append(CallResult(None, (), gas, CallStatus.REVERTED,
+                                      revert_reason=str(outcome)))
+        else:
+            return_value, tx = outcome
+            results.append(CallResult(return_value, tx.events, gas, CallStatus.OK))
+    return results
 
 
 class Runtime:
@@ -172,22 +208,10 @@ class Runtime:
 
     def deploy(self, kind: str, init_args: dict, deployer: bytes,
                annotations: dict | None = None) -> bytes:
-        """Instantiate a contract and record its creation in a new block.
-
-        The deployer becomes the contract owner. `annotations` ride along in
-        the deployment transaction so later audits can reconstruct linkage
-        without any in-memory state.
-        """
-        if kind not in CONTRACT_KINDS:
-            raise UnknownFunction(f"unknown contract kind {kind!r}")
-        nonce = self._nonces.get(deployer, 0)
-        address = contract_address(deployer, nonce)
-        record = {"kind": kind, "init": init_args}
-        if annotations:
-            record["meta"] = annotations
-        self._commit([Call(deployer, address, "constructor", record)])
-        self._nonces[deployer] = nonce + 1
-        return address
+        """Deploy a contract in a new block and return its address; the
+        deployer becomes the contract owner."""
+        _, tx = self._commit([deployment(kind, init_args, deployer, annotations)])[0]
+        return tx.contract
 
     def call(self, contract: bytes, function: str, args: dict,
              caller: bytes) -> CallResult:
@@ -207,69 +231,67 @@ class Runtime:
                 raise UnknownFunction(f"no contract deployed at {c.contract.hex()}")
             if c.function not in instance.functions():
                 raise UnknownFunction(f"{instance.KIND} has no function {c.function!r}")
-        results = []
-        for c, outcome in zip(calls, self._commit(calls)):
-            gas = metered_cost(c.function).transaction
-            if isinstance(outcome, ContractRevert):
-                results.append(CallResult(None, (), gas, CallStatus.REVERTED,
-                                          revert_reason=str(outcome)))
-            else:
-                return_value, tx = outcome
-                results.append(CallResult(return_value, tx.events, gas, CallStatus.OK))
-        return results
+        return call_results(calls, self._commit(calls))
 
     def record(self, caller: bytes, contract: bytes, function: str,
                payload: dict) -> ledger.Transaction:
-        """Append a non-contract record (telemetry, settlement) as its own block."""
-        return self.record_block([Call(caller, contract, function, payload)])[0]
+        """Append a non-contract record (telemetry, settlement) as its own block.
 
-    def record_block(self, records: Sequence[Call]) -> list[ledger.Transaction]:
-        """Append non-contract records as one block. One naming `constructor` or
-        a function of its contract would replay as a call, so it is refused,
-        and `execute` refuses one under a metered function name."""
-        for r in records:
-            held = self.contracts.get(r.contract)
-            if r.function == "constructor" or held is not None and r.function in held.functions():
-                raise ValueError(f"{r.function!r} on {r.contract.hex()} is a call, not a record")
-        return [tx for _, tx in self._commit(records)]
+        A record naming `constructor` or a function of its contract would
+        replay as a call, so it is refused, and `execute` refuses one under a
+        metered function name."""
+        held = self.contracts.get(contract)
+        if function == "constructor" or held is not None and function in held.functions():
+            raise ValueError(f"{function!r} on {contract.hex()} is a call, not a record")
+        [(_, tx)] = self._commit([Call(caller, contract, function, payload)])
+        return tx
 
-    def _commit(self, calls: Sequence[Call]) -> list[tuple[object, ledger.Transaction]
-                                                      | ContractRevert]:
+    def _commit(self, calls: Sequence[Call]) -> list[Outcome]:
         """Execute `calls` in order at the upcoming tick, each on a working copy
         of its contract that holds what the calls before it left, append those
         that did not revert as one block, then install the instances left.
 
-        Returns each call's (return value, transaction), or the ContractRevert
-        it raised. The tick is drawn even if every call reverts, and then no
-        block is appended. Nothing is drawn or appended if an arg does not
-        encode or a call raises anything else, and nothing is installed if the
-        ledger refuses the block.
+        A deployment takes the address of its deployer's next nonce, so
+        several by one deployer may share the block. Returns each call's
+        (return value, transaction), or the ContractRevert it raised. The tick
+        is drawn even if every call reverts, and then no block is appended.
+        Nothing is drawn or appended if an arg does not encode or a call
+        raises anything else, and nothing is installed and no nonce spent if
+        the ledger refuses the block.
         """
         encoded = [canon_encode(c.args) for c in calls]
         tick = self.clock.upcoming
         working: dict[bytes, ContractBase] = {}
-        outcomes: list[tuple[object, ledger.Transaction] | ContractRevert] = []
+        nonces: dict[bytes, int] = {}
+        outcomes: list[Outcome] = []
         block: list[ledger.Transaction] = []
         for c, args in zip(calls, encoded):
-            held = working.get(c.contract, self.contracts.get(c.contract))
+            contract = c.contract
+            if c.function == "constructor":
+                nonce = nonces.get(c.caller, self._nonces.get(c.caller, 0))
+                contract = contract_address(c.caller, nonce)
+            held = working.get(contract, self.contracts.get(contract))
             # every contract field is an immutable value that handlers reassign,
             # never mutate, so the call cannot reach the instance it copies
-            scratch = {} if held is None else {c.contract: copy.copy(held)}
+            scratch = {} if held is None else {contract: copy.copy(held)}
             try:
-                instance, return_value, events = execute(scratch, c.caller, c.contract,
+                instance, return_value, events = execute(scratch, c.caller, contract,
                                                          c.function, c.args, tick)
             except ContractRevert as exc:
                 outcomes.append(exc)
                 continue
+            if c.function == "constructor":
+                nonces[c.caller] = nonce + 1
             if instance is not None:
-                working[c.contract] = instance
-            block.append(ledger.Transaction(c.caller, c.contract, c.function, args,
+                working[contract] = instance
+            block.append(ledger.Transaction(c.caller, contract, c.function, args,
                                             metered_cost(c.function).transaction, events))
             outcomes.append((return_value, block[-1]))
         self.clock.next()
         if block:
             ledger.append_block(self.chain, block, tick, self._endorse)
         self.contracts.update(working)
+        self._nonces.update(nonces)
         return outcomes
 
 

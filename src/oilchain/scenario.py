@@ -24,8 +24,8 @@ from .errors import InvalidRolePair, InvalidValidatorSet, OilchainError, ParseEr
 from .identity import Role, address_hex
 from .provenance import batch_text, build_reports
 from .telemetry import FaultSpec, ReadingKind, SensorProfile
-from .workflow import (REQUIRED_ROLES, SETTLEMENT_FUNCTION, HopStatus, Setpoints, SupplyChain,
-                       TermSheet, Topology, check_custody)
+from .workflow import (REQUIRED_ROLES, SETTLEMENT_FUNCTION, HopStatus, Setpoints, Steps,
+                       SupplyChain, TermSheet, Topology, check_custody)
 
 SCENARIO_SCHEMA_VERSION = 1
 RUN_REPORT_SCHEMA_VERSION = 1
@@ -345,7 +345,12 @@ def _telemetry(fields: dict, where: str, setpoints: Setpoints,
 
 def run_scenario(scenario: Scenario, seed: int | None = None,
                  eth_usd: float | None = None) -> RunResult:
-    """Replay a scenario end to end and assemble its report."""
+    """Replay a scenario end to end and assemble its report.
+
+    Every batch is in flight from the first step: `SupplyChain.run` commits
+    each step of every batch's lifecycle as one block per chain, and a
+    batch's hops follow one another in custody order.
+    """
     seed = scenario.seed if seed is None else check_seed(seed, "seed")
     eth_usd = scenario.eth_usd if eth_usd is None else check_eth_usd(eth_usd, "eth_usd")
 
@@ -356,30 +361,35 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
                          frozenset(validators[len(validators) - scenario.faulty_validators:]),
                          frozenset(validators[:scenario.byzantine_validators]))
 
-    for batch_spec in scenario.batches:
-        batch = supply.register_batch(batch_spec.batch_id, batch_spec.setpoints)
-        for hop_spec in batch_spec.hops:
-            hop = supply.initiate_hop(batch, hop_spec.seller, hop_spec.buyer, hop_spec.terms)
-
-            if hop_spec.accept_method == "signature":
-                credential = identity.sign(supply.accept_digest(hop), hop.buyer.private_key)
-            else:
-                credential = hop_spec.terms.passphrase
-            supply.accept_shipment(hop, credential)
-
-            readings = telemetry.generate_readings(
-                hop_spec.profile,
-                telemetry.stream_seed(seed, batch.batch_id, hop.index),
-                source=hop.data_address,
-            )
-            for fault in hop_spec.faults:
-                readings = telemetry.inject_fault(readings, fault)
-            supply.feed(hop, readings)
-            supply.deliver(hop)
+    supply.run([_lifecycle(supply, spec, seed) for spec in scenario.batches])
 
     report = build_run_report(scenario, supply, seed, eth_usd)
     violations = any(not b["clean"] for b in report["batches"])
     return RunResult(report=report, supply=supply, violations_found=violations)
+
+
+def _lifecycle(supply: SupplyChain, spec: BatchSpec, seed: int) -> Steps[None]:
+    """One batch's custody run: registration, then each hop initiated,
+    accepted, fed its telemetry and delivered."""
+    batch = yield from supply._register_batch(spec.batch_id, spec.setpoints)
+    for hop_spec in spec.hops:
+        hop = yield from supply._initiate_hop(batch, hop_spec.seller, hop_spec.buyer,
+                                              hop_spec.terms)
+        if hop_spec.accept_method == "signature":
+            credential = identity.sign(supply.accept_digest(hop), hop.buyer.private_key)
+        else:
+            credential = hop_spec.terms.passphrase
+        yield from supply._accept_shipment(hop, credential)
+
+        readings = telemetry.generate_readings(
+            hop_spec.profile,
+            telemetry.stream_seed(seed, batch.batch_id, hop.index),
+            source=hop.data_address,
+        )
+        for fault in hop_spec.faults:
+            readings = telemetry.inject_fault(readings, fault)
+        yield from supply._feed(hop, readings)
+        yield from supply._deliver(hop)
 
 
 def run_scenario_file(path: str | Path, seed: int | None = None,

@@ -8,21 +8,26 @@ contract. The buyer accepts with a signature over the hop's canonical
 digest, or with a passphrase; acceptance records the settlement transfer.
 An accepted hop's sensor stream is fed into its contracts, and delivery
 advances the batch's distribution contract one stage.
+
+Each of these steps is a generator of commit requests, so `SupplyChain.run`
+can drive many batches' lifecycles together, one block per chain per step.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Generator, Iterable, Sequence
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
-from itertools import groupby
+from itertools import groupby, islice
 from operator import attrgetter
+from typing import TypeVar
 
 from . import identity, ledger, telemetry
 from .contracts.distribution import SPINE
 from .encoding import digest
 from .errors import (
     BadCredential,
+    ContractRevert,
     InvalidRolePair,
     Unauthorized,
     ValidationError,
@@ -30,7 +35,7 @@ from .errors import (
     WrongStatus,
 )
 from .identity import Actor, KeyPair, Role
-from .runtime import Call, CallResult, CallStatus, LogicalClock, Runtime
+from .runtime import Call, CallResult, LogicalClock, Outcome, Runtime, call_results, deployment
 
 
 class HopStatus(IntEnum):
@@ -57,6 +62,12 @@ REQUIRED_ROLES = tuple(step.seller for step in SPINE)
 
 # function name of the payment record acceptance writes to the seller's chain
 SETTLEMENT_FUNCTION = "settlement"
+
+T = TypeVar("T")
+# one commit request: the runtime and the calls a lifecycle wants in its next block there
+Request = tuple[Runtime, list[Call]]
+# a step generator: yields requests, is sent each one's outcomes, returns a T
+Steps = Generator[Request, list[Outcome], T]
 
 
 def check_custody(previous_buyer: Role | None, seller: Role, buyer: Role) -> None:
@@ -183,14 +194,50 @@ class SupplyChain:
         except KeyError:
             raise ValidationError(f"topology has no {role.value} actor") from None
 
+    # --- scheduling ---------------------------------------------------------------
+
+    def run(self, lifecycles: Sequence[Steps]) -> list:
+        """Drive lifecycles together; what each returns, in the order given.
+
+        A lifecycle is a step generator (`_register_batch`, `_initiate_hop`,
+        `_accept_shipment`, `_feed`, `_deliver`, or one composing them) that
+        yields one commit request at a time and is sent that request's
+        outcomes. At each step the pending requests of every live lifecycle
+        are merged per runtime: runtimes in order of first appearance, calls
+        in lifecycle order. Each runtime's calls are committed as one block,
+        then every lifecycle is sent its own outcomes. So a lifecycle run
+        alone commits exactly the blocks it requests, in its order.
+        """
+        returned: list = [None] * len(lifecycles)
+        sent: dict[int, list[Outcome] | None] = dict.fromkeys(range(len(lifecycles)))
+        while sent:
+            pending: dict[int, Request] = {}
+            for i, outcomes in sent.items():
+                try:
+                    pending[i] = lifecycles[i].send(outcomes)
+                except StopIteration as done:
+                    returned[i] = done.value
+            blocks: dict[Runtime, list[int]] = {}
+            for i, (rt, _calls) in pending.items():
+                blocks.setdefault(rt, []).append(i)
+            sent = dict.fromkeys(pending)       # lifecycle order, filled block by block
+            for rt, ids in blocks.items():
+                committed = iter(rt._commit([c for i in ids for c in pending[i][1]]))
+                for i in ids:
+                    sent[i] = list(islice(committed, len(pending[i][1])))
+        return returned
+
     # --- batch ------------------------------------------------------------------
 
     def register_batch(self, batch_id: str, setpoints: Setpoints) -> BatchRecord:
         """Deploy the batch's distribution contract (driller-owned)."""
+        return self.run([self._register_batch(batch_id, setpoints)])[0]
+
+    def _register_batch(self, batch_id: str, setpoints: Setpoints) -> Steps[BatchRecord]:
         if batch_id in self.batches:
             raise ValidationError(f"batch {batch_id!r} already registered")
         driller = self.actor(Role.DRILLER)
-        address = self.consortium_rt.deploy(
+        [(_, tx)] = yield self.consortium_rt, [deployment(
             "OilDistribution",
             {
                 "driller": driller.address,
@@ -199,10 +246,10 @@ class SupplyChain:
                 "pump": self.actor(Role.PUMP).address,
                 "accurate_hum": setpoints.humidity,
             },
-            deployer=driller.address,
+            driller.address,
             annotations={"record": "distribution", "batch": batch_id},
-        )
-        record = BatchRecord(batch_id=batch_id, distribution_contract=address)
+        )]
+        record = BatchRecord(batch_id=batch_id, distribution_contract=tx.contract)
         self.batches[batch_id] = record
         return record
 
@@ -211,6 +258,10 @@ class SupplyChain:
     def initiate_hop(self, batch: BatchRecord, seller_role: Role, buyer_role: Role,
                      terms: TermSheet) -> Hop:
         """Open a hop linked to the batch's last one: contracts deployed, terms entered."""
+        return self.run([self._initiate_hop(batch, seller_role, buyer_role, terms)])[0]
+
+    def _initiate_hop(self, batch: BatchRecord, seller_role: Role, buyer_role: Role,
+                      terms: TermSheet) -> Steps[Hop]:
         previous = batch.hops[-1] if batch.hops else None
         check_custody(previous.buyer.role if previous else None, seller_role, buyer_role)
 
@@ -234,20 +285,21 @@ class SupplyChain:
             "actualPress": terms.setpoints.pressure,
         }
 
-        product = seller_rt.deploy(
+        [(_, tx)] = yield seller_rt, [deployment(
             "CheckProgress",
             {"data_source": gateway.address},
-            deployer=seller.address,
+            seller.address,
             annotations={"record": "product", "batch": batch.batch_id, "hop": index},
-        )
-        result = seller_rt.call(product, "EnterOil", enter_args, caller=seller.address)
-        if result.status is not CallStatus.OK:
-            raise ValidationError(f"product terms rejected: {result.revert_reason}")
+        )]
+        product = tx.contract
+        [outcome] = yield seller_rt, [Call(seller.address, product, "EnterOil", enter_args)]
+        if isinstance(outcome, ContractRevert):
+            raise ValidationError(f"product terms rejected: {outcome}")
 
-        tracking = self.consortium_rt.deploy(
+        [(_, tx)] = yield self.consortium_rt, [deployment(
             "CheckProgress",
             {"data_source": gateway.address},
-            deployer=seller.address,
+            seller.address,
             annotations={
                 "record": "tracking",
                 "batch": batch.batch_id,
@@ -259,12 +311,12 @@ class SupplyChain:
                 "predecessor": previous.tracking_contract if previous else b"",
                 "product": product,
             },
-        )
-        result = self.consortium_rt.call(
-            tracking, "EnterOil", enter_args, caller=seller.address
-        )
-        if result.status is not CallStatus.OK:
-            raise ValidationError(f"tracking terms rejected: {result.revert_reason}")
+        )]
+        tracking = tx.contract
+        [outcome] = yield self.consortium_rt, [Call(seller.address, tracking, "EnterOil",
+                                                    enter_args)]
+        if isinstance(outcome, ContractRevert):
+            raise ValidationError(f"tracking terms rejected: {outcome}")
 
         stored = None
         if terms.passphrase is not None:
@@ -309,6 +361,9 @@ class SupplyChain:
         or a passphrase attempt (str). A failed credential raises
         BadCredential and leaves every chain and the hop untouched.
         """
+        return self.run([self._accept_shipment(hop, credential)])[0]
+
+    def _accept_shipment(self, hop: Hop, credential: bytes | str) -> Steps[Hop]:
         if hop.status is not HopStatus.PROPOSED:
             raise WrongStatus(f"hop {hop.index} is {hop.status.name}, not PROPOSED")
 
@@ -321,19 +376,18 @@ class SupplyChain:
         if not ok:
             raise BadCredential(f"hop {hop.index} acceptance rejected")
 
-        seller_rt = self.private_runtime(hop.seller.address)
-        seller_rt.record(
-            caller=hop.buyer.address,
-            contract=hop.product_contract,
-            function=SETTLEMENT_FUNCTION,
-            payload={
+        yield self.private_runtime(hop.seller.address), [Call(
+            hop.buyer.address,
+            hop.product_contract,
+            SETTLEMENT_FUNCTION,
+            {
                 "batch": hop.batch_id,
                 "hop": hop.index,
                 "payer": hop.buyer.address,
                 "payee": hop.seller.address,
                 "amount": hop.terms.price,
             },
-        )
+        )]
         hop.status = HopStatus.ACCEPTED
         return hop
 
@@ -347,7 +401,12 @@ class SupplyChain:
         consortium block of tracking-contract calls made by the gateway
         address, everything else one block of records on the seller's
         private chain. Returns the per-check call results in dispatch order.
+        Run together with other lifecycles, a block also holds their calls.
         """
+        return self.run([self._feed(hop, readings)])[0]
+
+    def _feed(self, hop: Hop, readings: Sequence[telemetry.SensorReading],
+              ) -> Steps[list[CallResult]]:
         if hop.status is not HopStatus.ACCEPTED:
             raise WrongStatus(
                 f"hop {hop.index} is {hop.status.name}, telemetry needs an accepted shipment"
@@ -374,15 +433,19 @@ class SupplyChain:
                                         {"kind": r.kind.value, "tick": r.tick,
                                          "value": r.value, "source": r.source}))
             if checks:
-                results.extend(self.consortium_rt.call_block(checks))
+                outcomes = yield self.consortium_rt, checks
+                results.extend(call_results(checks, outcomes))
             if records:
-                seller_rt.record_block(records)
+                yield seller_rt, records
         return results
 
     # --- delivery -------------------------------------------------------------------
 
     def deliver(self, hop: Hop) -> Hop:
         """Close transit: fire the batch's distribution transition."""
+        return self.run([self._deliver(hop)])[0]
+
+    def _deliver(self, hop: Hop) -> Steps[Hop]:
         if hop.status is not HopStatus.ACCEPTED:
             raise WrongStatus(
                 f"hop {hop.index} is {hop.status.name}, cannot deliver"
@@ -403,11 +466,10 @@ class SupplyChain:
             # the pump sale is triggered by the buying consumer; every other
             # transition is the selling actor's own call
             caller = hop.buyer.address if transition == "pumpSoldOil" else hop.seller.address
-            result = self.consortium_rt.call(
-                batch.distribution_contract, transition, args, caller=caller
-            )
-            if result.status is not CallStatus.OK:
-                raise WrongStage(result.revert_reason)
+            [outcome] = yield self.consortium_rt, [Call(
+                caller, batch.distribution_contract, transition, args)]
+            if isinstance(outcome, ContractRevert):
+                raise WrongStage(str(outcome))
 
         hop.status = HopStatus.DELIVERED
         return hop

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +28,24 @@ from oilchain.workflow import (
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 FIVE_ROLES = [Role.DRILLER, Role.REFINERY, Role.STORAGE, Role.PUMP, Role.CONSUMER]
+
+# per-hop telemetry durations of batches 102 and 103 in `three_batch_doc`
+THREE_BATCH_DURATIONS = {"102": (2, 2, 9, 2), "103": (7, 3, 4, 5)}
+
+
+def three_batch_doc() -> dict:
+    """`happy_path.json` with two more clones of its batch, each with its own
+    hop durations, so the batches fall out of step: blocks mix one batch's
+    deploys with another's checks or delivery, and a settlement shares a
+    private block with another batch's telemetry records."""
+    doc = json.loads((SCENARIO_DIR / "happy_path.json").read_text())
+    for batch_id, durations in THREE_BATCH_DURATIONS.items():
+        batch = copy.deepcopy(doc["batches"][0])
+        batch["batch_id"] = batch_id
+        for hop, duration in zip(batch["hops"], durations):
+            hop["telemetry"]["duration"] = duration
+        doc["batches"].append(batch)
+    return doc
 
 
 @pytest.fixture

@@ -167,6 +167,24 @@ def test_deploy_refused_by_its_constructor_draws_no_tick_and_appends_nothing():
     assert rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER) == contract_address(OWNER, 0)
 
 
+def test_deploys_sharing_a_block_take_successive_nonces_once_it_appends():
+    rt = private_runtime()
+    deploy = runtime.deployment("CheckProgress", {"data_source": DEVICE}, OWNER)
+    with pytest.raises(AccessDenied):
+        rt._commit([deploy, runtime.deployment("CheckProgress", {"data_source": DEVICE},
+                                               OUTSIDER)])
+    assert (len(rt.chain), rt.contracts) == (1, {})
+    outcomes = rt._commit([deploy, Call(OWNER, contract_address(OWNER, 0), "EnterOil",
+                                        ENTER_ARGS), deploy])
+    [block] = rt.chain.blocks[1:]
+    assert [tx.contract for tx in block.transactions] == \
+           [contract_address(OWNER, 0), contract_address(OWNER, 0), contract_address(OWNER, 1)]
+    assert [tx for _, tx in outcomes] == list(block.transactions)
+    assert rt.contracts[contract_address(OWNER, 0)].initialized
+    assert not rt.contracts[contract_address(OWNER, 1)].initialized
+    assert rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER) == contract_address(OWNER, 2)
+
+
 def test_deploy_unknown_kind_and_unlisted_deployer():
     rt = private_runtime()
     with pytest.raises(UnknownFunction):

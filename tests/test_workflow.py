@@ -18,6 +18,7 @@ from oilchain.errors import (
 )
 from oilchain.identity import Role
 from oilchain.provenance import build_report
+from oilchain.runtime import Call, contract_address
 from oilchain.telemetry import ReadingKind, SensorReading
 from oilchain.workflow import HopStatus, SupplyChain, Topology
 
@@ -66,6 +67,47 @@ def test_supply_chain_layout(supply):
     for role in FIVE_ROLES:
         actor = supply.actor(role)
         assert supply.private_runtime(actor.address).chain.acl == {actor.address}
+
+
+# --- scheduling ---------------------------------------------------------------------------
+
+def test_run_merges_each_step_per_runtime_in_order_of_first_appearance(supply):
+    driller, refinery = (supply.actor(r).address for r in (Role.DRILLER, Role.REFINERY))
+    drill_rt, refine_rt = supply.private_runtime(driller), supply.private_runtime(refinery)
+
+    def lifecycle(name, runtimes):
+        seen = []
+        for rt in runtimes:
+            owner = driller if rt is drill_rt else refinery
+            [(_, tx)] = yield rt, [Call(owner, bytes(20), "note", {"from": name})]
+            seen.append((rt.chain.name, canon_decode(tx.args)["from"]))
+        return seen
+
+    returned = supply.run([lifecycle("a", [refine_rt, drill_rt]),
+                           lifecycle("b", [drill_rt, refine_rt, drill_rt]),
+                           lifecycle("c", [refine_rt])])
+    assert returned == [[("refinery", "a"), ("driller", "a")],
+                        [("driller", "b"), ("refinery", "b"), ("driller", "b")],
+                        [("refinery", "c")]]
+
+    def blocks(rt):
+        return [(block.timestamp, [canon_decode(tx.args)["from"] for tx in block.transactions])
+                for block in rt.chain.blocks[1:]]
+    # step 1: refinery first (a asked first), a's call before c's; then the driller
+    assert blocks(refine_rt) == [(1, ["a", "c"]), (4, ["b"])]
+    assert blocks(drill_rt) == [(2, ["b"]), (3, ["a"]), (5, ["b"])]
+
+
+def test_batches_registered_together_share_one_block(supply, setpoints):
+    driller = supply.actor(Role.DRILLER).address
+    records = supply.run([supply._register_batch(batch_id, setpoints)
+                          for batch_id in ("101", "102", "103")])
+    assert [r.distribution_contract for r in records] == \
+           [contract_address(driller, nonce) for nonce in range(3)]
+    assert list(supply.batches.values()) == records
+    [block] = supply.consortium_chain.blocks[1:]
+    assert [tx.contract for tx in block.transactions] == \
+           [r.distribution_contract for r in records]
 
 
 # --- batch registration -----------------------------------------------------------------
