@@ -2,13 +2,13 @@
 
 Gas is not interpreted from opcodes; each function carries a fixed
 (execution, transaction) gas pair from a measured calibration table, and a
-transaction is charged its transaction gas. `Runtime` commits a block of
-one or more calls at one tick, each run on a working copy of its contract
-that is installed only once the block is appended: a reverted call stays
-out of its block, and a block with an arg that does not encode, or one the
-ledger refuses, commits nothing. `replay` re-runs the same `execute` step
-over a chain, each transaction at its block's tick, and refuses one whose
-events or gas differ.
+transaction is charged its transaction gas. A `LogicalClock.step` holds one
+block per runtime open, each at its own tick; each call runs on a working
+copy of its contract that is installed only once its block is appended: a
+reverted call stays out of its block, and a step with an arg that does not
+encode, or a block the ledger refuses, commits nothing. `replay` re-runs
+the same `execute` step over a chain, each transaction at its block's
+tick, and refuses one whose events or gas differ.
 
 Fiat conversion prices execution gas:
 
@@ -20,10 +20,11 @@ with eth_usd defaulting to the rate the calibration table was taken at.
 from __future__ import annotations
 
 import copy
-from collections.abc import Mapping, Set
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Set
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import ledger
 from .contracts import CONTRACT_KINDS, ContractBase
@@ -101,10 +102,16 @@ class CallResult:
 
 
 class LogicalClock:
-    """Monotone tick source shared by every chain in a scenario."""
+    """Monotone tick source shared by every chain in a scenario.
+
+    Inside `step()`, each runtime on this clock builds one open block, at the
+    next tick no block opened before it in the step holds; when the step
+    ends, its blocks append in the order they opened.
+    """
 
     def __init__(self, start: int = 1):
         self._next = start
+        self._held: dict[Runtime, _OpenBlock] | None = None
 
     def next(self) -> int:
         value = self._next
@@ -114,6 +121,34 @@ class LogicalClock:
     @property
     def upcoming(self) -> int:
         return self._next
+
+    @contextmanager
+    def step(self) -> Iterator[None]:
+        """Hold one block open per runtime called until the step ends, then
+        append each and install what its calls left, in the order they
+        opened. Steps do not nest. If the step raises, nothing is drawn,
+        appended or installed; a block the ledger refuses raises, and the
+        blocks after it are not appended either."""
+        if self._held is not None:
+            raise RuntimeError("a step is already open")
+        self._held = held = {}
+        try:
+            yield
+        finally:
+            self._held = None
+        for rt, block in held.items():
+            rt._append(block)
+
+
+@dataclass
+class _OpenBlock:
+    """A block a step holds open: its tick, the transactions so far, and the
+    contract instances and deployer nonces they leave once it appends."""
+
+    tick: int
+    transactions: list[ledger.Transaction] = field(default_factory=list)
+    working: dict[bytes, ContractBase] = field(default_factory=dict)
+    nonces: dict[bytes, int] = field(default_factory=dict)
 
 
 def contract_address(deployer: bytes, nonce: int) -> bytes:
@@ -145,9 +180,8 @@ def execute(contracts: Mapping[bytes, ContractBase], caller: bytes, contract: by
 @dataclass(frozen=True)
 class Call:
     """One transaction of a block: `caller` runs `function` on `contract`
-    with `args`, or records `args` under that name. A deployment (see
-    `deployment`) leaves `contract` empty: the commit gives it the address
-    the caller's nonce names."""
+    with `args`, or records `args` under that name. A deployment leaves
+    `contract` empty: it takes the address the caller's next nonce names."""
 
     caller: bytes
     contract: bytes
@@ -155,43 +189,11 @@ class Call:
     args: dict
 
 
-# what a commit gives back for each call: (return value, transaction), or the revert
-Outcome = tuple[object, ledger.Transaction] | ContractRevert
-
-
-def deployment(kind: str, init_args: dict, deployer: bytes,
-               annotations: dict | None = None) -> Call:
-    """The call that deploys a `kind` contract owned by `deployer`.
-
-    `annotations` ride along in the deployment transaction so later audits
-    can reconstruct linkage without any in-memory state. The contract's
-    address is the deployment transaction's `contract`.
-    """
-    if kind not in CONTRACT_KINDS:
-        raise UnknownFunction(f"unknown contract kind {kind!r}")
-    record = {"kind": kind, "init": init_args}
-    if annotations:
-        record["meta"] = annotations
-    return Call(deployer, b"", "constructor", record)
-
-
-def call_results(calls: Sequence[Call], outcomes: Sequence[Outcome]) -> list[CallResult]:
-    """Each function call's result, from its commit outcome."""
-    results = []
-    for c, outcome in zip(calls, outcomes):
-        gas = metered_cost(c.function).transaction
-        if isinstance(outcome, ContractRevert):
-            results.append(CallResult(None, (), gas, CallStatus.REVERTED,
-                                      revert_reason=str(outcome)))
-        else:
-            return_value, tx = outcome
-            results.append(CallResult(return_value, tx.events, gas, CallStatus.OK))
-    return results
-
-
 class Runtime:
-    """Executes contracts against one chain, a block of one or more calls at a time.
+    """Executes contracts against one chain.
 
+    `deploy`, `call` and `record` each go into this runtime's block of the
+    clock's open step, or, with no step open, into a block of their own.
     Consortium chains need an `endorse` callable that turns a candidate
     digest into validator endorsements; private chains gate on their ACL.
     """
@@ -208,91 +210,103 @@ class Runtime:
 
     def deploy(self, kind: str, init_args: dict, deployer: bytes,
                annotations: dict | None = None) -> bytes:
-        """Deploy a contract in a new block and return its address; the
-        deployer becomes the contract owner."""
-        _, tx = self._commit([deployment(kind, init_args, deployer, annotations)])[0]
+        """Deploy a `kind` contract owned by `deployer` and return its address,
+        the one the deployer's next nonce names, so several deployments by
+        one deployer may share a block.
+
+        `annotations` ride along in the deployment transaction so later audits
+        can reconstruct linkage without any in-memory state.
+        """
+        if kind not in CONTRACT_KINDS:
+            raise UnknownFunction(f"unknown contract kind {kind!r}")
+        record = {"kind": kind, "init": init_args}
+        if annotations:
+            record["meta"] = annotations
+        _, tx = self._execute(Call(deployer, b"", "constructor", record))
         return tx.contract
 
     def call(self, contract: bytes, function: str, args: dict,
              caller: bytes) -> CallResult:
-        """Dispatch one function call as its own block, committed if it succeeds."""
-        return self.call_block([Call(caller, contract, function, args)])[0]
-
-    def call_block(self, calls: Sequence[Call]) -> list[CallResult]:
-        """Dispatch function calls as one block, in order and at one tick, each
-        seeing what the calls before it left; the results in call order.
-
-        A reverted call stays out of the block, and the tick is spent even if
-        every call reverts.
-        """
-        for c in calls:
-            instance = self.contracts.get(c.contract)
-            if instance is None:
-                raise UnknownFunction(f"no contract deployed at {c.contract.hex()}")
-            if c.function not in instance.functions():
-                raise UnknownFunction(f"{instance.KIND} has no function {c.function!r}")
-        return call_results(calls, self._commit(calls))
+        """Dispatch one function call; it sees what the calls before it in its
+        block left, and a reverted call stays out of the block."""
+        instance = self._instance(contract)
+        if instance is None:
+            raise UnknownFunction(f"no contract deployed at {contract.hex()}")
+        if function not in instance.functions():
+            raise UnknownFunction(f"{instance.KIND} has no function {function!r}")
+        outcome = self._execute(Call(caller, contract, function, args))
+        gas = metered_cost(function).transaction
+        if isinstance(outcome, ContractRevert):
+            return CallResult(None, (), gas, CallStatus.REVERTED, revert_reason=str(outcome))
+        return_value, tx = outcome
+        return CallResult(return_value, tx.events, gas, CallStatus.OK)
 
     def record(self, caller: bytes, contract: bytes, function: str,
                payload: dict) -> ledger.Transaction:
-        """Append a non-contract record (telemetry, settlement) as its own block.
+        """Append a non-contract record (telemetry, settlement).
 
         A record naming `constructor` or a function of its contract would
         replay as a call, so it is refused, and `execute` refuses one under a
         metered function name."""
-        held = self.contracts.get(contract)
+        held = self._instance(contract)
         if function == "constructor" or held is not None and function in held.functions():
             raise ValueError(f"{function!r} on {contract.hex()} is a call, not a record")
-        [(_, tx)] = self._commit([Call(caller, contract, function, payload)])
+        _, tx = self._execute(Call(caller, contract, function, payload))
         return tx
 
-    def _commit(self, calls: Sequence[Call]) -> list[Outcome]:
-        """Execute `calls` in order at the upcoming tick, each on a working copy
-        of its contract that holds what the calls before it left, append those
-        that did not revert as one block, then install the instances left.
+    def _instance(self, contract: bytes) -> ContractBase | None:
+        """The contract at `contract` as this runtime's open block leaves it."""
+        blocks = self.clock._held
+        block = blocks.get(self) if blocks else None
+        if block is not None and contract in block.working:
+            return block.working[contract]
+        return self.contracts.get(contract)
 
-        A deployment takes the address of its deployer's next nonce, so
-        several by one deployer may share the block. Returns each call's
-        (return value, transaction), or the ContractRevert it raised. The tick
-        is drawn even if every call reverts, and then no block is appended.
-        Nothing is drawn or appended if an arg does not encode or a call
-        raises anything else, and nothing is installed and no nonce spent if
-        the ledger refuses the block.
+    def _execute(self, c: Call) -> tuple[object, ledger.Transaction] | ContractRevert:
+        """Run `c` into this runtime's block of the open step, on a working copy
+        of its contract; with no step open, in a step of its own.
+
+        Returns the call's (return value, transaction), or the ContractRevert
+        it raised, which keeps it out of the block.
         """
-        encoded = [canon_encode(c.args) for c in calls]
-        tick = self.clock.upcoming
-        working: dict[bytes, ContractBase] = {}
-        nonces: dict[bytes, int] = {}
-        outcomes: list[Outcome] = []
-        block: list[ledger.Transaction] = []
-        for c, args in zip(calls, encoded):
-            contract = c.contract
-            if c.function == "constructor":
-                nonce = nonces.get(c.caller, self._nonces.get(c.caller, 0))
-                contract = contract_address(c.caller, nonce)
-            held = working.get(contract, self.contracts.get(contract))
-            # every contract field is an immutable value that handlers reassign,
-            # never mutate, so the call cannot reach the instance it copies
-            scratch = {} if held is None else {contract: copy.copy(held)}
-            try:
-                instance, return_value, events = execute(scratch, c.caller, contract,
-                                                         c.function, c.args, tick)
-            except ContractRevert as exc:
-                outcomes.append(exc)
-                continue
-            if c.function == "constructor":
-                nonces[c.caller] = nonce + 1
-            if instance is not None:
-                working[contract] = instance
-            block.append(ledger.Transaction(c.caller, contract, c.function, args,
-                                            metered_cost(c.function).transaction, events))
-            outcomes.append((return_value, block[-1]))
+        blocks = self.clock._held
+        if blocks is None:
+            with self.clock.step():
+                return self._execute(c)
+        block = blocks.get(self)
+        if block is None:
+            block = blocks[self] = _OpenBlock(self.clock.upcoming + len(blocks))
+        args = canon_encode(c.args)
+        contract = c.contract
+        if c.function == "constructor":
+            nonce = block.nonces.get(c.caller, self._nonces.get(c.caller, 0))
+            contract = contract_address(c.caller, nonce)
+        held = self._instance(contract)
+        # every contract field is an immutable value that handlers reassign,
+        # never mutate, so the call cannot reach the instance it copies
+        scratch = {} if held is None else {contract: copy.copy(held)}
+        try:
+            instance, return_value, events = execute(scratch, c.caller, contract,
+                                                     c.function, c.args, block.tick)
+        except ContractRevert as exc:
+            return exc
+        if c.function == "constructor":
+            block.nonces[c.caller] = nonce + 1
+        if instance is not None:
+            block.working[contract] = instance
+        block.transactions.append(ledger.Transaction(
+            c.caller, contract, c.function, args, metered_cost(c.function).transaction, events))
+        return return_value, block.transactions[-1]
+
+    def _append(self, block: _OpenBlock) -> None:
+        """Draw the block's tick, append it unless every call reverted, then
+        install the instances and spend the nonces its calls left. Nothing is
+        installed and no nonce spent if the ledger refuses the block."""
         self.clock.next()
-        if block:
-            ledger.append_block(self.chain, block, tick, self._endorse)
-        self.contracts.update(working)
-        self._nonces.update(nonces)
-        return outcomes
+        if block.transactions:
+            ledger.append_block(self.chain, block.transactions, block.tick, self._endorse)
+        self.contracts.update(block.working)
+        self._nonces.update(block.nonces)
 
 
 # --- replay -------------------------------------------------------------------

@@ -9,8 +9,9 @@ digest, or with a passphrase; acceptance records the settlement transfer.
 An accepted hop's sensor stream is fed into its contracts, and delivery
 advances the batch's distribution contract one stage.
 
-Each of these steps is a generator of commit requests, so `SupplyChain.run`
-can drive many batches' lifecycles together, one block per chain per step.
+Each of these steps is a generator that yields once per block it makes, so
+`SupplyChain.run` can drive many batches' lifecycles together, one block
+per chain per step.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Generator, Iterable, Sequence
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
-from itertools import groupby, islice
+from itertools import groupby
 from operator import attrgetter
 from typing import TypeVar
 
@@ -27,7 +28,6 @@ from .contracts.distribution import SPINE
 from .encoding import digest
 from .errors import (
     BadCredential,
-    ContractRevert,
     InvalidRolePair,
     Unauthorized,
     ValidationError,
@@ -35,7 +35,7 @@ from .errors import (
     WrongStatus,
 )
 from .identity import Actor, KeyPair, Role
-from .runtime import Call, CallResult, LogicalClock, Outcome, Runtime, call_results, deployment
+from .runtime import CallResult, CallStatus, LogicalClock, Runtime
 
 
 class HopStatus(IntEnum):
@@ -64,10 +64,9 @@ REQUIRED_ROLES = tuple(step.seller for step in SPINE)
 SETTLEMENT_FUNCTION = "settlement"
 
 T = TypeVar("T")
-# one commit request: the runtime and the calls a lifecycle wants in its next block there
-Request = tuple[Runtime, list[Call]]
-# a step generator: yields requests, is sent each one's outcomes, returns a T
-Steps = Generator[Request, list[Outcome], T]
+# a step generator: makes one step's calls, yields, and is resumed once that
+# step's blocks have appended; it returns a T
+Steps = Generator[None, None, T]
 
 
 def check_custody(previous_buyer: Role | None, seller: Role, buyer: Role) -> None:
@@ -85,6 +84,14 @@ def check_custody(previous_buyer: Role | None, seller: Role, buyer: Role) -> Non
     elif previous_buyer is not seller:
         raise InvalidRolePair(f"custody continuity broken: the previous hop's buyer is"
                               f" {previous_buyer.value}, not {seller.value}")
+
+
+def _check_in_transit(hop: Hop) -> None:
+    """Raise WrongStatus unless the hop is accepted and not yet delivered."""
+    if hop.status is not HopStatus.ACCEPTED:
+        raise WrongStatus(
+            f"hop {hop.index} is {hop.status.name}, telemetry needs an accepted shipment"
+        )
 
 
 @dataclass(frozen=True)
@@ -155,6 +162,7 @@ class SupplyChain:
         self.seed = seed
         self.clock = LogicalClock()
         self.batches: dict[str, BatchRecord] = {}
+        self._claims: set[tuple] = set()        # what the lifecycles of a run have taken
 
         validator_keys = list(topology.validators)
         faulty = frozenset(faulty_validators)
@@ -201,31 +209,36 @@ class SupplyChain:
 
         A lifecycle is a step generator (`_register_batch`, `_initiate_hop`,
         `_accept_shipment`, `_feed`, `_deliver`, or one composing them) that
-        yields one commit request at a time and is sent that request's
-        outcomes. At each step the pending requests of every live lifecycle
-        are merged per runtime: runtimes in order of first appearance, calls
-        in lifecycle order. Each runtime's calls are committed as one block,
-        then every lifecycle is sent its own outcomes. So a lifecycle run
-        alone commits exactly the blocks it requests, in its order.
+        makes one step's calls, then yields. Each step resumes every live
+        lifecycle, in the order given, inside one `clock.step()`: a runtime's
+        calls from every lifecycle go into one block, runtimes in order of
+        first call, calls in lifecycle order, and the blocks append when the
+        step ends. So a lifecycle run alone commits exactly the blocks it
+        makes, in its order. A batch id, a hop index, or a hop's acceptance
+        or delivery that one lifecycle has taken is refused to the others.
         """
         returned: list = [None] * len(lifecycles)
-        sent: dict[int, list[Outcome] | None] = dict.fromkeys(range(len(lifecycles)))
-        while sent:
-            pending: dict[int, Request] = {}
-            for i, outcomes in sent.items():
-                try:
-                    pending[i] = lifecycles[i].send(outcomes)
-                except StopIteration as done:
-                    returned[i] = done.value
-            blocks: dict[Runtime, list[int]] = {}
-            for i, (rt, _calls) in pending.items():
-                blocks.setdefault(rt, []).append(i)
-            sent = dict.fromkeys(pending)       # lifecycle order, filled block by block
-            for rt, ids in blocks.items():
-                committed = iter(rt._commit([c for i in ids for c in pending[i][1]]))
-                for i in ids:
-                    sent[i] = list(islice(committed, len(pending[i][1])))
+        live = list(range(len(lifecycles)))
+        self._claims.clear()
+        while live:
+            still = []
+            with self.clock.step():
+                for i in live:
+                    try:
+                        next(lifecycles[i])
+                    except StopIteration as done:
+                        returned[i] = done.value
+                    else:
+                        still.append(i)
+            live = still
         return returned
+
+    def _claim(self, *key) -> bool:
+        """Take `key` for one lifecycle of this run; False if one already has."""
+        if key in self._claims:
+            return False
+        self._claims.add(key)
+        return True
 
     # --- batch ------------------------------------------------------------------
 
@@ -234,10 +247,10 @@ class SupplyChain:
         return self.run([self._register_batch(batch_id, setpoints)])[0]
 
     def _register_batch(self, batch_id: str, setpoints: Setpoints) -> Steps[BatchRecord]:
-        if batch_id in self.batches:
+        if batch_id in self.batches or not self._claim("batch", batch_id):
             raise ValidationError(f"batch {batch_id!r} already registered")
         driller = self.actor(Role.DRILLER)
-        [(_, tx)] = yield self.consortium_rt, [deployment(
+        address = self.consortium_rt.deploy(
             "OilDistribution",
             {
                 "driller": driller.address,
@@ -246,10 +259,11 @@ class SupplyChain:
                 "pump": self.actor(Role.PUMP).address,
                 "accurate_hum": setpoints.humidity,
             },
-            driller.address,
+            deployer=driller.address,
             annotations={"record": "distribution", "batch": batch_id},
-        )]
-        record = BatchRecord(batch_id=batch_id, distribution_contract=tx.contract)
+        )
+        yield
+        record = BatchRecord(batch_id=batch_id, distribution_contract=address)
         self.batches[batch_id] = record
         return record
 
@@ -268,6 +282,9 @@ class SupplyChain:
         seller = self.actor(seller_role)
         buyer = self.actor(buyer_role)
         index = len(batch.hops) + 1
+        if not self._claim("hop", batch.batch_id, index):
+            raise ValidationError(f"batch {batch.batch_id!r} hop {index} is already"
+                                  f" being initiated")
         gateway = identity.generate_device(
             f"gateway:{batch.batch_id}:{index}", self.seed
         )
@@ -285,21 +302,22 @@ class SupplyChain:
             "actualPress": terms.setpoints.pressure,
         }
 
-        [(_, tx)] = yield seller_rt, [deployment(
+        product = seller_rt.deploy(
             "CheckProgress",
             {"data_source": gateway.address},
-            seller.address,
+            deployer=seller.address,
             annotations={"record": "product", "batch": batch.batch_id, "hop": index},
-        )]
-        product = tx.contract
-        [outcome] = yield seller_rt, [Call(seller.address, product, "EnterOil", enter_args)]
-        if isinstance(outcome, ContractRevert):
-            raise ValidationError(f"product terms rejected: {outcome}")
+        )
+        yield
+        result = seller_rt.call(product, "EnterOil", enter_args, caller=seller.address)
+        yield
+        if result.status is not CallStatus.OK:
+            raise ValidationError(f"product terms rejected: {result.revert_reason}")
 
-        [(_, tx)] = yield self.consortium_rt, [deployment(
+        tracking = self.consortium_rt.deploy(
             "CheckProgress",
             {"data_source": gateway.address},
-            seller.address,
+            deployer=seller.address,
             annotations={
                 "record": "tracking",
                 "batch": batch.batch_id,
@@ -311,12 +329,13 @@ class SupplyChain:
                 "predecessor": previous.tracking_contract if previous else b"",
                 "product": product,
             },
-        )]
-        tracking = tx.contract
-        [outcome] = yield self.consortium_rt, [Call(seller.address, tracking, "EnterOil",
-                                                    enter_args)]
-        if isinstance(outcome, ContractRevert):
-            raise ValidationError(f"tracking terms rejected: {outcome}")
+        )
+        yield
+        result = self.consortium_rt.call(tracking, "EnterOil", enter_args,
+                                         caller=seller.address)
+        yield
+        if result.status is not CallStatus.OK:
+            raise ValidationError(f"tracking terms rejected: {result.revert_reason}")
 
         stored = None
         if terms.passphrase is not None:
@@ -375,19 +394,22 @@ class SupplyChain:
             ok = False
         if not ok:
             raise BadCredential(f"hop {hop.index} acceptance rejected")
+        if not self._claim("accept", hop.batch_id, hop.index):
+            raise WrongStatus(f"hop {hop.index} is already being accepted")
 
-        yield self.private_runtime(hop.seller.address), [Call(
-            hop.buyer.address,
-            hop.product_contract,
-            SETTLEMENT_FUNCTION,
-            {
+        self.private_runtime(hop.seller.address).record(
+            caller=hop.buyer.address,
+            contract=hop.product_contract,
+            function=SETTLEMENT_FUNCTION,
+            payload={
                 "batch": hop.batch_id,
                 "hop": hop.index,
                 "payer": hop.buyer.address,
                 "payee": hop.seller.address,
                 "amount": hop.terms.price,
             },
-        )]
+        )
+        yield
         hop.status = HopStatus.ACCEPTED
         return hop
 
@@ -407,10 +429,7 @@ class SupplyChain:
 
     def _feed(self, hop: Hop, readings: Sequence[telemetry.SensorReading],
               ) -> Steps[list[CallResult]]:
-        if hop.status is not HopStatus.ACCEPTED:
-            raise WrongStatus(
-                f"hop {hop.index} is {hop.status.name}, telemetry needs an accepted shipment"
-            )
+        _check_in_transit(hop)
         for r in readings:
             if r.source != hop.data_address:
                 raise Unauthorized(
@@ -422,21 +441,22 @@ class SupplyChain:
         seller_rt = self.private_runtime(hop.seller.address)
         results = []
         for _tick, instant in groupby(ordered, key=attrgetter("tick")):
-            checks, records = [], []
-            for r in instant:
-                if r.kind in telemetry.CHECK_FUNCTION:
-                    checks.append(Call(hop.data_address, hop.tracking_contract,
-                                       telemetry.CHECK_FUNCTION[r.kind], {"value": r.value}))
-                else:
-                    records.append(Call(hop.seller.address, hop.product_contract,
-                                        telemetry.RECORD_FUNCTION,
-                                        {"kind": r.kind.value, "tick": r.tick,
-                                         "value": r.value, "source": r.source}))
+            _check_in_transit(hop)      # a delivery run beside this feed closes the hop
+            instant = list(instant)
+            checks = [r for r in instant if r.kind in telemetry.CHECK_FUNCTION]
+            records = [r for r in instant if r.kind not in telemetry.CHECK_FUNCTION]
             if checks:
-                outcomes = yield self.consortium_rt, checks
-                results.extend(call_results(checks, outcomes))
+                results.extend(self.consortium_rt.call(
+                    hop.tracking_contract, telemetry.CHECK_FUNCTION[r.kind], {"value": r.value},
+                    caller=hop.data_address) for r in checks)
+                yield
             if records:
-                yield seller_rt, records
+                for r in records:
+                    seller_rt.record(hop.seller.address, hop.product_contract,
+                                     telemetry.RECORD_FUNCTION,
+                                     {"kind": r.kind.value, "tick": r.tick,
+                                      "value": r.value, "source": r.source})
+                yield
         return results
 
     # --- delivery -------------------------------------------------------------------
@@ -450,6 +470,8 @@ class SupplyChain:
             raise WrongStatus(
                 f"hop {hop.index} is {hop.status.name}, cannot deliver"
             )
+        if not self._claim("deliver", hop.batch_id, hop.index):
+            raise WrongStatus(f"hop {hop.index} is already being delivered")
 
         batch = self.batches[hop.batch_id]
         transition = _DELIVERY_TRANSITION.get(hop.seller.role)
@@ -466,10 +488,12 @@ class SupplyChain:
             # the pump sale is triggered by the buying consumer; every other
             # transition is the selling actor's own call
             caller = hop.buyer.address if transition == "pumpSoldOil" else hop.seller.address
-            [outcome] = yield self.consortium_rt, [Call(
-                caller, batch.distribution_contract, transition, args)]
-            if isinstance(outcome, ContractRevert):
-                raise WrongStage(str(outcome))
+            result = self.consortium_rt.call(
+                batch.distribution_contract, transition, args, caller=caller
+            )
+            yield
+            if result.status is not CallStatus.OK:
+                raise WrongStage(result.revert_reason)
 
         hop.status = HopStatus.DELIVERED
         return hop

@@ -1,5 +1,5 @@
-"""Runtime: gas table, fiat pricing, deploy/call/record, blocks of several calls,
-commit on append, replay."""
+"""Runtime: gas table, fiat pricing, deploy/call/record, blocks of several calls
+made in one clock step, commit on append, replay."""
 
 from __future__ import annotations
 
@@ -169,17 +169,20 @@ def test_deploy_refused_by_its_constructor_draws_no_tick_and_appends_nothing():
 
 def test_deploys_sharing_a_block_take_successive_nonces_once_it_appends():
     rt = private_runtime()
-    deploy = runtime.deployment("CheckProgress", {"data_source": DEVICE}, OWNER)
-    with pytest.raises(AccessDenied):
-        rt._commit([deploy, runtime.deployment("CheckProgress", {"data_source": DEVICE},
-                                               OUTSIDER)])
+    with pytest.raises(AccessDenied), rt.clock.step():
+        rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
+        rt.deploy("CheckProgress", {"data_source": DEVICE}, OUTSIDER)
     assert (len(rt.chain), rt.contracts) == (1, {})
-    outcomes = rt._commit([deploy, Call(OWNER, contract_address(OWNER, 0), "EnterOil",
-                                        ENTER_ARGS), deploy])
+    with rt.clock.step():
+        first = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
+        # the step's own deployment is callable before the block appends
+        result = rt.call(first, "EnterOil", ENTER_ARGS, OWNER)
+        second = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
+        assert (rt.contracts, len(rt.chain)) == ({}, 1)
+    assert (first, second) == (contract_address(OWNER, 0), contract_address(OWNER, 1))
     [block] = rt.chain.blocks[1:]
-    assert [tx.contract for tx in block.transactions] == \
-           [contract_address(OWNER, 0), contract_address(OWNER, 0), contract_address(OWNER, 1)]
-    assert [tx for _, tx in outcomes] == list(block.transactions)
+    assert [tx.contract for tx in block.transactions] == [first, first, second]
+    assert result.events == block.transactions[1].events
     assert rt.contracts[contract_address(OWNER, 0)].initialized
     assert not rt.contracts[contract_address(OWNER, 1)].initialized
     assert rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER) == contract_address(OWNER, 2)
@@ -306,6 +309,12 @@ def test_replay_refuses_a_stored_record_under_a_metered_name():
 CHECKS = ("CheckTemperature", "CheckHumidity", "CheckPressure")
 
 
+def calls_in_one_step(rt, calls):
+    """Each call's result, the calls made in one clock step so they share a block."""
+    with rt.clock.step():
+        return [rt.call(c.contract, c.function, c.args, c.caller) for c in calls]
+
+
 def entered_check_progress():
     """A consortium runtime holding a CheckProgress whose terms are entered, and its address."""
     rt, _validators, _clock = consortium_runtime()
@@ -319,8 +328,8 @@ def test_calls_in_a_block_run_at_one_tick_on_what_the_calls_before_left():
     address = rt.deploy("CheckProgress", {"data_source": DEVICE}, OWNER)
     upcoming = rt.clock.upcoming
     # the check reverts with NotInitialized unless it sees the terms entered before it
-    results = rt.call_block([Call(OWNER, address, "EnterOil", ENTER_ARGS),
-                             Call(DEVICE, address, "CheckPressure", {"value": 6})])
+    results = calls_in_one_step(rt, [Call(OWNER, address, "EnterOil", ENTER_ARGS),
+                                     Call(DEVICE, address, "CheckPressure", {"value": 6})])
     assert [r.status for r in results] == [CallStatus.OK, CallStatus.OK]
     assert results[1].return_value == "Current Pressure is very LOW"
     block = rt.chain.blocks[-1]
@@ -334,7 +343,7 @@ def test_calls_in_a_block_run_at_one_tick_on_what_the_calls_before_left():
 def test_a_reverted_call_stays_out_of_its_block():
     rt, address = entered_check_progress()
     upcoming, length = rt.clock.upcoming, len(rt.chain)
-    results = rt.call_block([
+    results = calls_in_one_step(rt, [
         Call(DEVICE, address, "CheckTemperature", {"value": 30}),
         Call(OUTSIDER, address, "CheckHumidity", {"value": 30}),     # not the data source
         Call(DEVICE, address, "CheckPressure", {"value": 1}),
@@ -356,7 +365,8 @@ def test_a_block_whose_every_call_reverts_spends_one_tick_and_appends_nothing():
     rt, address = entered_check_progress()
     tip, upcoming = rt.chain.tip_hash, rt.clock.upcoming
     installed = rt.contracts[address]
-    results = rt.call_block([Call(OUTSIDER, address, check, {"value": 1}) for check in CHECKS])
+    results = calls_in_one_step(rt, [Call(OUTSIDER, address, check, {"value": 1})
+                                     for check in CHECKS])
     assert [r.status for r in results] == [CallStatus.REVERTED] * 3
     assert (rt.chain.tip_hash, rt.clock.upcoming) == (tip, upcoming + 1)
     assert rt.contracts[address] is installed
@@ -371,7 +381,7 @@ def test_a_block_with_args_that_do_not_encode_draws_no_tick_and_commits_nothing(
     installed = rt.contracts[address]
     state = installed.snapshot()
     with pytest.raises(TypeError):
-        rt.call_block(calls)
+        calls_in_one_step(rt, calls)
     assert (rt.chain.tip_hash, rt.clock.upcoming) == (tip, upcoming)
     assert rt.contracts[address] is installed
     assert installed.snapshot() == state
@@ -546,7 +556,7 @@ def test_starved_consortium_call_leaves_the_contract_unchanged(kind, size):
     calls = [(function, args, caller), *FOLLOW_UP_CALLS[kind]][:size]
     rt._endorse = lambda digest: ledger.collect_endorsements(digest, validators[:2])
     with pytest.raises(QuorumNotMet):
-        rt.call_block([Call(c, address, f, a) for f, a, c in calls])
+        calls_in_one_step(rt, [Call(c, address, f, a) for f, a, c in calls])
     assert (rt.chain.tip_hash, len(rt.chain)) == (tip, length)
     assert rt.contracts.keys() == installed.keys()
     assert all(rt.contracts[a] is contract for a, contract in installed.items())

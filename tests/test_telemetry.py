@@ -158,6 +158,17 @@ def test_feed_requires_accepted_hop(supply, setpoints):
     assert hop.status is HopStatus.PROPOSED
 
 
+def test_a_feed_run_beside_its_hops_delivery_stops_once_the_hop_is_delivered(supply,
+                                                                              setpoints):
+    _batch, hop = accepted_hop(supply, setpoints)
+    # step 1: tick 0's checks beside the delivery; step 2: tick 0's records, and
+    # the delivery marks the hop; step 3: tick 1 finds the hop delivered
+    with pytest.raises(WrongStatus, match="DELIVERED, telemetry needs an accepted"):
+        supply.run([supply._feed(hop, hop_stream(hop)), supply._deliver(hop)])
+    assert hop.status is HopStatus.DELIVERED
+    assert {r["tick"] for r in telemetry_records(supply, hop)} == {0}
+
+
 def test_feed_rejects_foreign_sources(supply, setpoints):
     _batch, hop = accepted_hop(supply, setpoints)
     bad = [SensorReading(ReadingKind.PRESSURE, 0, 8, SOURCE)]

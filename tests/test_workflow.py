@@ -18,7 +18,7 @@ from oilchain.errors import (
 )
 from oilchain.identity import Role
 from oilchain.provenance import build_report
-from oilchain.runtime import Call, contract_address
+from oilchain.runtime import contract_address
 from oilchain.telemetry import ReadingKind, SensorReading
 from oilchain.workflow import HopStatus, SupplyChain, Topology
 
@@ -79,7 +79,8 @@ def test_run_merges_each_step_per_runtime_in_order_of_first_appearance(supply):
         seen = []
         for rt in runtimes:
             owner = driller if rt is drill_rt else refinery
-            [(_, tx)] = yield rt, [Call(owner, bytes(20), "note", {"from": name})]
+            tx = rt.record(owner, bytes(20), "note", {"from": name})
+            yield
             seen.append((rt.chain.name, canon_decode(tx.args)["from"]))
         return seen
 
@@ -93,9 +94,27 @@ def test_run_merges_each_step_per_runtime_in_order_of_first_appearance(supply):
     def blocks(rt):
         return [(block.timestamp, [canon_decode(tx.args)["from"] for tx in block.transactions])
                 for block in rt.chain.blocks[1:]]
-    # step 1: refinery first (a asked first), a's call before c's; then the driller
+    # step 1: refinery first (a called first), a's call before c's; then the driller
     assert blocks(refine_rt) == [(1, ["a", "c"]), (4, ["b"])]
     assert blocks(drill_rt) == [(2, ["b"]), (3, ["a"]), (5, ["b"])]
+
+
+def test_a_failing_step_commits_none_of_its_blocks(supply):
+    driller = supply.actor(Role.DRILLER).address
+    drill_rt = supply.private_runtime(driller)
+
+    def noting():
+        drill_rt.record(driller, bytes(20), "note", {})
+        yield
+
+    def failing():
+        raise ValidationError("refused")
+        yield
+
+    upcoming = supply.clock.upcoming
+    with pytest.raises(ValidationError):
+        supply.run([noting(), failing()])
+    assert (len(drill_rt.chain), supply.clock.upcoming) == (1, upcoming)
 
 
 def test_batches_registered_together_share_one_block(supply, setpoints):
@@ -108,6 +127,32 @@ def test_batches_registered_together_share_one_block(supply, setpoints):
     [block] = supply.consortium_chain.blocks[1:]
     assert [tx.contract for tx in block.transactions] == \
            [r.distribution_contract for r in records]
+
+
+def test_run_refuses_a_second_lifecycle_for_what_one_has_taken(supply, setpoints):
+    with pytest.raises(ValidationError, match="already registered"):
+        supply.run([supply._register_batch("101", setpoints),
+                    supply._register_batch("101", setpoints)])
+
+    batch = supply.register_batch("102", setpoints)
+    terms = standard_terms(setpoints)
+    with pytest.raises(ValidationError, match="hop 1 is already being initiated"):
+        supply.run([supply._initiate_hop(batch, Role.DRILLER, Role.REFINERY, terms),
+                    supply._initiate_hop(batch, Role.DRILLER, Role.REFINERY, terms)])
+
+    hop = supply.initiate_hop(batch, Role.DRILLER, Role.REFINERY, terms)
+    with pytest.raises(WrongStatus, match="already being accepted"):
+        supply.run([supply._accept_shipment(hop, sign_accept(supply, hop)),
+                    supply._accept_shipment(hop, sign_accept(supply, hop))])
+    assert settlement_records(supply) == []
+
+    supply.accept_shipment(hop, sign_accept(supply, hop))
+    assert len(settlement_records(supply)) == 1
+    with pytest.raises(WrongStatus, match="already being delivered"):
+        supply.run([supply._deliver(hop), supply._deliver(hop)])
+    assert hop.status is HopStatus.ACCEPTED
+    supply.deliver(hop)
+    assert custody(supply, "102")["current_trace"] == "AtDriller"
 
 
 # --- batch registration -----------------------------------------------------------------
