@@ -156,21 +156,51 @@ def verify(message: bytes, signature: bytes, public_key: bytes) -> bool:
 
 # --- passphrase credentials -------------------------------------------------
 
+# stored credential -> the UTF-8 passphrase `make_passphrase_credential`
+# derived it from, oldest first; bounded like the signature memo
+_derived: dict[bytes, bytes] = {}
+
+
+def _derive(passphrase: bytes, salt: bytes) -> bytes:
+    return hashlib.pbkdf2_hmac("sha256", passphrase, salt, _PBKDF2_ITERATIONS)
+
+
 def make_passphrase_credential(passphrase: str, salt: bytes) -> bytes:
     """Stored form of a passphrase: salt || PBKDF2-HMAC-SHA256 digest.
 
-    Raises EmptyPassphrase for the empty string; the cleartext is not kept.
+    Raises EmptyPassphrase for the empty string. The stored form holds no
+    cleartext, but the process does: a run's `workflow.TermSheet.passphrase`
+    holds it, and this function remembers it under the stored form until
+    SIGNATURE_MEMO_SIZE later credentials push it out, for
+    `check_passphrase`. It always derives; it never reads that memo.
     """
     if passphrase == "":
         raise EmptyPassphrase("passphrase must not be empty")
-    dig = hashlib.pbkdf2_hmac(
-        "sha256", passphrase.encode("utf-8"), salt, _PBKDF2_ITERATIONS
-    )
-    return salt + dig
+    secret = passphrase.encode("utf-8")
+    stored = salt + _derive(secret, salt)
+    _derived.pop(stored, None)
+    _derived[stored] = secret
+    if len(_derived) > SIGNATURE_MEMO_SIZE:
+        del _derived[next(iter(_derived))]
+    return stored
 
 
 def check_passphrase(stored: bytes, attempt: str) -> bool:
-    """Check a cleartext attempt against a stored passphrase."""
+    """Check a cleartext attempt against a stored passphrase.
+
+    An attempt byte-equal to the passphrase `make_passphrase_credential`
+    recently made `stored` from is accepted without deriving; any other
+    attempt, or a stored value not in that memo, is derived and compared.
+    Malformed inputs return False, never raise.
+    """
+    if not isinstance(stored, bytes) or not isinstance(attempt, str):
+        return False
+    try:
+        secret = attempt.encode("utf-8")
+    except UnicodeEncodeError:          # a lone surrogate: no passphrase encodes to it
+        return False
+    remembered = _derived.get(stored)
+    if remembered is not None and hmac.compare_digest(remembered, secret):
+        return True
     salt, dig = stored[:-32], stored[-32:]
-    got = hashlib.pbkdf2_hmac("sha256", attempt.encode("utf-8"), salt, _PBKDF2_ITERATIONS)
-    return hmac.compare_digest(got, dig)
+    return hmac.compare_digest(_derive(secret, salt), dig)

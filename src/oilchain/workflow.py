@@ -377,8 +377,14 @@ class SupplyChain:
         """Buyer acceptance: verify the credential, record the settlement.
 
         The credential is the buyer's signature over `accept_digest` (bytes)
-        or a passphrase attempt (str). A failed credential raises
-        BadCredential and leaves every chain and the hop untouched.
+        or a passphrase attempt (str). A signature `identity.sign` returned
+        in this process for that digest and key is taken by byte match
+        (`identity.signed_here`), as sealing takes the run's own
+        endorsements; any other is verified with Ed25519. A passphrase goes
+        through `identity.check_passphrase`, which skips the derivation only
+        for the passphrase this process made the hop's credential from. A
+        failed credential raises BadCredential and leaves every chain and
+        the hop untouched.
         """
         return self.run([self._accept_shipment(hop, credential)])[0]
 
@@ -387,7 +393,9 @@ class SupplyChain:
             raise WrongStatus(f"hop {hop.index} is {hop.status.name}, not PROPOSED")
 
         if isinstance(credential, bytes):
-            ok = identity.verify(self.accept_digest(hop), credential, hop.buyer.public_key)
+            message, public_key = self.accept_digest(hop), hop.buyer.public_key
+            ok = (identity.signed_here(message, credential, public_key)
+                  or identity.verify(message, credential, public_key))
         elif isinstance(credential, str) and hop.stored_passphrase is not None:
             ok = identity.check_passphrase(hop.stored_passphrase, credential)
         else:

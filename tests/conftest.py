@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import random
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
@@ -98,6 +100,17 @@ def telemetry_records(supply: SupplyChain, hop, kind: str | None = None) -> list
     records = [canon_decode(tx.args) for block in chain.blocks for tx in block.transactions
                if tx.function == RECORD_FUNCTION and tx.contract == hop.product_contract]
     return [r for r in records if kind is None or r["kind"] == kind]
+
+
+def ed25519_verifies():
+    """Counts Ed25519 verifies: `identity.verify` builds one public key per call."""
+    return mock.patch.object(identity.Ed25519PublicKey, "from_public_bytes",
+                             wraps=identity.Ed25519PublicKey.from_public_bytes)
+
+
+def pbkdf2_derivations():
+    """Counts PBKDF2 derivations: `identity` derives through `hashlib.pbkdf2_hmac`."""
+    return mock.patch.object(hashlib, "pbkdf2_hmac", wraps=hashlib.pbkdf2_hmac)
 
 
 def make_validators(count: int, seed: int = 99) -> list[identity.KeyPair]:

@@ -11,7 +11,7 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SCENARIO_DIR, three_batch_doc
+from conftest import SCENARIO_DIR, ed25519_verifies, pbkdf2_derivations, three_batch_doc
 from oilchain import identity, runtime, store, telemetry
 from oilchain.cli import main
 from oilchain.encoding import canon_decode
@@ -61,6 +61,25 @@ def test_same_shape_batches_share_every_consortium_block(count, monkeypatch):
     acceptances = sum(hop.accept_method == "signature"
                       for batch in scenario.batches for hop in batch.hops)
     assert signs == 3 * (len(chain) - 1) + acceptances
+
+
+@pytest.mark.parametrize("count", [1, 12])
+def test_a_run_derives_each_passphrase_once_and_verifies_no_acceptance(count):
+    scenario = parse_scenario(clones(HAPPY_DOC, count))
+    with pbkdf2_derivations() as derivations, ed25519_verifies() as verifies:
+        run_scenario(scenario)
+    # one passphrase hop per batch: made at initiate, taken from the memo at
+    # accept; its 3 signature acceptances are the run's own signatures
+    assert derivations.call_count == count
+    assert verifies.call_count == 0
+
+
+def test_a_second_run_in_one_process_derives_again():
+    scenario = parse_scenario(HAPPY_DOC)
+    run_scenario(scenario)
+    with pbkdf2_derivations() as derivations:
+        run_scenario(scenario)
+    assert derivations.call_count == 1
 
 
 # --- together equals alone --------------------------------------------------------------

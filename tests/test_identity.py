@@ -1,10 +1,11 @@
 """Keys, addresses, signatures, passphrase credentials."""
 
 import hashlib
+from unittest import mock
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oilchain import identity
 from oilchain.errors import EmptyPassphrase
@@ -144,3 +145,34 @@ def test_stored_passphrase_never_contains_cleartext():
 def test_empty_passphrase_rejected():
     with pytest.raises(EmptyPassphrase):
         identity.make_passphrase_credential("", salt=b"\x01" * 16)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.text(min_size=1, max_size=24))
+def test_a_check_accepts_exactly_the_passphrase_the_credential_was_made_from(data, passphrase):
+    attempt = data.draw(st.one_of(st.just(passphrase), st.text(max_size=24)))
+    stored = identity.make_passphrase_credential(passphrase, salt=b"\x03" * 16)
+    assert identity.check_passphrase(stored, attempt) == (attempt == passphrase)
+
+
+def test_the_passphrase_memo_holds_no_more_than_its_bound():
+    with mock.patch.object(identity, "_PBKDF2_ITERATIONS", 1):
+        made = [identity.make_passphrase_credential(f"pass {i}", b"\x04" * 16)
+                for i in range(identity.SIGNATURE_MEMO_SIZE + 10)]
+        assert len(identity._derived) <= identity.SIGNATURE_MEMO_SIZE
+        assert made[-1] in identity._derived and made[0] not in identity._derived
+        assert identity.check_passphrase(made[0], "pass 0")
+
+
+@pytest.mark.parametrize("stored,attempt", [
+    (b"\x01" * 48, b"open sesame"),
+    (b"\x01" * 48, None),
+    (b"\x01" * 48, "\ud800"),
+    (None, "open sesame"),
+    ("salt and digest", "open sesame"),
+    (bytearray(b"\x01" * 48), "open sesame"),
+    ([b"\x01"], "open sesame"),
+], ids=["bytes-attempt", "no-attempt", "lone-surrogate", "no-stored", "str-stored",
+        "bytearray-stored", "list-stored"])
+def test_malformed_passphrase_checks_return_false_not_raise(stored, attempt):
+    assert identity.check_passphrase(stored, attempt) is False

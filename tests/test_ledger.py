@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canon_oracle as oracle
-from conftest import build_random_chain, make_consortium, make_validators, mutate_chain
+from conftest import (build_random_chain, ed25519_verifies, make_consortium, make_validators,
+                      mutate_chain)
 from oilchain import identity, ledger
 from oilchain.errors import AccessDenied, InvalidValidatorSet, QuorumNotMet
 
@@ -266,12 +267,6 @@ def test_quorum_failure_names_the_chain_and_block():
 
 
 # --- sealing this process's own endorsements ------------------------------------
-
-def ed25519_verifies():
-    """Counts Ed25519 verifies: `identity.verify` builds one public key per call."""
-    return mock.patch.object(identity.Ed25519PublicKey, "from_public_bytes",
-                             wraps=identity.Ed25519PublicKey.from_public_bytes)
-
 
 @pytest.mark.parametrize("count", [4, 7, 13])
 def test_sealing_this_process_own_endorsements_runs_no_ed25519_verify(count):

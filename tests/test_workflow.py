@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import hashlib
+from unittest import mock
 
-from conftest import FIVE_ROLES, report_hops, settlement_records, standard_terms
+import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+from conftest import (FIVE_ROLES, ed25519_verifies, pbkdf2_derivations, report_hops,
+                      settlement_records, standard_terms)
 from oilchain import identity, ledger
 from oilchain.encoding import canon_decode
 from oilchain.errors import (
@@ -315,6 +320,87 @@ def test_passphrase_acceptance(supply, setpoints):
     assert hop.status is HopStatus.ACCEPTED
     assert "stored_passphrase" not in repr(hop)
     assert "wholesale-gate-7" not in repr(hop)
+
+
+# --- credentials this process did not just make go through the full check -------------
+
+@pytest.fixture
+def empty_memos(monkeypatch):
+    """Nothing signed or derived earlier in this process is remembered."""
+    monkeypatch.setattr(identity, "_signed", {})
+    monkeypatch.setattr(identity, "_derived", {})
+
+
+def test_a_wrong_passphrase_is_derived_and_refused(supply, setpoints):
+    _batch, hop = proposed_hop(supply, setpoints, passphrase="wholesale-gate-7")
+    with pbkdf2_derivations() as derivations, pytest.raises(BadCredential):
+        supply.accept_shipment(hop, "wholesale-gate-8")
+    assert derivations.call_count == 1
+    assert hop.status is HopStatus.PROPOSED
+
+
+def test_the_passphrase_of_a_credential_made_here_is_not_derived_again(supply, setpoints):
+    _batch, hop = proposed_hop(supply, setpoints, passphrase="wholesale-gate-7")
+    with pbkdf2_derivations() as derivations:
+        supply.accept_shipment(hop, "wholesale-gate-7")
+    assert derivations.call_count == 0
+    assert hop.status is HopStatus.ACCEPTED
+
+
+def test_a_passphrase_pushed_out_of_the_memo_is_derived_and_accepted(supply, setpoints):
+    _batch, hop = proposed_hop(supply, setpoints, passphrase="wholesale-gate-7")
+    with mock.patch.object(identity, "_PBKDF2_ITERATIONS", 1):     # cheap later credentials
+        for i in range(identity.SIGNATURE_MEMO_SIZE + 1):
+            identity.make_passphrase_credential(f"later {i}", b"\x00" * 16)
+    assert hop.stored_passphrase not in identity._derived
+    with pbkdf2_derivations() as derivations:
+        supply.accept_shipment(hop, "wholesale-gate-7")
+    assert derivations.call_count == 1
+    assert hop.status is HopStatus.ACCEPTED
+
+
+def test_a_passphrase_credential_made_elsewhere_is_derived_and_accepted(
+        supply, setpoints, empty_memos):
+    _batch, hop = proposed_hop(supply, setpoints, passphrase="wholesale-gate-7")
+    salt = b"\x05" * 16
+    hop.stored_passphrase = salt + hashlib.pbkdf2_hmac("sha256", b"wholesale-gate-7", salt,
+                                                      identity._PBKDF2_ITERATIONS)
+    with pbkdf2_derivations() as derivations:
+        supply.accept_shipment(hop, "wholesale-gate-7")
+    assert derivations.call_count == 1
+    assert hop.status is HopStatus.ACCEPTED
+
+
+def test_a_signature_made_elsewhere_is_verified_and_accepted(supply, setpoints, empty_memos):
+    _batch, hop = proposed_hop(supply, setpoints)
+    raw = Ed25519PrivateKey.from_private_bytes(hop.buyer.private_key)
+    with ed25519_verifies() as verifies:
+        supply.accept_shipment(hop, raw.sign(supply.accept_digest(hop)))
+    assert verifies.call_count == 1
+    assert hop.status is HopStatus.ACCEPTED
+
+
+@pytest.mark.parametrize("forge", [
+    lambda supply, hop: identity.sign(supply.accept_digest(hop),
+                                      identity.generate_device("stranger", 13).private_key),
+    lambda supply, hop: bytes([sign_accept(supply, hop)[0] ^ 1]) + sign_accept(supply, hop)[1:],
+], ids=["another-key", "byte-flipped"])
+def test_a_signature_the_memo_does_not_hold_is_verified_and_refused(supply, setpoints, forge):
+    _batch, hop = proposed_hop(supply, setpoints)
+    forged = forge(supply, hop)
+    with ed25519_verifies() as verifies, pytest.raises(BadCredential):
+        supply.accept_shipment(hop, forged)
+    assert verifies.call_count == 1
+    assert hop.status is HopStatus.PROPOSED
+
+
+def test_the_buyer_signature_made_here_is_accepted_without_a_verify(supply, setpoints):
+    _batch, hop = proposed_hop(supply, setpoints)
+    signature = sign_accept(supply, hop)
+    with ed25519_verifies() as verifies:
+        supply.accept_shipment(hop, signature)
+    assert verifies.call_count == 0
+    assert hop.status is HopStatus.ACCEPTED
 
 
 def test_double_accept_rejected(supply, setpoints):
