@@ -74,6 +74,14 @@ def _renderers(cls: type) -> tuple[tuple[str, Callable | None], ...]:
     return tuple(renderers)
 
 
+def require_init_args(kind: str, init_args, allowed: set[str]) -> None:
+    """Refuse init args that are not a dict or name a key outside allowed."""
+    if not isinstance(init_args, dict):
+        raise BadInitArgs(f"{kind} init args must be a dict, got {type(init_args).__name__}")
+    if unknown := sorted(set(init_args) - allowed):
+        raise BadInitArgs(f"{kind} has unknown init args {unknown}")
+
+
 def require_address(value, label: str) -> bytes:
     if not isinstance(value, bytes) or len(value) != ADDRESS_LEN:
         raise BadInitArgs(f"{label} must be a {ADDRESS_LEN}-byte address")

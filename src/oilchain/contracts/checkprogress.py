@@ -15,7 +15,7 @@ from enum import Enum, IntEnum
 
 from ..errors import BadInitArgs, NegativeQuantity, NotInitialized, Unauthorized
 from ..identity import address_hex
-from .base import ContractBase, Emission, require_address
+from .base import ContractBase, Emission, require_address, require_init_args
 
 
 class Stage(IntEnum):
@@ -68,8 +68,7 @@ class CheckProgress(ContractBase):
 
     @classmethod
     def create(cls, deployer: bytes, init_args: dict) -> "CheckProgress":
-        if unknown := sorted(set(init_args) - {"data_source"}):
-            raise BadInitArgs(f"CheckProgress has unknown init args {unknown}")
+        require_init_args(cls.KIND, init_args, {"data_source"})
         if "data_source" not in init_args:
             raise BadInitArgs("CheckProgress needs a data_source address")
         return cls(

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from ..errors import BadInitArgs, Unauthorized, WrongStage
 from ..identity import Role, address_hex
-from .base import ContractBase, Emission, require_address
+from .base import ContractBase, Emission, require_address, require_init_args
 
 
 class TraceStage(IntEnum):
@@ -81,8 +81,7 @@ class OilDistribution(ContractBase):
 
     @classmethod
     def create(cls, deployer: bytes, init_args: dict) -> "OilDistribution":
-        if unknown := sorted(set(init_args) - {*_ADDRESS_ARGS, "accurate_hum"}):
-            raise BadInitArgs(f"OilDistribution has unknown init args {unknown}")
+        require_init_args(cls.KIND, init_args, {*_ADDRESS_ARGS, "accurate_hum"})
         for key in _ADDRESS_ARGS:
             if key not in init_args:
                 raise BadInitArgs(f"OilDistribution needs a {key} address")

@@ -15,11 +15,11 @@ Lists and tuples encode identically (order preserved). Decoding is strict:
 it accepts exactly the byte strings the encoder produces, so for any input
 `b`, `canon_decode(b)` either raises ValueError or re-encodes to `b`.
 
-Encoding dispatches on the exact type of each value; a subclass of a
-supported type (an IntEnum or str-enum member, say) encodes as its base.
-The ledger writes a block's transactions, events and endorsements into one
-buffer through `write_list_head` and `write_items`, without building an
-intermediate value.
+One writer, `write_items`, states these bytes for every type; a subclass of
+a supported type (an IntEnum or str-enum member, say) encodes as its base.
+`canon_encode` writes one value through it, and the ledger writes a block's
+transactions, events and endorsements into one buffer through
+`write_list_head` and `write_items`, without building an intermediate value.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _HEAD_SIZE = _HEAD.size
 def canon_encode(value) -> bytes:
     """Encode a value into canonical bytes. Raises TypeError on unsupported types."""
     out = bytearray()
-    _write(out, value)
+    write_items(out, (value,))
     return bytes(out)
 
 
@@ -53,7 +53,7 @@ def write_list_head(out: bytearray, count: int) -> None:
 
 def write_items(out: bytearray, items) -> None:
     """Append the encoding of each item in order, without a list head."""
-    # the scalar writers, inlined: most items of a ledger record are scalars
+    # exact types first, scalars leading: most items of a ledger record are scalars
     for item in items:
         kind = type(item)
         if kind is bytes:
@@ -70,74 +70,30 @@ def write_items(out: bytearray, items) -> None:
         elif kind is tuple or kind is list:
             out += _head(LIST, len(item))
             write_items(out, item)
+        elif kind is dict:
+            keys = sorted(item)
+            for key in keys:
+                if not isinstance(key, str):
+                    raise TypeError(f"dict keys must be str, got {type(key).__name__}")
+            out += _head(DICT, len(keys))
+            write_items(out, [part for key in keys for part in (key, item[key])])
+        elif item is None:
+            out.append(NONE)
+        elif kind is bool:
+            out.append(TRUE if item else FALSE)
+        # a subclass encodes as its value of the base type
+        elif isinstance(item, int):
+            write_items(out, (int(item),))
+        elif isinstance(item, bytes):
+            write_items(out, (bytes(item),))
+        elif isinstance(item, str):     # not str(item): a str-enum's __str__ gives its name
+            write_items(out, (str.__str__(item),))
+        elif isinstance(item, (list, tuple)):
+            write_items(out, (tuple(item),))
+        elif isinstance(item, dict):
+            write_items(out, (dict(item),))
         else:
-            _write(out, item)
-
-
-def _write(out: bytearray, value) -> None:
-    _WRITERS.get(type(value), _write_subclass)(out, value)
-
-
-def _write_none(out: bytearray, value) -> None:
-    out.append(NONE)
-
-
-def _write_bool(out: bytearray, value: bool) -> None:
-    out.append(TRUE if value else FALSE)
-
-
-def _write_int(out: bytearray, value: int) -> None:
-    text = b"%d" % value
-    out += _head(INT, len(text))
-    out += text
-
-
-def _write_bytes(out: bytearray, value: bytes) -> None:
-    out += _head(BYTES, len(value))
-    out += value
-
-
-def _write_str(out: bytearray, value: str) -> None:
-    raw = value.encode("utf-8")
-    out += _head(STR, len(raw))
-    out += raw
-
-
-def _write_list(out: bytearray, items) -> None:
-    out += _head(LIST, len(items))
-    write_items(out, items)
-
-
-def _write_dict(out: bytearray, value: dict) -> None:
-    keys = sorted(value)
-    for key in keys:
-        if not isinstance(key, str):
-            raise TypeError(f"dict keys must be str, got {type(key).__name__}")
-    out += _head(DICT, len(keys))
-    for key in keys:
-        _write(out, key)
-        _write(out, value[key])
-
-
-_WRITERS = {
-    type(None): _write_none,
-    bool: _write_bool,
-    int: _write_int,
-    bytes: _write_bytes,
-    str: _write_str,
-    list: _write_list,
-    tuple: _write_list,
-    dict: _write_dict,
-}
-
-
-def _write_subclass(out: bytearray, value) -> None:
-    """A value whose exact type has no writer encodes as its supported base."""
-    for base in (int, bytes, str, list, tuple, dict):
-        if isinstance(value, base):
-            _WRITERS[base](out, value)
-            return
-    raise TypeError(f"cannot canonically encode {type(value).__name__}")
+            raise TypeError(f"cannot canonically encode {kind.__name__}")
 
 
 def canon_decode(data: bytes):

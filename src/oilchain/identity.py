@@ -113,6 +113,15 @@ SIGNATURE_MEMO_SIZE = 256
 _signed: dict[tuple[bytes, bytes], bytes] = {}
 
 
+def _remember(memo: dict, key, value) -> None:
+    """Make key -> value the newest entry of memo, then drop the oldest
+    entries past SIGNATURE_MEMO_SIZE."""
+    memo.pop(key, None)
+    memo[key] = value
+    if len(memo) > SIGNATURE_MEMO_SIZE:
+        del memo[next(iter(memo))]
+
+
 def sign(message: bytes, private_key: bytes) -> bytes:
     """Ed25519 signature (64 bytes) over the message.
 
@@ -121,9 +130,7 @@ def sign(message: bytes, private_key: bytes) -> bytes:
     """
     key, public_key = _signing_key(private_key)
     signature = key.sign(message)
-    _signed[(public_key, bytes(message))] = signature
-    if len(_signed) > SIGNATURE_MEMO_SIZE:
-        del _signed[next(iter(_signed))]
+    _remember(_signed, (public_key, bytes(message)), signature)
     return signature
 
 
@@ -154,6 +161,16 @@ def verify(message: bytes, signature: bytes, public_key: bytes) -> bool:
         return False
 
 
+def signed_here_or_verified(message: bytes, signature: bytes, public_key: bytes) -> bool:
+    """True iff signature is valid: `signed_here`, else `verify`.
+
+    Same answer as `verify`; it skips Ed25519 only for a signature this
+    process recently made.
+    """
+    return (signed_here(message, signature, public_key)
+            or verify(message, signature, public_key))
+
+
 # --- passphrase credentials -------------------------------------------------
 
 # stored credential -> the UTF-8 passphrase `make_passphrase_credential`
@@ -178,10 +195,7 @@ def make_passphrase_credential(passphrase: str, salt: bytes) -> bytes:
         raise EmptyPassphrase("passphrase must not be empty")
     secret = passphrase.encode("utf-8")
     stored = salt + _derive(secret, salt)
-    _derived.pop(stored, None)
-    _derived[stored] = secret
-    if len(_derived) > SIGNATURE_MEMO_SIZE:
-        del _derived[next(iter(_derived))]
+    _remember(_derived, stored, secret)
     return stored
 
 

@@ -245,11 +245,6 @@ def _endorsement_fault(digest: bytes, endorsement: Endorsement,
     return None
 
 
-def _signed_here_or_valid(digest: bytes, signature: bytes, public_key: bytes) -> bool:
-    return (identity.signed_here(digest, signature, public_key)
-            or identity.verify(digest, signature, public_key))
-
-
 def _seal_quorum(chain: Chain, index: int, digest: bytes,
                  offered: Iterable[Endorsement]) -> tuple[Endorsement, ...]:
     """The first 2f+1 valid, distinct validator endorsements offered, in order.
@@ -273,7 +268,7 @@ def _seal_quorum(chain: Chain, index: int, digest: bytes,
     skipped: list[str] = []
     for endorsement in offered:
         fault = _endorsement_fault(digest, endorsement, chain.validators, seen,
-                                   _signed_here_or_valid)
+                                   identity.signed_here_or_verified)
         if fault is not None:
             skipped.append(fault)
             continue

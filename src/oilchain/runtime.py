@@ -109,8 +109,8 @@ class LogicalClock:
     ends, its blocks append in the order they opened.
     """
 
-    def __init__(self, start: int = 1):
-        self._next = start
+    def __init__(self):
+        self._next = 1
         self._held: dict[Runtime, _OpenBlock] | None = None
 
     def next(self) -> int:

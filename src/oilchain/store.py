@@ -29,7 +29,7 @@ _BLOCKS = "blocks.jsonl"
 def chain_dir_name(chain: ledger.Chain) -> str:
     if chain.chain_class is ledger.ChainClass.CONSORTIUM:
         return "consortium"
-    return f"private-{chain.name}" if not chain.name.startswith("private-") else chain.name
+    return f"private-{chain.name}"
 
 
 # --- record conversion --------------------------------------------------------

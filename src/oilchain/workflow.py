@@ -393,9 +393,8 @@ class SupplyChain:
             raise WrongStatus(f"hop {hop.index} is {hop.status.name}, not PROPOSED")
 
         if isinstance(credential, bytes):
-            message, public_key = self.accept_digest(hop), hop.buyer.public_key
-            ok = (identity.signed_here(message, credential, public_key)
-                  or identity.verify(message, credential, public_key))
+            ok = identity.signed_here_or_verified(self.accept_digest(hop), credential,
+                                                  hop.buyer.public_key)
         elif isinstance(credential, str) and hop.stored_passphrase is not None:
             ok = identity.check_passphrase(hop.stored_passphrase, credential)
         else:

@@ -403,6 +403,25 @@ def test_verify_refuses_a_plain_record_under_a_metered_name(tmp_path, capsys):
     assert "REPLAY FAILED at block 1: readyToFactory does not replay" in out
 
 
+@pytest.mark.parametrize("kind, init", [
+    ("OilDistribution", ["driller", "factory", "storage", "pump"]),
+    ("CheckProgress", ["data_source"]),
+])
+def test_verify_refuses_a_constructor_whose_init_is_no_dict(happy_store, capsys, kind, init):
+    # private chains are unsigned: anyone can append a block and re-hash
+    chain = store.load_chain(happy_store / "private-driller")
+    tip = chain.blocks[-1]
+    ledger.append_block(chain, [ledger.Transaction(
+        tip.transactions[0].caller, b"\x42" * 20, "constructor",
+        canon_encode({"kind": kind, "init": init}),
+        runtime.metered_cost("constructor").transaction)], tip.timestamp + 1)
+    store.save_chain(happy_store, chain)
+    code, out, _err = run_cli(capsys, "verify", "--store", str(happy_store))
+    assert code == 1
+    assert (f"REPLAY FAILED at block {tip.index + 1}: constructor does not replay:"
+            f" BadInitArgs('{kind} init args must be a dict, got list')") in out
+
+
 def test_verify_corrupt_store(happy_store, capsys):
     blocks = happy_store / "private-driller" / "blocks.jsonl"
     text = blocks.read_text()

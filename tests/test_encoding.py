@@ -3,6 +3,7 @@ and agreement with the reference codec in `canon_oracle`."""
 
 import enum
 import struct
+import typing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -217,6 +218,19 @@ class Items(list):
     pass
 
 
+class Blob(bytes):
+    pass
+
+
+class Entries(dict):
+    pass
+
+
+class Pair(typing.NamedTuple):
+    first: object
+    second: object
+
+
 def _outcome(fn, arg):
     """fn(arg), or the type of the exception it raised."""
     try:
@@ -231,6 +245,7 @@ def _is_value_error(outcome) -> bool:
 
 odd_scalars = st.one_of(
     scalars,
+    st.binary(max_size=8).map(Blob),
     st.integers(min_value=-(2**130), max_value=2**130),
     st.sampled_from([*Grade, *Kind]),
     st.floats(),
@@ -241,8 +256,10 @@ odd_values = st.recursive(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
         st.lists(inner, max_size=3).map(Items),
+        st.builds(Pair, inner, inner),
         st.dictionaries(st.one_of(st.text(max_size=8), st.sampled_from(list(Kind)),
                                   st.integers(0, 3)), inner, max_size=4),
+        st.dictionaries(st.text(max_size=8), inner, max_size=3).map(Entries),
     ),
     max_leaves=20,
 )

@@ -122,6 +122,16 @@ def test_signed_here_only_for_the_signature_sign_returned():
     assert not identity.signed_here(b"msg", signature, bytearray(kp.public_key))
 
 
+def test_signing_a_message_again_makes_its_memo_entry_the_newest():
+    kp = identity.generate_device("memo", 5)
+    signature = identity.sign(b"again", kp.private_key)
+    for i in range(identity.SIGNATURE_MEMO_SIZE - 1):
+        identity.sign(i.to_bytes(2, "big"), kp.private_key)
+    assert identity.sign(b"again", kp.private_key) == signature
+    identity.sign(b"one more", kp.private_key)
+    assert identity.signed_here(b"again", signature, kp.public_key)
+
+
 # --- passphrases ------------------------------------------------------------
 
 def test_passphrase_check():

@@ -41,6 +41,15 @@ def test_round_trip_preserves_blocks_and_tips(tmp_path):
     assert ledger.verify_endorsement_quorum(loaded["consortium"])
 
 
+def test_private_chains_whose_names_differ_by_the_prefix_keep_their_own_directories(tmp_path):
+    owner = b"\x31" * 20
+    chains = [ledger.new_private_chain(name, {owner}) for name in ("driller", "private-driller")]
+    store.save_store(tmp_path, chains)
+    loaded = store.load_store(tmp_path)
+    assert set(loaded) == {"private-driller", "private-private-driller"}
+    assert [loaded[store.chain_dir_name(c)].name for c in chains] == ["driller", "private-driller"]
+
+
 def test_block_line_edit_is_refused_with_first_bad_index(tmp_path):
     saved_pair(tmp_path)
     blocks_file = tmp_path / "private-scratch" / "blocks.jsonl"
