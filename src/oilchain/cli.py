@@ -26,7 +26,7 @@ EXIT_ERROR = 1
 EXIT_VIOLATIONS = 2
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[int, object, str]:
     seed = None if args.seed is None else scenario.check_seed(args.seed, "--seed")
     eth_usd = (None if args.eth_usd is None
                else scenario.check_eth_usd(args.eth_usd, "--eth-usd"))
@@ -38,14 +38,11 @@ def _cmd_run(args) -> int:
             (root / "report.json").write_text(scenario.report_to_json(result.report))
         except OSError as exc:
             raise ValidationError(f"--store: {root}: {exc.strerror}") from None
-    if args.format == "structured":
-        sys.stdout.write(scenario.report_to_json(result.report))
-    else:
-        sys.stdout.write(scenario.report_to_text(result.report))
-    return EXIT_VIOLATIONS if result.violations_found else EXIT_OK
+    code = EXIT_VIOLATIONS if result.violations_found else EXIT_OK
+    return code, result.report, scenario.report_to_text(result.report)
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args) -> tuple[int, object, str]:
     chains = store.load_store(Path(args.store)).values()
     consortium = next((c for c in chains if c.chain_class is ledger.ChainClass.CONSORTIUM), None)
     if consortium is None:
@@ -54,40 +51,31 @@ def _cmd_trace(args) -> int:
     # the report reads these contracts' events: each must replay to what it holds
     runtime.replay(consortium, {bytes.fromhex(h.tracking_contract[2:]) for h in report.hops}
                    | {report.distribution_contract})
-    if args.format == "structured":
-        sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
-    else:
-        sys.stdout.write(report.to_text())
-    return EXIT_OK if report.clean else EXIT_VIOLATIONS
+    code = EXIT_OK if report.clean else EXIT_VIOLATIONS
+    return code, report.to_dict(), report.to_text()
 
 
-def _cmd_gas_report(args) -> int:
+def _cmd_gas_report(args) -> tuple[int, object, str]:
     eth_usd = (runtime.DEFAULT_ETH_USD if args.eth_usd is None
                else scenario.check_eth_usd(args.eth_usd, "--eth-usd"))
     rows = runtime.gas_report(eth_usd=eth_usd)
-    if args.format == "structured":
-        doc = {
-            "schema_version": scenario.RUN_REPORT_SCHEMA_VERSION,
-            "eth_usd": eth_usd,
-            "gas_prices_gwei": runtime.GAS_PRICES_GWEI,
-            "functions": rows,
-        }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-        return EXIT_OK
+    doc = {
+        "schema_version": scenario.RUN_REPORT_SCHEMA_VERSION,
+        "eth_usd": eth_usd,
+        "gas_prices_gwei": runtime.GAS_PRICES_GWEI,
+        "functions": rows,
+    }
     header = (f"{'function':<18} {'exec gas':>9} {'tx gas':>9}"
               f" {'slow':>10} {'avg':>10} {'fast':>10} {'fastest':>10}")
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        print(
-            f"{row['function']:<18} {row['execution_gas']:>9} {row['transaction_gas']:>9}"
-            f" {row['usd_slow']:>10.5f} {row['usd_avg']:>10.5f}"
-            f" {row['usd_fast']:>10.5f} {row['usd_fastest']:>10.5f}"
-        )
-    return EXIT_OK
+    text = [header, "-" * len(header)] + [
+        f"{row['function']:<18} {row['execution_gas']:>9} {row['transaction_gas']:>9}"
+        f" {row['usd_slow']:>10.5f} {row['usd_avg']:>10.5f}"
+        f" {row['usd_fast']:>10.5f} {row['usd_fastest']:>10.5f}"
+        for row in rows]
+    return EXIT_OK, doc, "\n".join(text) + "\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, object, str]:
     chains = store.load_store(Path(args.store))
     lines = []
     for name, chain in chains.items():
@@ -109,14 +97,11 @@ def _cmd_verify(args) -> int:
         if not report:
             line["reason"] = report.reason
         lines.append(line)
-    if args.format == "structured":
-        sys.stdout.write(json.dumps({"chains": lines}, indent=2) + "\n")
-    else:
-        for line in lines:
-            reason = f": {line['reason']}" if "reason" in line else ""
-            print(f"{line['chain']:<20} {line['class']:<11} blocks={line['blocks']:<5}"
-                  f" {line['status']}{reason}")
-    return EXIT_OK if all(line["status"] == "ok" for line in lines) else EXIT_ERROR
+    text = "".join(f"{line['chain']:<20} {line['class']:<11} blocks={line['blocks']:<5}"
+                   f" {line['status']}" + (f": {line['reason']}" if "reason" in line else "")
+                   + "\n" for line in lines)
+    code = EXIT_OK if all(line["status"] == "ok" for line in lines) else EXIT_ERROR
+    return code, {"chains": lines}, text
 
 
 def _replay_all(chain: ledger.Chain) -> None:
@@ -138,8 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic permissioned-ledger simulator for oil supply chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "structured"), default="text")
 
-    p_run = sub.add_parser("run", help="replay a scenario file")
+    p_run = sub.add_parser("run", parents=[output], help="replay a scenario file")
     p_run.add_argument("scenario", help="path to a scenario JSON file")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the scenario's seed")
@@ -147,23 +134,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory to persist ledgers and the report into")
     p_run.add_argument("--eth-usd", type=float, default=None,
                        help="override the fiat conversion rate")
-    p_run.add_argument("--format", choices=("text", "structured"), default="text")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_trace = sub.add_parser("trace", help="trace a batch through a persisted store")
+    p_trace = sub.add_parser("trace", parents=[output],
+                             help="trace a batch through a persisted store")
     p_trace.add_argument("batch_id")
     p_trace.add_argument("--store", required=True)
-    p_trace.add_argument("--format", choices=("text", "structured"), default="text")
     p_trace.set_defaults(fn=_cmd_trace)
 
-    p_gas = sub.add_parser("gas-report", help="print the gas calibration table")
+    p_gas = sub.add_parser("gas-report", parents=[output],
+                           help="print the gas calibration table")
     p_gas.add_argument("--eth-usd", type=float, default=None)
-    p_gas.add_argument("--format", choices=("text", "structured"), default="text")
     p_gas.set_defaults(fn=_cmd_gas_report)
 
-    p_verify = sub.add_parser("verify", help="re-verify a persisted store")
+    p_verify = sub.add_parser("verify", parents=[output], help="re-verify a persisted store")
     p_verify.add_argument("--store", required=True)
-    p_verify.add_argument("--format", choices=("text", "structured"), default="text")
     p_verify.set_defaults(fn=_cmd_verify)
 
     return parser
@@ -173,10 +158,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # the exit code, the document `--format structured` prints, and the text
+        code, doc, text = args.fn(args)
     except OilchainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n" if args.format == "structured" else text)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Reverse traceability: rebuild a batch's history from ledger contents alone.
 
-The walk starts at the batch's final hop and follows predecessor links back
-to the first, so the report covers the whole custody chain or fails loudly.
-Everything here is read-only and derived from the consortium chain: hop
-linkage from deployment records, condition history and each tracking
-contract's final stages from stage events, custody movement from
-distribution events.
+One walk of the consortium chain reads every record a report needs. The
+tracking records must number the hops 1..n, each linked to the one before,
+so the report covers the whole custody chain or fails loudly. Everything
+here is read-only: hop linkage from deployment records, condition history
+and each tracking contract's final stages from stage events, custody
+movement from distribution events.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ REPORT_SCHEMA_VERSION = 1
 VIOLATION_EVENTS = {event: kind.value for kind, event in EVENT_NAME.items()}
 
 _STAGE_FROM_WORD = {word: stage for stage, word in STAGE_WORD.items()}
-_LABEL_FROM_WORD = {word: stage_label(stage) for stage, word in STAGE_WORD.items()}
-_ACCURATE = stage_label(Stage.ACCURATE)
 
 # which hop (by seller role) each distribution event belongs to
 _EVENT_SELLER_ROLE = {step.event: step.seller.value for step in SPINE}
@@ -72,11 +70,13 @@ class HopSummary:
     product_contract: str
     tracking_contract: str
     predecessor: str | None
-    # every event on the tracking contract, oldest first; not serialized
-    tracking_events: list[tuple[ledger.Block, ledger.Event]] = field(repr=False)
     violations: list[ViolationEntry] = field(default_factory=list)
     accurate_readings: int = 0
     distribution_events: list[DistributionEntry] = field(default_factory=list)
+    # the stages the tracking contract keeps, read back from its stage events:
+    # each kind's last stage (Accurate with none), and the kind of the newest
+    # stage event, or None when that was Accurate; not serialized by to_dict
+    final_state: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -92,23 +92,6 @@ class HopSummary:
             "accurate_readings": self.accurate_readings,
             "distribution_events": [d.to_dict() for d in self.distribution_events],
         }
-
-    def final_state(self) -> dict[str, str]:
-        """The stages `CheckProgress` keeps, read back from its stage events,
-        newest first: each kind's last stage (Accurate with none), and the kind
-        of the last stage event, or None when that was Accurate."""
-        labels: dict[str, str] = {}         # newest first
-        for _block, event in reversed(self.tracking_events):
-            kind = VIOLATION_EVENTS.get(event.name)
-            if kind is not None and kind not in labels:
-                labels[kind] = _LABEL_FROM_WORD[str(event.arg("msg")).split(" ", 1)[0]]
-                if len(labels) == len(VIOLATION_EVENTS):
-                    break
-        state = {kind.lower(): labels.get(kind, _ACCURATE) for kind in VIOLATION_EVENTS.values()}
-        latest = next(iter(labels), None)
-        state["violation_type"] = (latest if latest is not None and labels[latest] != _ACCURATE
-                                   else ViolationKind.NONE.value)
-        return state
 
 
 @dataclass
@@ -189,7 +172,7 @@ def _event_arg(chain: ledger.Chain, block: ledger.Block, event: ledger.Event,
 
 
 def build_report(chain: ledger.Chain, batch_id: str) -> ProvenanceReport:
-    """Assemble the batch's report by walking predecessor links backwards."""
+    """The batch's report, from one walk of the chain."""
     return build_reports(chain, [batch_id])[0]
 
 
@@ -238,8 +221,9 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
                 product_contract=address_hex(meta["product"]),
                 tracking_contract=address_hex(addr),
                 predecessor=address_hex(meta["predecessor"]) if meta["predecessor"] else None,
-                tracking_events=events_of[addr],
             )
+            latest: dict[str, Stage] = {}       # stage event name -> its newest stage
+            stage = Stage.ACCURATE              # after the loop: the newest stage event's
             for block, event in events_of[addr]:
                 if event.name not in VIOLATION_EVENTS:
                     continue
@@ -249,6 +233,7 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
                 except KeyError:
                     raise _corrupt(chain, block, f"{event.name} event's 'msg' arg names no"
                                                  f" stage") from None
+                latest[event.name] = stage
                 if stage is Stage.ACCURATE:
                     summary.accurate_readings += 1
                 else:
@@ -258,6 +243,13 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
                         message=message,
                     ))
                     totals[kind] += 1
+            summary.final_state = {
+                kind.lower(): stage_label(latest.get(name, Stage.ACCURATE))
+                for name, kind in VIOLATION_EVENTS.items()}
+            # a newest stage event that is no Accurate reading is the last violation
+            summary.final_state["violation_type"] = (
+                summary.violations[-1].kind if stage is not Stage.ACCURATE
+                else ViolationKind.NONE.value)
             hops.append(summary)
         if batch_id not in distribution_of:
             raise CorruptLedger(f"batch {batch_id!r} has hops but no distribution record")
@@ -278,34 +270,15 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
 
 
 def _hop_order(batch_id: str, tracking_meta: dict[bytes, dict]) -> list[bytes]:
-    """The batch's tracking contracts, first hop first, checked to form one chain."""
+    """The batch's tracking contracts by hop number, checked to number the hops
+    1..n, each naming the one before as its predecessor (the first none)."""
     if not tracking_meta:
         raise UnknownBatch(f"no hops recorded for batch {batch_id!r}")
-
-    # the final hop is the one no other hop points back to
-    referenced = {
-        meta["predecessor"] for meta in tracking_meta.values() if meta["predecessor"]
-    }
-    tips = [addr for addr in tracking_meta if addr not in referenced]
-    if len(tips) != 1:
-        raise CorruptLedger(
-            f"batch {batch_id!r} predecessor links do not form a single chain"
-        )
-
-    ordered: list[bytes] = []
-    cursor: bytes | None = tips[0]
-    while cursor:
-        if cursor in ordered:
-            raise CorruptLedger(f"batch {batch_id!r} predecessor links form a cycle")
-        ordered.append(cursor)
-        if cursor not in tracking_meta:
-            raise CorruptLedger(
-                f"batch {batch_id!r} predecessor link leads outside the batch"
-            )
-        cursor = tracking_meta[cursor]["predecessor"] or None
-    if len(ordered) != len(tracking_meta):
-        raise CorruptLedger(
-            f"batch {batch_id!r} has hops unreachable from the final hop"
-        )
-    ordered.reverse()
+    ordered = sorted(tracking_meta, key=lambda addr: tracking_meta[addr]["hop"])
+    previous = b""
+    for number, addr in enumerate(ordered, start=1):
+        if (tracking_meta[addr]["hop"], tracking_meta[addr]["predecessor"]) != (number, previous):
+            raise CorruptLedger(f"batch {batch_id!r} hop {number}: tracking records do not"
+                                f" number the hops 1..n, each linked to the one before")
+        previous = addr
     return ordered

@@ -315,11 +315,16 @@ def replay(chain: ledger.Chain, contracts: Set[bytes]) -> dict[bytes, ContractBa
     """The contracts at these addresses that the chain deploys, rebuilt by
     re-running every transaction on them through `execute`, each at its
     block's tick. Raises CorruptLedger naming the chain, block and function
-    when a transaction's args do not decode, the contract refuses it, or its
-    events or metered gas differ from the record."""
+    when a transaction's args do not decode, the contract refuses it, its
+    events or metered gas differ from the record, or a constructor's contract
+    is not the address its deployer's nonce names."""
     rebuilt: dict[bytes, ContractBase] = {}
+    nonces: dict[bytes, int] = {}       # constructors so far, by deployer
     for block in chain.blocks:
         for tx in block.transactions:
+            if tx.function == "constructor":
+                nonce = nonces.get(tx.caller, 0)
+                nonces[tx.caller] = nonce + 1
             if tx.contract not in contracts:
                 continue
             try:
@@ -328,6 +333,10 @@ def replay(chain: ledger.Chain, contracts: Set[bytes]) -> dict[bytes, ContractBa
                 why = _disagreement(tx, events)
             except (BadInitArgs, ContractRevert, LookupError, TypeError, ValueError) as exc:
                 why = repr(exc)
+            if (not why and tx.function == "constructor"
+                    and tx.contract != (owed := contract_address(tx.caller, nonce))):
+                why = (f"deploys at {tx.contract.hex()}, its deployer's nonce {nonce}"
+                       f" names {owed.hex()}")
             if why:
                 raise CorruptLedger(f"chain {chain.name!r} block {block.index}: {tx.function}"
                                     f" does not replay: {why}", block.index)
@@ -339,7 +348,9 @@ def replay(chain: ledger.Chain, contracts: Set[bytes]) -> dict[bytes, ContractBa
 def _disagreement(tx: ledger.Transaction, events: tuple[ledger.Event, ...]) -> str:
     """How a re-executed transaction differs from its record; empty if it does not."""
     if events != tx.events:
-        shown = ([(e.name, dict(e.args)) for e in side] for side in (events, tx.events))
+        emitters = [e.emitter for e in events] != [e.emitter for e in tx.events]
+        shown = ([(e.name, dict(e.args)) + ((e.emitter.hex(),) if emitters else ())
+                  for e in side] for side in (events, tx.events))
         return "emits {}, the record holds {}".format(*shown)
     gas = metered_cost(tx.function).transaction
     return f"costs {gas} gas, the record holds {tx.gas_used}" if gas != tx.gas_used else ""

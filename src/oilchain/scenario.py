@@ -464,7 +464,7 @@ def build_run_report(scenario: Scenario, supply: SupplyChain, seed: int,
                 "readings_fed": summary.accurate_readings + len(summary.violations) + len(fed),
                 "weight_delta": telemetry.weight_delta(fed),
                 "settlement_tick": settled,
-                "final_state": summary.final_state(),
+                "final_state": summary.final_state,
             })
         batches.append({
             "batch_id": trace.batch_id,

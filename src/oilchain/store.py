@@ -109,15 +109,25 @@ def save_chain(root: Path, chain: ledger.Chain) -> Path:
 
 
 def save_store(root: Path, chains: Iterable[ledger.Chain]) -> None:
-    """Save every chain under root, then remove any other chain directory
-    (one holding a manifest) an earlier save left there, so that loading the
-    store yields exactly these chains. Nothing else under root is touched."""
+    """Save every chain under root, then remove any other chain directory an
+    earlier save left there: one whose manifest is an object naming a chain
+    class. Nothing else under root is touched, so a directory with another
+    `manifest.json` stays, and loading the store refuses it by name."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     saved = {save_chain(root, chain) for chain in chains}
     for directory in _chain_dirs(root):
-        if directory not in saved:
+        if directory not in saved and _names_a_chain_class(directory / _MANIFEST):
             shutil.rmtree(directory)
+
+
+def _names_a_chain_class(manifest_file: Path) -> bool:
+    try:
+        manifest = json.loads(manifest_file.read_text())
+    except (OSError, ValueError, RecursionError):
+        return False
+    return (isinstance(manifest, dict)
+            and manifest.get("class") in [c.value for c in ledger.ChainClass])
 
 
 def _chain_dirs(root: Path) -> list[Path]:
@@ -132,7 +142,7 @@ def load_chain(directory: Path) -> ledger.Chain:
     directory = Path(directory)
     try:
         manifest = json.loads((directory / _MANIFEST).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CorruptLedger(f"unreadable manifest in {directory.name}: {exc}") from exc
     try:
         if not isinstance(manifest, dict):

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+import forgery
 from conftest import SCENARIO_DIR
 from oilchain import identity, ledger, runtime, store
 from oilchain.cli import main
@@ -198,6 +199,29 @@ def test_run_persists_store_and_report(tmp_path, capsys):
         assert manifest["tip_hash"] == chain["tip_hash"]
         lines = (root / name / "blocks.jsonl").read_text().splitlines()
         assert len(lines) == chain["blocks"]
+
+
+@pytest.mark.parametrize("manifest", [
+    '{"name": "Web app", "start_url": "/", "display": "standalone"}',
+    '{"class": ["Private"]}',
+    "[]",
+    "not json",
+    "[" * 100_000 + "]" * 100_000,
+], ids=["web-app-manifest", "unhashable-class", "json-list", "not-json", "nested-too-deep"])
+def test_run_keeps_a_directory_whose_manifest_is_no_chains(tmp_path, capsys, manifest):
+    root = tmp_path / "mixed"
+    (root / "webapp").mkdir(parents=True)
+    (root / "webapp" / "manifest.json").write_text(manifest)
+    (root / "webapp" / "index.html").write_text("<html></html>")
+    code, _out, _err = run_cli(capsys, "run", HAPPY, "--store", str(root))
+    assert code == 0
+    assert (root / "webapp" / "manifest.json").read_text() == manifest
+    assert (root / "webapp" / "index.html").read_text() == "<html></html>"
+    # the store refuses the directory by name, so nothing is lost unseen
+    code, out, err = run_cli(capsys, "verify", "--store", str(root))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "manifest in webapp: " in err
 
 
 def test_failed_run_persists_nothing(tmp_path, capsys):
@@ -420,6 +444,69 @@ def test_verify_refuses_a_constructor_whose_init_is_no_dict(happy_store, capsys,
     assert code == 1
     assert (f"REPLAY FAILED at block {tip.index + 1}: constructor does not replay:"
             f" BadInitArgs('{kind} init args must be a dict, got list')") in out
+
+
+def _verify_failure(capsys, root):
+    code, out, _err = run_cli(capsys, "verify", "--store", str(root), "--format", "structured")
+    assert code == 1
+    [failed] = [line for line in json.loads(out)["chains"] if line["status"] != "ok"]
+    return failed
+
+
+def test_verify_refuses_a_contract_deployed_again_over_itself(happy_store, capsys):
+    chain = store.load_chain(happy_store / "private-driller")
+    deployed = next(tx for block in chain.blocks for tx in block.transactions
+                    if tx.function == "constructor")
+    nonce = sum(tx.function == "constructor" for block in chain.blocks
+                for tx in block.transactions)
+    tip = chain.blocks[-1]
+    ledger.append_block(chain, [deployed], tip.timestamp + 1)
+    store.save_chain(happy_store, chain)
+    failed = _verify_failure(capsys, happy_store)
+    owed = runtime.contract_address(deployed.caller, nonce)
+    assert (failed["chain"], failed["status"], failed["reason"]) == (
+        "private-driller", f"REPLAY FAILED at block {tip.index + 1}",
+        f"constructor does not replay: deploys at {deployed.contract.hex()},"
+        f" its deployer's nonce {nonce} names {owed.hex()}")
+
+
+def test_verify_refuses_a_contract_moved_with_its_events(happy_store, capsys):
+    chain = store.load_chain(happy_store / "private-driller")
+    block, deployed = next((block, tx) for block in chain.blocks for tx in block.transactions
+                           if tx.function == "constructor")
+    moved = b"\x11" * 20
+
+    def move(tx):
+        if tx.contract != deployed.contract:
+            return tx
+        return replace(tx, contract=moved, events=tuple(
+            replace(e, emitter=moved) for e in tx.events))
+
+    chain = replace(chain, blocks=[replace(b, transactions=tuple(map(move, b.transactions)))
+                                   for b in chain.blocks])
+    store.save_chain(happy_store, forgery.rehash(chain))
+    failed = _verify_failure(capsys, happy_store)
+    assert (failed["chain"], failed["status"], failed["reason"]) == (
+        "private-driller", f"REPLAY FAILED at block {block.index}",
+        f"constructor does not replay: deploys at {moved.hex()},"
+        f" its deployer's nonce 0 names {deployed.contract.hex()}")
+
+
+def test_verify_names_the_emitters_of_an_event_credited_to_another(happy_store, capsys):
+    chain = store.load_chain(happy_store / "private-driller")
+    block, tx = next((block, tx) for block in chain.blocks for tx in block.transactions
+                     if tx.events)
+    [event] = tx.events
+    other = b"\x11" * 20
+    _reseal(happy_store, chain, block.index, replace(block, transactions=tuple(
+        replace(t, events=(replace(event, emitter=other),)) if t is tx else t
+        for t in block.transactions)))
+    failed = _verify_failure(capsys, happy_store)
+    args = dict(event.args)
+    assert (failed["chain"], failed["status"], failed["reason"]) == (
+        "private-driller", f"REPLAY FAILED at block {block.index}",
+        f"{tx.function} does not replay: emits {[(event.name, args, tx.contract.hex())]},"
+        f" the record holds {[(event.name, args, other.hex())]}")
 
 
 def test_verify_corrupt_store(happy_store, capsys):

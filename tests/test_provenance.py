@@ -1,7 +1,8 @@
-"""Backward trace: linkage walk, violation attribution, corrupted link detection."""
+"""Backward trace: hop order, violation attribution, corrupted link detection."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -186,6 +187,27 @@ def test_cyclic_linkage_is_corrupt(supply):
     second = deploy_tracking(supply, "666", 2, predecessor=first)
     assert second == second_address
     with pytest.raises(CorruptLedger):
+        build_report(supply.consortium_chain, "666")
+
+
+@pytest.mark.parametrize("records, bad_hop", [
+    ([(1, None), (3, 0)], 2),
+    ([(2, None)], 1),
+    ([(1, None), (1, 0)], 2),
+    ([(1, 1), (2, None)], 1),
+], ids=["numbered-1-and-3", "single-record-numbered-2", "two-records-numbered-1",
+        "swapped-links"])
+def test_hops_not_numbered_in_link_order_are_corrupt(supply, setpoints, records, bad_hop):
+    # each record is (hop number, position of the record it names as predecessor)
+    supply.register_batch("666", setpoints)
+    driller = supply.actor(Role.DRILLER)
+    addresses = [contract_address(driller.address, 1 + i) for i in range(len(records))]
+    for address, (number, link) in zip(addresses, records):
+        predecessor = b"" if link is None else addresses[link]
+        assert deploy_tracking(supply, "666", number, predecessor) == address
+    with pytest.raises(CorruptLedger, match=re.escape(
+            f"batch '666' hop {bad_hop}: tracking records do not number the hops 1..n,"
+            f" each linked to the one before")):
         build_report(supply.consortium_chain, "666")
 
 
