@@ -34,6 +34,12 @@ class ContractBase:
         `_fn_<Name>` handler."""
         return frozenset(name[4:] for name in dir(cls) if name.startswith("_fn_"))
 
+    def __copy__(self):
+        """A shallow copy: one copy of the field dict, no reduce protocol."""
+        clone = object.__new__(type(self))
+        clone.__dict__ = self.__dict__.copy()
+        return clone
+
     def apply(self, function: str, args: dict, caller: bytes, tick: int):
         handler = getattr(self, "_fn_" + function, None)
         if handler is None:

@@ -142,14 +142,17 @@ class CheckProgress(ContractBase):
         else:
             stage = Stage.ACCURATE
             result = f"Current {kind.value} is Accurate"
-        _msg, emissions = self._record_violation(kind, int(stage), caller)
+        _msg, emissions = self._set_stage(kind, stage, caller)
         return result, emissions
 
     def _record_violation(self, kind, stage: int, caller: bytes):
         """Three-way stage recorder. Unknown kind or stage changes nothing."""
         if kind not in EVENT_NAME or stage not in (0, 1, 2):
             return CONTINUE_PROCESS, []
-        stage = Stage(stage)
+        return self._set_stage(kind, Stage(stage), caller)
+
+    def _set_stage(self, kind: ViolationKind, stage: Stage, caller: bytes):
+        """Record `stage` as the latest of a checked `kind`, and its event."""
         if kind is ViolationKind.TEMPERATURE:
             self.temp_stage = stage
         elif kind is ViolationKind.HUMIDITY:

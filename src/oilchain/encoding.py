@@ -46,29 +46,60 @@ def digest(value) -> bytes:
     return hashlib.sha256(canon_encode(value)).digest()
 
 
+# how many entries each memo table of `write_items` holds before it is emptied,
+# and the longest encoding it keeps; fixed, not configurable
+ENCODING_MEMO_SIZE = 1024
+ENCODING_MEMO_ITEM_BYTES = 64
+
+# exact str / int item -> its encoding; bytes / list length -> its head.
+# Filled as items are written, never at import.
+_str_codes: dict[str, bytes] = {}
+_int_codes: dict[int, bytes] = {}
+_bytes_heads: dict[int, bytes] = {}
+_list_heads: dict[int, bytes] = {}
+
+
+def _memo(table: dict, key, code: bytes) -> bytes:
+    """code, kept under key in table unless it is longer than
+    ENCODING_MEMO_ITEM_BYTES; a table already holding ENCODING_MEMO_SIZE
+    entries is emptied first."""
+    if len(code) <= ENCODING_MEMO_ITEM_BYTES:
+        if len(table) >= ENCODING_MEMO_SIZE:
+            table.clear()
+        table[key] = code
+    return code
+
+
 def write_list_head(out: bytearray, count: int) -> None:
     """Append the head of a list of count items; the items follow it."""
-    out += _head(LIST, count)
+    out += _list_heads.get(count) or _memo(_list_heads, count, _head(LIST, count))
 
 
 def write_items(out: bytearray, items) -> None:
     """Append the encoding of each item in order, without a list head."""
-    # exact types first, scalars leading: most items of a ledger record are scalars
+    # exact types first, scalars leading: most items of a ledger record are
+    # scalars, and a few distinct strs and ints make up most of them
     for item in items:
         kind = type(item)
         if kind is bytes:
-            out += _head(BYTES, len(item))
+            size = len(item)
+            out += _bytes_heads.get(size) or _memo(_bytes_heads, size, _head(BYTES, size))
             out += item
         elif kind is str:
-            raw = item.encode("utf-8")
-            out += _head(STR, len(raw))
-            out += raw
+            code = _str_codes.get(item)
+            if code is None:
+                raw = item.encode("utf-8")
+                code = _memo(_str_codes, item, _head(STR, len(raw)) + raw)
+            out += code
         elif kind is int:
-            text = b"%d" % item
-            out += _head(INT, len(text))
-            out += text
+            code = _int_codes.get(item)
+            if code is None:
+                text = b"%d" % item
+                code = _memo(_int_codes, item, _head(INT, len(text)) + text)
+            out += code
         elif kind is tuple or kind is list:
-            out += _head(LIST, len(item))
+            size = len(item)
+            out += _list_heads.get(size) or _memo(_list_heads, size, _head(LIST, size))
             write_items(out, item)
         elif kind is dict:
             keys = sorted(item)
@@ -158,29 +189,3 @@ def _read(data: bytes, at: int):
             raise ValueError(f"int {raw!r} is not in shortest decimal form")
         return value, end
     raise ValueError(f"unknown tag byte {bytes([tag])!r}")
-
-
-def strings_under_key(data: bytes, key: str) -> set[str]:
-    """Every string whose encoding directly follows an encoded `key` in data.
-
-    A dict entry encodes as its key then its value, so for every dict `d`
-    nested anywhere in a value, a str `d[key]` is in the result for that
-    value's encoding. The converse need not hold: a match inside some other
-    string or bytes payload adds a spurious member, never a missing one.
-    """
-    raw = key.encode("utf-8")
-    needle = _head(STR, len(raw)) + raw
-    found = set()
-    at = data.find(needle)
-    while at != -1:
-        tag = at + len(needle)
-        start = tag + _HEAD_SIZE
-        if start <= len(data):
-            kind, length = _HEAD.unpack_from(data, tag)
-            if kind == STR and start + length <= len(data):
-                try:
-                    found.add(data[start:start + length].decode("utf-8"))
-                except UnicodeDecodeError:
-                    pass
-        at = data.find(needle, at + 1)
-    return found

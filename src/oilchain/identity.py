@@ -55,8 +55,10 @@ class Actor(KeyPair):
     role: Role
 
 
+@functools.lru_cache(maxsize=1024)
 def derive_address(public_key: bytes) -> bytes:
-    """Last 20 bytes of SHA-256 over the raw public key."""
+    """Last 20 bytes of SHA-256 over the raw public key, hashed once per key
+    while it is among the 1024 latest."""
     return hashlib.sha256(public_key).digest()[-ADDRESS_LEN:]
 
 

@@ -163,7 +163,9 @@ def block_hash(digest: bytes, endorsements: Sequence[Endorsement]) -> bytes:
     return hashlib.sha256(out).digest()
 
 
+@functools.cache
 def _genesis_block() -> Block:
+    """Block 0 of every chain, built once: it holds nothing, so chains share it."""
     digest = candidate_digest(0, GENESIS_PREV_HASH, 0, ())
     return Block(0, GENESIS_PREV_HASH, 0, (), (), block_hash(digest, ()))
 
@@ -319,7 +321,9 @@ def verify_chain(chain: Chain) -> VerificationReport:
     """Recompute every hash and link. Valid iff nothing was altered.
 
     first_bad_index is the earliest block whose stored fields do not match its
-    contents or do not encode, and reason names the check it failed.
+    contents or do not encode, or block 0 when it is not the genesis block
+    every chain starts from: block 0 is never endorsed, so history in it
+    would carry no signature. reason names the check it failed.
     """
     for i, block in enumerate(chain.blocks):
         if block.index != i:
@@ -331,6 +335,8 @@ def verify_chain(chain: Chain) -> VerificationReport:
                 return VerificationReport(False, i, "hash does not match")
         except (TypeError, ValueError):
             return VerificationReport(False, i, "contents not encodable")
+        if i == 0 and block.hash != _genesis_block().hash:
+            return VerificationReport(False, 0, "block 0 is not the genesis block")
     return VerificationReport(True, None)
 
 

@@ -17,7 +17,7 @@ from . import ledger
 from .contracts.base import stage_label
 from .contracts.checkprogress import EVENT_NAME, STAGE_WORD, Stage, ViolationKind
 from .contracts.distribution import SPINE
-from .encoding import canon_decode, strings_under_key
+from .encoding import canon_decode, canon_encode
 from .errors import CorruptLedger, UnknownBatch
 from .identity import address_hex
 
@@ -140,13 +140,14 @@ def batch_text(batch: dict) -> list[str]:
 
 
 def _wanted_meta(chain: ledger.Chain, block: ledger.Block, tx: ledger.Transaction,
-                 wanted: Set[str]) -> dict | None:
+                 wanted: Set[str], entries: list[bytes]) -> dict | None:
     """The annotations of a deployment whose `meta["batch"]` is in `wanted`, else None.
 
     A deployment naming batch `b` holds the encoded key "batch" then the
-    encoded `b`; one with no such pair for a wanted id is not decoded.
+    encoded `b`, one of `entries` for a wanted `b`; one holding none of them
+    is not decoded.
     """
-    if wanted.isdisjoint(strings_under_key(tx.args, "batch")):
+    if not any(entry in tx.args for entry in entries):
         return None
     try:
         record = canon_decode(tx.args)
@@ -186,10 +187,11 @@ def build_reports(chain: ledger.Chain, batch_ids: list[str]) -> list[ProvenanceR
     tracking_meta: dict[str, dict[bytes, dict]] = {b: {} for b in batch_ids}
     distribution_of: dict[str, bytes] = {}
     events_of: dict[bytes, list[tuple[ledger.Block, ledger.Event]]] = {}
+    entries = [canon_encode("batch") + canon_encode(b) for b in batch_ids]
     for block in chain.blocks:
         for tx in block.transactions:
             if (tx.function == "constructor"
-                    and (meta := _wanted_meta(chain, block, tx, tracking_meta.keys()))):
+                    and (meta := _wanted_meta(chain, block, tx, tracking_meta.keys(), entries))):
                 if meta.get("record") == "tracking":
                     for name, kind in _TRACKING_FIELDS.items():
                         if not isinstance(meta.get(name), kind):

@@ -20,8 +20,7 @@ with eth_usd defaulting to the rate the calibration table was taken at.
 from __future__ import annotations
 
 import copy
-from collections.abc import Iterator, Mapping, Set
-from contextlib import contextmanager
+from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
@@ -122,22 +121,33 @@ class LogicalClock:
     def upcoming(self) -> int:
         return self._next
 
-    @contextmanager
-    def step(self) -> Iterator[None]:
+    def step(self) -> _Step:
         """Hold one block open per runtime called until the step ends, then
         append each and install what its calls left, in the order they
         opened. Steps do not nest. If the step raises, nothing is drawn,
         appended or installed; a block the ledger refuses raises, and the
         blocks after it are not appended either."""
-        if self._held is not None:
+        return _Step(self)
+
+
+class _Step:
+    """The context manager `LogicalClock.step` returns."""
+
+    __slots__ = ("clock",)
+
+    def __init__(self, clock: LogicalClock):
+        self.clock = clock
+
+    def __enter__(self) -> None:
+        if self.clock._held is not None:
             raise RuntimeError("a step is already open")
-        self._held = held = {}
-        try:
-            yield
-        finally:
-            self._held = None
-        for rt, block in held.items():
-            rt._append(block)
+        self.clock._held = {}
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        held, self.clock._held = self.clock._held, None
+        if exc_type is None:
+            for rt, block in held.items():
+                rt._append(block)
 
 
 @dataclass
@@ -156,37 +166,25 @@ def contract_address(deployer: bytes, nonce: int) -> bytes:
     return digest([deployer, nonce])[-20:]
 
 
-def execute(contracts: Mapping[bytes, ContractBase], caller: bytes, contract: bytes,
+def execute(instance: ContractBase | None, caller: bytes, contract: bytes,
             function: str, args: dict, tick: int
             ) -> tuple[ContractBase | None, object, tuple[ledger.Event, ...]]:
-    """One transaction: a `constructor` goes through `create`, a function the
-    contract in `contracts` declares through `apply` (in place), and anything
-    else is a plain record, unless the gas table meters its name: that is
-    refused with ValueError, since the record would be charged as the call.
-    Returns (instance left or None, return value, events)."""
+    """One transaction on `instance`, the contract at `contract` (None if
+    none is there): a `constructor` goes through `create`, a function the
+    instance declares through `apply` (in place), and anything else is a
+    plain record, unless the gas table meters its name: that is refused with
+    ValueError, since the record would be charged as the call. Returns
+    (instance left or None, return value, events)."""
     if function == "constructor":
         return CONTRACT_KINDS[args["kind"]].create(caller, args["init"]), None, ()
-    instance = contracts.get(contract)
     if instance is None or function not in instance.functions():
         if function in GAS_TABLE:
             raise ValueError(f"{function!r} on {contract.hex()} is metered as a call,"
                              f" not a record")
         return None, None, ()
     return_value, emissions = instance.apply(function, args, caller, tick)
-    return instance, return_value, tuple(
-        ledger.Event(name, contract, tuple(args_)) for name, args_ in emissions)
-
-
-@dataclass(frozen=True)
-class Call:
-    """One transaction of a block: `caller` runs `function` on `contract`
-    with `args`, or records `args` under that name. A deployment leaves
-    `contract` empty: it takes the address the caller's next nonce names."""
-
-    caller: bytes
-    contract: bytes
-    function: str
-    args: dict
+    return instance, return_value, tuple([
+        ledger.Event(name, contract, tuple(args_)) for name, args_ in emissions])
 
 
 class Runtime:
@@ -222,24 +220,26 @@ class Runtime:
         record = {"kind": kind, "init": init_args}
         if annotations:
             record["meta"] = annotations
-        _, tx = self._execute(Call(deployer, b"", "constructor", record))
+        _, tx = self._execute(deployer, b"", "constructor", record, None)
         return tx.contract
 
     def call(self, contract: bytes, function: str, args: dict,
              caller: bytes) -> CallResult:
         """Dispatch one function call; it sees what the calls before it in its
         block left, and a reverted call stays out of the block."""
-        instance = self._instance(contract)
-        if instance is None:
+        held = self._instance(contract)
+        if held is None:
             raise UnknownFunction(f"no contract deployed at {contract.hex()}")
-        if function not in instance.functions():
-            raise UnknownFunction(f"{instance.KIND} has no function {function!r}")
-        outcome = self._execute(Call(caller, contract, function, args))
-        gas = metered_cost(function).transaction
+        if function not in held.functions():
+            raise UnknownFunction(f"{held.KIND} has no function {function!r}")
+        # every contract field is an immutable value that handlers reassign,
+        # never mutate, so the call cannot reach the instance it copies
+        outcome = self._execute(caller, contract, function, args, copy.copy(held))
         if isinstance(outcome, ContractRevert):
-            return CallResult(None, (), gas, CallStatus.REVERTED, revert_reason=str(outcome))
+            return CallResult(None, (), metered_cost(function).transaction,
+                              CallStatus.REVERTED, revert_reason=str(outcome))
         return_value, tx = outcome
-        return CallResult(return_value, tx.events, gas, CallStatus.OK)
+        return CallResult(return_value, tx.events, tx.gas_used, CallStatus.OK)
 
     def record(self, caller: bytes, contract: bytes, function: str,
                payload: dict) -> ledger.Transaction:
@@ -251,52 +251,50 @@ class Runtime:
         held = self._instance(contract)
         if function == "constructor" or held is not None and function in held.functions():
             raise ValueError(f"{function!r} on {contract.hex()} is a call, not a record")
-        _, tx = self._execute(Call(caller, contract, function, payload))
+        _, tx = self._execute(caller, contract, function, payload, None)
         return tx
 
     def _instance(self, contract: bytes) -> ContractBase | None:
         """The contract at `contract` as this runtime's open block leaves it."""
         blocks = self.clock._held
         block = blocks.get(self) if blocks else None
-        if block is not None and contract in block.working:
-            return block.working[contract]
-        return self.contracts.get(contract)
+        held = block.working.get(contract) if block is not None else None
+        return held if held is not None else self.contracts.get(contract)
 
-    def _execute(self, c: Call) -> tuple[object, ledger.Transaction] | ContractRevert:
-        """Run `c` into this runtime's block of the open step, on a working copy
-        of its contract; with no step open, in a step of its own.
+    def _execute(self, caller: bytes, contract: bytes, function: str, args: dict,
+                 working: ContractBase | None
+                 ) -> tuple[object, ledger.Transaction] | ContractRevert:
+        """Run one transaction into this runtime's block of the open step, with
+        no step open in a step of its own: a call on `working`, the copy of
+        its contract it may change, a deployment or a record with none.
 
-        Returns the call's (return value, transaction), or the ContractRevert
-        it raised, which keeps it out of the block.
+        Returns the (return value, transaction), or the ContractRevert the
+        call raised, which keeps it out of the block.
         """
         blocks = self.clock._held
         if blocks is None:
             with self.clock.step():
-                return self._execute(c)
+                return self._execute(caller, contract, function, args, working)
         block = blocks.get(self)
         if block is None:
             block = blocks[self] = _OpenBlock(self.clock.upcoming + len(blocks))
-        args = canon_encode(c.args)
-        contract = c.contract
-        if c.function == "constructor":
-            nonce = block.nonces.get(c.caller, self._nonces.get(c.caller, 0))
-            contract = contract_address(c.caller, nonce)
-        held = self._instance(contract)
-        # every contract field is an immutable value that handlers reassign,
-        # never mutate, so the call cannot reach the instance it copies
-        scratch = {} if held is None else {contract: copy.copy(held)}
+        encoded = canon_encode(args)
+        if function == "constructor":
+            nonce = block.nonces.get(caller, self._nonces.get(caller, 0))
+            contract = contract_address(caller, nonce)
         try:
-            instance, return_value, events = execute(scratch, c.caller, contract,
-                                                     c.function, c.args, block.tick)
+            instance, return_value, events = execute(working, caller, contract, function,
+                                                     args, block.tick)
         except ContractRevert as exc:
             return exc
-        if c.function == "constructor":
-            block.nonces[c.caller] = nonce + 1
+        if function == "constructor":
+            block.nonces[caller] = nonce + 1
         if instance is not None:
             block.working[contract] = instance
-        block.transactions.append(ledger.Transaction(
-            c.caller, contract, c.function, args, metered_cost(c.function).transaction, events))
-        return return_value, block.transactions[-1]
+        tx = ledger.Transaction(caller, contract, function, encoded,
+                                metered_cost(function).transaction, events)
+        block.transactions.append(tx)
+        return return_value, tx
 
     def _append(self, block: _OpenBlock) -> None:
         """Draw the block's tick, append it unless every call reverted, then
@@ -328,7 +326,8 @@ def replay(chain: ledger.Chain, contracts: Set[bytes]) -> dict[bytes, ContractBa
             if tx.contract not in contracts:
                 continue
             try:
-                instance, _, events = execute(rebuilt, tx.caller, tx.contract, tx.function,
+                instance, _, events = execute(rebuilt.get(tx.contract), tx.caller,
+                                              tx.contract, tx.function,
                                               canon_decode(tx.args), block.timestamp)
                 why = _disagreement(tx, events)
             except (BadInitArgs, ContractRevert, LookupError, TypeError, ValueError) as exc:

@@ -91,11 +91,10 @@ def generate_readings(profile: SensorProfile, seed: int, source: bytes,
     """Deterministic stream: setpoint plus uniform noise in [-amp, +amp]."""
     rng = random.Random(seed)
     amp = profile.noise_amplitude
-    kinds = sorted(profile.setpoints, key=KIND_ORDER.__getitem__)
+    setpoints = sorted(profile.setpoints.items(), key=lambda entry: KIND_ORDER[entry[0]])
     out = []
     for tick in range(profile.duration):
-        for kind in kinds:
-            setpoint = profile.setpoints[kind]
+        for kind, setpoint in setpoints:
             if kind is ReadingKind.LOCATION:
                 lat, lon = setpoint
                 value: Value = (

@@ -449,13 +449,14 @@ class SupplyChain:
         results = []
         for _tick, instant in groupby(ordered, key=attrgetter("tick")):
             _check_in_transit(hop)      # a delivery run beside this feed closes the hop
-            instant = list(instant)
-            checks = [r for r in instant if r.kind in telemetry.CHECK_FUNCTION]
-            records = [r for r in instant if r.kind not in telemetry.CHECK_FUNCTION]
+            # each reading's check function, or None for a plain record
+            instant = [(telemetry.CHECK_FUNCTION.get(r.kind), r) for r in instant]
+            checks = [(function, r) for function, r in instant if function is not None]
+            records = [r for function, r in instant if function is None]
             if checks:
                 results.extend(self.consortium_rt.call(
-                    hop.tracking_contract, telemetry.CHECK_FUNCTION[r.kind], {"value": r.value},
-                    caller=hop.data_address) for r in checks)
+                    hop.tracking_contract, function, {"value": r.value},
+                    caller=hop.data_address) for function, r in checks)
                 yield
             if records:
                 for r in records:

@@ -34,6 +34,28 @@ def edit_records(chain: ledger.Chain, function: str,
     return replace(chain, blocks=blocks)
 
 
+def truncate(chain: ledger.Chain, length: int) -> ledger.Chain:
+    """The chain cut to its first `length` blocks; no hash goes stale."""
+    return replace(chain, blocks=chain.blocks[:length])
+
+
+def retime(chain: ledger.Chain, start: int, delta: int) -> ledger.Chain:
+    """The chain with `delta` added to the timestamp of block `start` and every
+    later block; every hash from `start` on goes stale."""
+    blocks = [replace(block, timestamp=block.timestamp + delta) if block.index >= start
+              else block for block in chain.blocks]
+    return replace(chain, blocks=blocks)
+
+
+def into_block_0(chain: ledger.Chain,
+                 keep: Callable[[ledger.Transaction], bool]) -> ledger.Chain:
+    """The chain as one block 0 that holds, in order, every transaction `keep`
+    picks, with no endorsements; its hash goes stale."""
+    transactions = tuple(tx for block in chain.blocks for tx in block.transactions
+                         if keep(tx))
+    return replace(chain, blocks=[replace(chain.blocks[0], transactions=transactions)])
+
+
 def rehash(chain: ledger.Chain,
            signers: Sequence[identity.KeyPair] | None = None) -> ledger.Chain:
     """The chain re-linked and re-hashed from genesis on.

@@ -1,8 +1,8 @@
 """The attack table: one row per forgery that a reader should refuse.
 
-Rows A-C edit a saved `pressure_fault_hop2` store; rows D and E forge on a
-live `happy_path` run through the public `Runtime.deploy`, with no key beyond
-the run's own, and save it. Each row's target is that every command it runs
+Rows A-C and F-H edit a saved `pressure_fault_hop2` store; rows D and E
+forge on a live `happy_path` run through the public `Runtime.deploy`, with no
+key beyond the run's own, and save it. Each row's target is that every command it runs
 exits 1 and names the forged chain; a closed row also names the failure each
 command shows, `{erased}` standing for the first consortium block of the saved
 store that holds an erased event. A row still open carries a strict xfail
@@ -74,6 +74,26 @@ def settle_for_one(root):
     store.save_chain(root, forgery.rehash(chain))
 
 
+@on_the_saved_faulted_store
+def cut_before_the_erased_block(root):
+    chain = store.load_chain(root / "consortium")
+    store.save_chain(root, forgery.truncate(chain, first_erased_block(root)))
+
+
+@on_the_saved_faulted_store
+def retime_from_the_erased_block(root):
+    chain = store.load_chain(root / "consortium")
+    store.save_chain(root, forgery.rehash(
+        forgery.retime(chain, first_erased_block(root), 1000)))
+
+
+@on_the_saved_faulted_store
+def history_in_an_unsigned_block_0(root):
+    chain = forgery.into_block_0(store.load_chain(root / "consortium"),
+                                 lambda tx: not any(map(lower_pressure, tx.events)))
+    store.save_chain(root, forgery.rehash(chain))
+
+
 @on_a_live_happy_run
 def fifth_hop_in_the_drillers_name(supply):
     driller, consumer = supply.actor(Role.DRILLER), supply.actor(Role.CONSUMER)
@@ -117,6 +137,13 @@ ROWS = [
              "consortium", [VERIFY, TRACE], "item 9"),
     open_row("E-second-distribution-contract", second_distribution_contract,
              "consortium", [VERIFY, TRACE], "item 9"),
+    open_row("F-consortium-cut-before-the-erased-block", cut_before_the_erased_block,
+             "consortium", [VERIFY, TRACE], "items 13 and 3"),
+    open_row("G-retimed-from-the-erased-block", retime_from_the_erased_block,
+             "consortium", [VERIFY, TRACE], "item 13"),
+    closed("H-history-in-an-unsigned-block-0", history_in_an_unsigned_block_0, "consortium",
+           {VERIFY: "first_bad_index=0: block 0 is not the genesis block",
+            TRACE: "first_bad_index=0: block 0 is not the genesis block"}),
 ]
 
 

@@ -4,12 +4,14 @@ and agreement with the reference codec in `canon_oracle`."""
 import enum
 import struct
 import typing
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 import canon_oracle as oracle
-from oilchain.encoding import canon_decode, canon_encode, digest, strings_under_key
+from oilchain import encoding
+from oilchain.encoding import canon_decode, canon_encode, digest
 
 # values the encoder accepts
 scalars = st.one_of(
@@ -119,18 +121,12 @@ def _strings_under(value, key):
 
 
 @given(keyed_values)
-def test_strings_under_key_holds_every_string_stored_under_the_key(value):
-    assert _strings_under(value, "batch") <= strings_under_key(canon_encode(value), "batch")
-
-
-def test_strings_under_key_ignores_what_does_not_parse():
-    entry = canon_encode({"batch": "101"})
-    assert strings_under_key(entry, "batch") == {"101"}
-    assert strings_under_key(canon_encode({"batch": 101}), "batch") == set()
-    for cut in range(len(entry)):
-        assert strings_under_key(entry[:cut], "batch") == set()
-    # an encoded key inside another payload is a spurious hit, never a miss
-    assert strings_under_key(canon_encode([b"x" + entry[5:]]), "batch") == {"101"}
+def test_every_string_under_the_key_encodes_as_the_key_then_itself(value):
+    # what the trace pre-filter relies on: a deployment naming batch b holds
+    # the encoded "batch" followed by the encoded b
+    encoded = canon_encode(value)
+    for batch in _strings_under(value, "batch"):
+        assert canon_encode("batch") + canon_encode(batch) in encoded
 
 
 # --- strict decode ------------------------------------------------------------------
@@ -265,10 +261,24 @@ odd_values = st.recursive(
 )
 
 
+def _encoded_over_full_memo_tables(value) -> list:
+    """canon_encode's outcome for value, twice, once every memo table of the
+    encoder is full of other values, among them the ints 0 and 1 that equal
+    False and True; the tables are shrunk so that filling them stays cheap."""
+    size = 8
+    with mock.patch.object(encoding, "ENCODING_MEMO_SIZE", size):
+        for i in range(size):
+            canon_encode([str(i), i, bytes(i), [None] * i])
+        return [_outcome(canon_encode, value) for _ in range(2)]
+
+
 @given(odd_values)
 def test_encoder_matches_the_reference(value):
-    # same bytes, or the same exception type (TypeError for a float or a non-str key)
-    assert _outcome(canon_encode, value) == _outcome(oracle.canon_encode, value)
+    # same bytes, or the same exception type (TypeError for a float or a non-str key),
+    # also when the value's items displace other values from the memo, then hit it
+    expected = _outcome(oracle.canon_encode, value)
+    assert _outcome(canon_encode, value) == expected
+    assert _encoded_over_full_memo_tables(value) == [expected, expected]
 
 
 @given(any_bytes)

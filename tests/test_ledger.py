@@ -53,6 +53,20 @@ def test_append_links_blocks_sequentially():
     assert ledger.verify_chain(chain).valid
 
 
+@pytest.mark.parametrize("edit", [{"transactions": (tx(),)}, {"timestamp": 7}],
+                         ids=["holds-a-transaction", "retimed"])
+def test_a_block_0_that_is_not_the_genesis_block_is_refused(edit):
+    # block 0 is never endorsed: a re-hashed block 0 that links and hashes
+    # right is still refused, since history in it would carry no signature
+    chain = ledger.new_private_chain("drill", {ALICE})
+    ledger.append_block(chain, [tx()], timestamp=5)
+    block_0 = replace(chain.blocks[0], **edit)
+    block_0 = replace(block_0, hash=ledger.block_hash(block_0.digest, ()))
+    chain.blocks[:] = [block_0]
+    assert ledger.verify_chain(chain) == ledger.VerificationReport(
+        False, 0, "block 0 is not the genesis block")
+
+
 def test_private_append_rejects_non_acl_caller():
     chain = ledger.new_private_chain("drill", {ALICE})
     tip = chain.tip_hash

@@ -18,7 +18,6 @@ from oilchain.contracts import CONTRACT_KINDS
 from oilchain.errors import (AccessDenied, BadInitArgs, ContractRevert, CorruptLedger,
                              QuorumNotMet, UnknownFunction)
 from oilchain.runtime import (
-    Call,
     CallStatus,
     GasCost,
     LogicalClock,
@@ -309,6 +308,16 @@ def test_replay_refuses_a_stored_record_under_a_metered_name():
 CHECKS = ("CheckTemperature", "CheckHumidity", "CheckPressure")
 
 
+@dataclasses.dataclass(frozen=True)
+class Call:
+    """One call `calls_in_one_step` makes: `caller` runs `function` on `contract`."""
+
+    caller: bytes
+    contract: bytes
+    function: str
+    args: dict
+
+
 def calls_in_one_step(rt, calls):
     """Each call's result, the calls made in one clock step so they share a block."""
     with rt.clock.step():
@@ -359,6 +368,33 @@ def test_a_reverted_call_stays_out_of_its_block():
         "High", "Accurate", "Low"]
     assert state["violation_type"] == "Pressure"
     assert (block.timestamp, rt.clock.upcoming) == (upcoming, upcoming + 1)
+
+
+def test_a_call_that_mutates_then_reverts_leaves_the_block_as_the_call_before_left_it(
+        monkeypatch):
+    rt, address = entered_check_progress()
+    cls = CONTRACT_KINDS["CheckProgress"]
+    handler = cls._fn_CheckHumidity
+
+    def mutate_then_revert(self, args, caller, tick):
+        handler(self, args, caller, tick)
+        raise ContractRevert("refused after mutating")
+
+    monkeypatch.setattr(cls, "_fn_CheckHumidity", mutate_then_revert)
+    results = calls_in_one_step(rt, [
+        Call(DEVICE, address, "CheckTemperature", {"value": 30}),
+        Call(DEVICE, address, "CheckHumidity", {"value": 1}),       # Low, then reverts
+        Call(DEVICE, address, "CheckPressure", {"value": 1}),
+    ])
+    assert [r.status for r in results] == [CallStatus.OK, CallStatus.REVERTED, CallStatus.OK]
+    block = rt.chain.blocks[-1]
+    assert [tx.function for tx in block.transactions] == ["CheckTemperature", "CheckPressure"]
+    # the third call ran on what the first left: the reverted Low never reached it
+    state = rt.contracts[address].snapshot()
+    assert [state[f"{kind}_stage"] for kind in ("temp", "humidity", "pressure")] == [
+        "High", "Accurate", "Low"]
+    monkeypatch.undo()
+    assert runtime.replay(rt.chain, {address})[address].snapshot() == state
 
 
 def test_a_block_whose_every_call_reverts_spends_one_tick_and_appends_nothing():
