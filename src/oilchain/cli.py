@@ -3,9 +3,9 @@
 Subcommands:
 
     run         replay a scenario file, print its report, optionally persist
-    trace       trace a batch through a persisted store, its contracts replayed
+    trace       trace a batch through a persisted store that passes its audit
     gas-report  print the per-function gas and fiat cost table
-    verify      re-verify every chain in a persisted store, then replay it
+    verify      audit a persisted store and print each chain's result
 
 Exit codes: 0 on success with nothing flagged, 1 on operational errors
 (bad input, corrupt store, unknown batch), 2 when violations are found.
@@ -18,8 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import ledger, provenance, runtime, scenario, store
-from .errors import CorruptLedger, OilchainError, ValidationError
+from . import audit, runtime, scenario, store
+from .errors import OilchainError, ValidationError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -43,14 +43,9 @@ def _cmd_run(args) -> tuple[int, object, str]:
 
 
 def _cmd_trace(args) -> tuple[int, object, str]:
-    chains = store.load_store(Path(args.store)).values()
-    consortium = next((c for c in chains if c.chain_class is ledger.ChainClass.CONSORTIUM), None)
-    if consortium is None:
-        raise CorruptLedger("store holds no consortium chain")
-    report = provenance.build_report(consortium, args.batch_id)
-    # the report reads these contracts' events: each must replay to what it holds
-    runtime.replay(consortium, {bytes.fromhex(h.tracking_contract[2:]) for h in report.hops}
-                   | {report.distribution_contract})
+    checked = audit.audit(Path(args.store), args.batch_id)
+    checked.refuse()
+    report = checked.report
     code = EXIT_OK if report.clean else EXIT_VIOLATIONS
     return code, report.to_dict(), report.to_text()
 
@@ -76,37 +71,25 @@ def _cmd_gas_report(args) -> tuple[int, object, str]:
 
 
 def _cmd_verify(args) -> tuple[int, object, str]:
-    chains = store.load_store(Path(args.store))
+    checked = audit.audit(Path(args.store))
     lines = []
-    for name, chain in chains.items():
-        check, report = "QUORUM", ledger.verify_endorsement_quorum(chain)
-        if report:
-            try:
-                _replay_all(chain)
-            except CorruptLedger as exc:
-                at = exc.first_bad_index
-                check, report = "REPLAY", ledger.VerificationReport(
-                    False, at, str(exc).removeprefix(f"chain {chain.name!r} block {at}: "))
+    for name, chain in checked.chains.items():
+        finding = checked.findings[name]
         line = {
             "chain": name,
             "class": chain.chain_class.value,
             "blocks": len(chain),
             "tip_hash": chain.tip_hash.hex(),
-            "status": "ok" if report else f"{check} FAILED at block {report.first_bad_index}",
+            "status": "ok" if finding is None else finding.status,
         }
-        if not report:
-            line["reason"] = report.reason
+        if finding is not None:
+            line["reason"] = finding.reason
         lines.append(line)
     text = "".join(f"{line['chain']:<20} {line['class']:<11} blocks={line['blocks']:<5}"
                    f" {line['status']}" + (f": {line['reason']}" if "reason" in line else "")
                    + "\n" for line in lines)
     code = EXIT_OK if all(line["status"] == "ok" for line in lines) else EXIT_ERROR
     return code, {"chains": lines}, text
-
-
-def _replay_all(chain: ledger.Chain) -> None:
-    """Replay every transaction on the chain: CorruptLedger names the first that fails."""
-    runtime.replay(chain, {tx.contract for block in chain.blocks for tx in block.transactions})
 
 
 class _Parser(argparse.ArgumentParser):

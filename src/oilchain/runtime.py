@@ -3,7 +3,7 @@
 Gas is not interpreted from opcodes; each function carries a fixed
 (execution, transaction) gas pair from a measured calibration table, and a
 transaction is charged its transaction gas. A `LogicalClock.step` holds one
-block per runtime open, each at its own tick; each call runs on a working
+block per runtime open, all at the step's tick; each call runs on a working
 copy of its contract that is installed only once its block is appended: a
 reverted call stays out of its block, and a step with an arg that does not
 encode, or a block the ledger refuses, commits nothing. `replay` re-runs
@@ -103,9 +103,10 @@ class CallResult:
 class LogicalClock:
     """Monotone tick source shared by every chain in a scenario.
 
-    Inside `step()`, each runtime on this clock builds one open block, at the
-    next tick no block opened before it in the step holds; when the step
-    ends, its blocks append in the order they opened.
+    Inside `step()`, each runtime on this clock builds one open block, all at
+    the step's tick; when the step ends, the tick is drawn once and its blocks
+    append in the order they opened. A chain gets at most one block per step,
+    so its timestamps still rise strictly.
     """
 
     def __init__(self):
@@ -123,10 +124,10 @@ class LogicalClock:
 
     def step(self) -> _Step:
         """Hold one block open per runtime called until the step ends, then
-        append each and install what its calls left, in the order they
-        opened. Steps do not nest. If the step raises, nothing is drawn,
-        appended or installed; a block the ledger refuses raises, and the
-        blocks after it are not appended either."""
+        draw the step's tick, append each block and install what its calls
+        left, in the order they opened. Steps do not nest. If the step
+        raises, nothing is drawn, appended or installed; a block the ledger
+        refuses raises, and the blocks after it are not appended either."""
         return _Step(self)
 
 
@@ -145,7 +146,8 @@ class _Step:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         held, self.clock._held = self.clock._held, None
-        if exc_type is None:
+        if exc_type is None and held:
+            self.clock.next()
             for rt, block in held.items():
                 rt._append(block)
 
@@ -277,7 +279,7 @@ class Runtime:
                 return self._execute(caller, contract, function, args, working)
         block = blocks.get(self)
         if block is None:
-            block = blocks[self] = _OpenBlock(self.clock.upcoming + len(blocks))
+            block = blocks[self] = _OpenBlock(self.clock.upcoming)
         encoded = canon_encode(args)
         if function == "constructor":
             nonce = block.nonces.get(caller, self._nonces.get(caller, 0))
@@ -297,10 +299,9 @@ class Runtime:
         return return_value, tx
 
     def _append(self, block: _OpenBlock) -> None:
-        """Draw the block's tick, append it unless every call reverted, then
-        install the instances and spend the nonces its calls left. Nothing is
-        installed and no nonce spent if the ledger refuses the block."""
-        self.clock.next()
+        """Append the block unless every call reverted, then install the
+        instances and spend the nonces its calls left. Nothing is installed and
+        no nonce spent if the ledger refuses the block."""
         if block.transactions:
             ledger.append_block(self.chain, block.transactions, block.tick, self._endorse)
         self.contracts.update(block.working)

@@ -6,9 +6,9 @@ Layout under a store root:
     <root>/<chain-dir>/blocks.jsonl    one self-describing block record per line
 
 Loading re-verifies every chain and refuses anything that fails: a parse
-error, a malformed manifest or a hash/link mismatch raises CorruptLedger
-naming the chain directory (and, for a block record, its line) or the first
-bad block.
+error, a malformed manifest, a chain in a directory not named for it or a
+hash/link mismatch raises CorruptLedger naming the chain directory (and, for
+a block record, its line) or the first bad block.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ def _chain_dirs(root: Path) -> list[Path]:
 
 def load_chain(directory: Path) -> ledger.Chain:
     """Load and re-verify one chain directory. Raises CorruptLedger on any
-    parse failure, malformed manifest, hash mismatch, or manifest/tip
-    disagreement."""
+    parse failure, malformed manifest, directory not named `chain_dir_name`
+    of its chain, hash mismatch, or manifest/tip disagreement."""
     directory = Path(directory)
     try:
         manifest = json.loads((directory / _MANIFEST).read_text())
@@ -177,6 +177,9 @@ def load_chain(directory: Path) -> ledger.Chain:
 
     members = {"acl": set(addresses)} if key == "acl" else {"validators": tuple(addresses)}
     chain = ledger.Chain(chain_class=chain_class, name=name, blocks=blocks, **members)
+    if directory.name != chain_dir_name(chain):
+        raise CorruptLedger(f"{directory.name} holds chain {name!r},"
+                            f" whose directory is {chain_dir_name(chain)}")
     report = ledger.verify_chain(chain)
     if not report.valid:
         raise CorruptLedger(

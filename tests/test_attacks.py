@@ -1,8 +1,9 @@
 """The attack table: one row per forgery that a reader should refuse.
 
-Rows A-C and F-H edit a saved `pressure_fault_hop2` store; rows D and E
-forge on a live `happy_path` run through the public `Runtime.deploy`, with no
-key beyond the run's own, and save it. Each row's target is that every command it runs
+Rows A-C, F-H, J and K edit a saved `pressure_fault_hop2` store, J and K
+with the consortium chain of a saved `happy_path` store; rows D and E forge on
+a live `happy_path` run through the public `Runtime.deploy`, with no key beyond
+the run's own, and save it. Each row's target is that every command it runs
 exits 1 and names the forged chain; a closed row also names the failure each
 command shows, `{erased}` standing for the first consortium block of the saved
 store that holds an erased event. A row still open carries a strict xfail
@@ -97,13 +98,38 @@ def history_in_an_unsigned_block_0(root):
 @on_a_live_happy_run
 def fifth_hop_in_the_drillers_name(supply):
     driller, consumer = supply.actor(Role.DRILLER), supply.actor(Role.CONSUMER)
+    # the product record goes on the driller's private chain in the driller's
+    # name too, so the cross-chain check finds the hop's product where it looks
+    product = supply.private_runtime(driller.address).deploy(
+        "CheckProgress", {"data_source": consumer.address}, deployer=driller.address,
+        annotations={"record": "product", "batch": "101", "hop": 5})
     supply.consortium_rt.deploy(
         "CheckProgress", {"data_source": consumer.address}, deployer=driller.address,
         annotations={"record": "tracking", "batch": "101", "hop": 5,
                      "seller": driller.address, "buyer": consumer.address,
                      "seller_role": "Driller", "buyer_role": "Consumer",
                      "predecessor": supply.batches["101"].hops[-1].tracking_contract,
-                     "product": bytes(20)})
+                     "product": product})
+
+
+def happy_store(root):
+    """A saved `happy_path` store beside root; both bundled scenarios share a
+    seed, so their validator sets are the same."""
+    happy = root.parent / "happy"
+    store.save_store(happy, run_scenario_file(SCENARIO_DIR / "happy_path.json")
+                     .supply.all_chains())
+    return happy
+
+
+@on_the_saved_faulted_store
+def happy_consortium_planted_beside(root):
+    shutil.copytree(happy_store(root) / "consortium", root / "aaa")
+
+
+@on_the_saved_faulted_store
+def happy_consortium_swapped_in(root):
+    shutil.rmtree(root / "consortium")
+    shutil.copytree(happy_store(root) / "consortium", root / "consortium")
 
 
 @on_a_live_happy_run
@@ -130,20 +156,26 @@ ROWS = [
                           TRACE: "block {erased}: CheckPressure"}),
     closed("B-erase-and-rehash", erase_violations_keeping_endorsements,
            "consortium", {VERIFY: "QUORUM FAILED at block {erased}",
-                          TRACE: "block {erased}: CheckPressure"}),
+                          TRACE: "QUORUM FAILED at block {erased}"}),
     open_row("C-private-settlement-edited", settle_for_one, "private-refinery", [VERIFY],
              "item 4"),
     open_row("D-hop-deployed-in-anothers-name", fifth_hop_in_the_drillers_name,
              "consortium", [VERIFY, TRACE], "item 9"),
     open_row("E-second-distribution-contract", second_distribution_contract,
              "consortium", [VERIFY, TRACE], "item 9"),
-    open_row("F-consortium-cut-before-the-erased-block", cut_before_the_erased_block,
-             "consortium", [VERIFY, TRACE], "items 13 and 3"),
-    open_row("G-retimed-from-the-erased-block", retime_from_the_erased_block,
-             "consortium", [VERIFY, TRACE], "item 13"),
+    closed("F-consortium-cut-before-the-erased-block", cut_before_the_erased_block,
+           "private-pump", dict.fromkeys([VERIFY, TRACE], "CROSS-CHAIN FAILED at block 1:"
+                                                   " product of batch '101' hop 4")),
+    closed("G-retimed-from-the-erased-block", retime_from_the_erased_block,
+           "consortium", dict.fromkeys([VERIFY, TRACE], "QUORUM FAILED at block {erased}")),
     closed("H-history-in-an-unsigned-block-0", history_in_an_unsigned_block_0, "consortium",
            {VERIFY: "first_bad_index=0: block 0 is not the genesis block",
             TRACE: "first_bad_index=0: block 0 is not the genesis block"}),
+    closed("J-happy-consortium-planted-beside", happy_consortium_planted_beside, "aaa",
+           dict.fromkeys([VERIFY, TRACE], "aaa holds chain 'consortium',"
+                                          " whose directory is consortium")),
+    open_row("K-happy-consortium-swapped-in", happy_consortium_swapped_in, "consortium",
+             [VERIFY, TRACE], "item 4"),
 ]
 
 

@@ -99,9 +99,10 @@ def test_run_merges_each_step_per_runtime_in_order_of_first_appearance(supply):
     def blocks(rt):
         return [(block.timestamp, [canon_decode(tx.args)["from"] for tx in block.transactions])
                 for block in rt.chain.blocks[1:]]
-    # step 1: refinery first (a called first), a's call before c's; then the driller
-    assert blocks(refine_rt) == [(1, ["a", "c"]), (4, ["b"])]
-    assert blocks(drill_rt) == [(2, ["b"]), (3, ["a"]), (5, ["b"])]
+    # every block of a step carries the step's tick; in step 1 the refinery's
+    # block opened first (a called first), and a's call comes before c's
+    assert blocks(refine_rt) == [(1, ["a", "c"]), (2, ["b"])]
+    assert blocks(drill_rt) == [(1, ["b"]), (2, ["a"]), (3, ["b"])]
 
 
 def test_a_failing_step_commits_none_of_its_blocks(supply):
