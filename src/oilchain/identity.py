@@ -115,24 +115,19 @@ SIGNATURE_MEMO_SIZE = 256
 _signed: dict[tuple[bytes, bytes], bytes] = {}
 
 
-def _remember(memo: dict, key, value) -> None:
-    """Make key -> value the newest entry of memo, then drop the oldest
-    entries past SIGNATURE_MEMO_SIZE."""
-    memo.pop(key, None)
-    memo[key] = value
-    if len(memo) > SIGNATURE_MEMO_SIZE:
-        del memo[next(iter(memo))]
-
-
 def sign(message: bytes, private_key: bytes) -> bytes:
     """Ed25519 signature (64 bytes) over the message.
 
-    The signature is remembered under (public key, message) until
-    SIGNATURE_MEMO_SIZE later ones push it out, for `signed_here`.
+    The signature is remembered under (public key, message) as the newest
+    entry until SIGNATURE_MEMO_SIZE later ones push it out, for `signed_here`.
     """
     key, public_key = _signing_key(private_key)
     signature = key.sign(message)
-    _remember(_signed, (public_key, bytes(message)), signature)
+    signed = (public_key, bytes(message))
+    _signed.pop(signed, None)
+    _signed[signed] = signature
+    if len(_signed) > SIGNATURE_MEMO_SIZE:
+        del _signed[next(iter(_signed))]
     return signature
 
 
@@ -175,48 +170,51 @@ def signed_here_or_verified(message: bytes, signature: bytes, public_key: bytes)
 
 # --- passphrase credentials -------------------------------------------------
 
-# stored credential -> the UTF-8 passphrase `make_passphrase_credential`
-# derived it from, oldest first; bounded like the signature memo
-_derived: dict[bytes, bytes] = {}
-
-
 def _derive(passphrase: bytes, salt: bytes) -> bytes:
     return hashlib.pbkdf2_hmac("sha256", passphrase, salt, _PBKDF2_ITERATIONS)
 
 
-def make_passphrase_credential(passphrase: str, salt: bytes) -> bytes:
-    """Stored form of a passphrase: salt || PBKDF2-HMAC-SHA256 digest.
+@dataclass(frozen=True)
+class PassphraseCredential:
+    """A salt and the UTF-8 passphrase a buyer must present, kept out of repr.
 
-    Raises EmptyPassphrase for the empty string. The stored form holds no
-    cleartext, but the process does: a run's `workflow.TermSheet.passphrase`
-    holds it, and this function remembers it under the stored form until
-    SIGNATURE_MEMO_SIZE later credentials push it out, for
-    `check_passphrase`. It always derives; it never reads that memo.
+    `stored`, salt || PBKDF2-HMAC-SHA256 digest, is derived on its first
+    read and then kept on the object. Nothing writes it to a ledger or store.
+    """
+
+    salt: bytes
+    passphrase: bytes = field(repr=False)
+
+    @functools.cached_property
+    def stored(self) -> bytes:
+        return self.salt + _derive(self.passphrase, self.salt)
+
+
+def make_passphrase_credential(passphrase: str, salt: bytes) -> PassphraseCredential:
+    """The credential of a passphrase under a salt; it derives nothing.
+
+    Raises EmptyPassphrase for the empty string.
     """
     if passphrase == "":
         raise EmptyPassphrase("passphrase must not be empty")
-    secret = passphrase.encode("utf-8")
-    stored = salt + _derive(secret, salt)
-    _remember(_derived, stored, secret)
-    return stored
+    return PassphraseCredential(salt, passphrase.encode("utf-8"))
 
 
-def check_passphrase(stored: bytes, attempt: str) -> bool:
-    """Check a cleartext attempt against a stored passphrase.
+def check_passphrase(credential: PassphraseCredential, attempt: str) -> bool:
+    """Check a cleartext attempt against a credential.
 
-    An attempt byte-equal to the passphrase `make_passphrase_credential`
-    recently made `stored` from is accepted without deriving; any other
-    attempt, or a stored value not in that memo, is derived and compared.
-    Malformed inputs return False, never raise.
+    An attempt whose UTF-8 is the credential's passphrase is accepted without
+    deriving. Any other is derived under the salt and compared with `stored`,
+    so it gets the answer the stored form gives: HMAC zero-pads a short key,
+    so the passphrase with trailing NULs is accepted too. Malformed inputs
+    return False, never raise.
     """
-    if not isinstance(stored, bytes) or not isinstance(attempt, str):
+    if not isinstance(credential, PassphraseCredential) or not isinstance(attempt, str):
         return False
     try:
         secret = attempt.encode("utf-8")
-    except UnicodeEncodeError:          # a lone surrogate: no passphrase encodes to it
+        return (hmac.compare_digest(credential.passphrase, secret)
+                or hmac.compare_digest(credential.salt + _derive(secret, credential.salt),
+                                       credential.stored))
+    except (UnicodeEncodeError, TypeError):     # a lone surrogate, or a salt not bytes
         return False
-    remembered = _derived.get(stored)
-    if remembered is not None and hmac.compare_digest(remembered, secret):
-        return True
-    salt, dig = stored[:-32], stored[-32:]
-    return hmac.compare_digest(_derive(secret, salt), dig)

@@ -97,7 +97,19 @@ def _instance(kind: type, name: str):
     return convert
 
 
-_string = _instance(str, "a string")
+def _string(value, where: str) -> str:
+    """A string that encodes as UTF-8. JSON admits a lone surrogate ("\\ud800"),
+    which no digest or report can encode."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}: expected a string, got {type(value).__name__}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"{where}: lone surrogate at character {exc.start},"
+                              f" not encodable as UTF-8") from None
+    return value
+
+
 _mapping = _instance(dict, "an object")
 _list = _instance(list, "a list")
 

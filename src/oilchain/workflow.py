@@ -124,7 +124,7 @@ class Hop:
     tracking_contract: bytes
     data_address: bytes                 # the hop's gateway, its one telemetry source
     status: HopStatus = HopStatus.PROPOSED
-    stored_passphrase: bytes | None = dc_field(default=None, repr=False)
+    passphrase: identity.PassphraseCredential | None = dc_field(default=None, repr=False)
 
 
 @dataclass
@@ -337,10 +337,10 @@ class SupplyChain:
         if result.status is not CallStatus.OK:
             raise ValidationError(f"tracking terms rejected: {result.revert_reason}")
 
-        stored = None
+        passphrase = None
         if terms.passphrase is not None:
             salt = digest(["hop-salt", batch.batch_id, index, self.seed])[:16]
-            stored = identity.make_passphrase_credential(terms.passphrase, salt)
+            passphrase = identity.make_passphrase_credential(terms.passphrase, salt)
 
         hop = Hop(
             index=index,
@@ -351,7 +351,7 @@ class SupplyChain:
             product_contract=product,
             tracking_contract=tracking,
             data_address=gateway.address,
-            stored_passphrase=stored,
+            passphrase=passphrase,
         )
         batch.hops.append(hop)
         return hop
@@ -381,10 +381,10 @@ class SupplyChain:
         in this process for that digest and key is taken by byte match
         (`identity.signed_here`), as sealing takes the run's own
         endorsements; any other is verified with Ed25519. A passphrase goes
-        through `identity.check_passphrase`, which skips the derivation only
-        for the passphrase this process made the hop's credential from. A
-        failed credential raises BadCredential and leaves every chain and
-        the hop untouched.
+        through `identity.check_passphrase` against the hop's credential: the
+        passphrase it was made from is taken by byte match, any other attempt
+        is derived with PBKDF2. A failed credential raises BadCredential and
+        leaves every chain and the hop untouched.
         """
         return self.run([self._accept_shipment(hop, credential)])[0]
 
@@ -395,10 +395,8 @@ class SupplyChain:
         if isinstance(credential, bytes):
             ok = identity.signed_here_or_verified(self.accept_digest(hop), credential,
                                                   hop.buyer.public_key)
-        elif isinstance(credential, str) and hop.stored_passphrase is not None:
-            ok = identity.check_passphrase(hop.stored_passphrase, credential)
         else:
-            ok = False
+            ok = identity.check_passphrase(hop.passphrase, credential)
         if not ok:
             raise BadCredential(f"hop {hop.index} acceptance rejected")
         if not self._claim("accept", hop.batch_id, hop.index):

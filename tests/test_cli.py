@@ -114,13 +114,19 @@ def _hop_telemetry(doc, hop):
     (lambda d: _hop_telemetry(d, 1).update(max_silence_ticks=0),
      "batches[0].hops[1].telemetry.max_silence_ticks"),
     (lambda d: d.update(comment="draft"), "comment"),
+    (lambda d: d.update(name="happy \ud800"), "name"),
+    (lambda d: d["batches"][0].update(batch_id="\udfff"), "batches[0].batch_id"),
+    (lambda d: d["batches"][0].update(oil_name="crude \ud83d"), "batches[0].oil_name"),
+    (lambda d: d["batches"][0]["hops"][2]["accept"].update(passphrase="gate-\ud800"),
+     "batches[0].hops[2].accept.passphrase"),
 ], ids=["fault-kind-not-streamed", "fault-window-past-end", "fault-window-reversed",
         "repeated-batch-id", "repeated-kind", "kind-without-setpoint",
         "topology-without-storage", "buyer-not-in-topology", "hop-3-sold-by-driller",
         "hop-1-sold-by-refinery", "null-batch-id", "null-name", "no-hops",
         "empty-passphrase-under-signature", "seed-past-2**63", "seed-nested-900-deep",
         "misspelt-noise-amplitude", "misspelt-faulty-validators", "leftover-max-silence-ticks",
-        "unknown-top-level-key"])
+        "unknown-top-level-key", "lone-surrogate-name", "lone-surrogate-batch-id",
+        "lone-surrogate-oil-name", "lone-surrogate-passphrase"])
 def test_run_refuses_bad_input_naming_the_field(tmp_path, capsys, mutate, field):
     doc = json.loads((SCENARIO_DIR / "happy_path.json").read_text())
     mutate(doc)

@@ -64,22 +64,47 @@ def test_same_shape_batches_share_every_consortium_block(count, monkeypatch):
 
 
 @pytest.mark.parametrize("count", [1, 12])
-def test_a_run_derives_each_passphrase_once_and_verifies_no_acceptance(count):
+def test_a_run_derives_no_passphrase_and_verifies_no_acceptance(count):
     scenario = parse_scenario(clones(HAPPY_DOC, count))
     with pbkdf2_derivations() as derivations, ed25519_verifies() as verifies:
         run_scenario(scenario)
-    # one passphrase hop per batch: made at initiate, taken from the memo at
-    # accept; its 3 signature acceptances are the run's own signatures
-    assert derivations.call_count == count
+    # one passphrase hop per batch, accepted with the passphrase its credential
+    # was made from; its 3 signature acceptances are the run's own signatures
+    assert derivations.call_count == 0
     assert verifies.call_count == 0
 
 
-def test_a_second_run_in_one_process_derives_again():
+def test_a_second_run_in_one_process_derives_no_passphrase_either():
     scenario = parse_scenario(HAPPY_DOC)
     run_scenario(scenario)
     with pbkdf2_derivations() as derivations:
         run_scenario(scenario)
-    assert derivations.call_count == 1
+    assert derivations.call_count == 0
+
+
+def test_run_path_work_per_batch_stays_flat(monkeypatch):
+    """Same-shape batches cost the run the same work each, counted not timed.
+
+    Signs per batch are not flat and are not asserted: batches share blocks,
+    so each block's 3 endorsements are spread over more batches.
+    """
+    execute = runtime.Runtime._execute
+    per_count = {}
+    for count in (3, 12):
+        calls = 0
+
+        def counted_execute(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(runtime.Runtime, "_execute", counted_execute)
+        scenario = parse_scenario(clones(HAPPY_DOC, count))
+        with pbkdf2_derivations() as derivations:
+            chain = run_scenario(scenario).supply.consortium_chain
+        per_count[count] = (derivations.call_count, calls / count, len(chain))
+    assert per_count[3] == per_count[12]
+    assert per_count[3][0] == 0
 
 
 # --- together equals alone --------------------------------------------------------------

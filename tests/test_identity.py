@@ -1,12 +1,12 @@
 """Keys, addresses, signatures, passphrase credentials."""
 
 import hashlib
-from unittest import mock
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings, strategies as st
 
+from conftest import pbkdf2_derivations
 from oilchain import identity
 from oilchain.errors import EmptyPassphrase
 from oilchain.identity import Role
@@ -144,12 +144,13 @@ def test_passphrase_check():
 def test_passphrase_digest_depends_on_salt():
     a = identity.make_passphrase_credential("open sesame", salt=b"\x01" * 16)
     b = identity.make_passphrase_credential("open sesame", salt=b"\x02" * 16)
-    assert a != b
+    assert a.stored != b.stored
 
 
 def test_stored_passphrase_never_contains_cleartext():
     cred = identity.make_passphrase_credential("open sesame", salt=b"\x01" * 16)
-    assert b"open sesame" not in cred
+    assert b"open sesame" not in cred.stored
+    assert "open sesame" not in repr(cred)
 
 
 def test_empty_passphrase_rejected():
@@ -157,32 +158,58 @@ def test_empty_passphrase_rejected():
         identity.make_passphrase_credential("", salt=b"\x01" * 16)
 
 
+def test_stored_is_the_salt_then_pbkdf2_derived_once_on_first_read():
+    salt = b"\x06" * 16
+    expected = salt + hashlib.pbkdf2_hmac("sha256", b"open sesame", salt, 10_000)
+    with pbkdf2_derivations() as derivations:
+        cred = identity.make_passphrase_credential("open sesame", salt)
+        assert derivations.call_count == 0
+        assert cred.stored == expected
+        assert cred.stored is cred.stored
+    assert derivations.call_count == 1
+
+
+def test_an_attempt_deriving_to_the_stored_form_is_derived_and_accepted():
+    # HMAC zero-pads a key shorter than its block, so trailing NULs derive the
+    # same digest: a byte-unequal attempt the stored form alone accepts
+    cred = identity.make_passphrase_credential("open sesame", salt=b"\x07" * 16)
+    with pbkdf2_derivations() as derivations:
+        assert identity.check_passphrase(cred, "open sesame\x00")
+    assert derivations.call_count == 2          # stored on first read, then the attempt
+
+
+def _stored_form_accepts(passphrase: str, salt: bytes, attempt: str) -> bool:
+    """The check as the stored form alone answers it: derive both, compare."""
+    def derive(text):
+        return hashlib.pbkdf2_hmac("sha256", text.encode("utf-8"), salt, 10_000)
+    return derive(attempt) == derive(passphrase)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data(), st.text(min_size=1, max_size=24))
 def test_a_check_accepts_exactly_the_passphrase_the_credential_was_made_from(data, passphrase):
-    attempt = data.draw(st.one_of(st.just(passphrase), st.text(max_size=24)))
-    stored = identity.make_passphrase_credential(passphrase, salt=b"\x03" * 16)
-    assert identity.check_passphrase(stored, attempt) == (attempt == passphrase)
-
-
-def test_the_passphrase_memo_holds_no_more_than_its_bound():
-    with mock.patch.object(identity, "_PBKDF2_ITERATIONS", 1):
-        made = [identity.make_passphrase_credential(f"pass {i}", b"\x04" * 16)
-                for i in range(identity.SIGNATURE_MEMO_SIZE + 10)]
-        assert len(identity._derived) <= identity.SIGNATURE_MEMO_SIZE
-        assert made[-1] in identity._derived and made[0] not in identity._derived
-        assert identity.check_passphrase(made[0], "pass 0")
+    wrong = data.draw(st.text(max_size=24).filter(lambda text: text != passphrase))
+    more = data.draw(st.lists(st.one_of(st.just(passphrase), st.text(max_size=24)),
+                              max_size=3))
+    cred = identity.make_passphrase_credential(passphrase, salt=b"\x03" * 16)
+    # wrong before right and right before wrong, all on one credential
+    for attempt in [wrong, passphrase, wrong, *more]:
+        expected = attempt == passphrase or _stored_form_accepts(passphrase, b"\x03" * 16,
+                                                                  attempt)
+        assert identity.check_passphrase(cred, attempt) == expected
 
 
 @pytest.mark.parametrize("stored,attempt", [
-    (b"\x01" * 48, b"open sesame"),
-    (b"\x01" * 48, None),
-    (b"\x01" * 48, "\ud800"),
+    (identity.make_passphrase_credential("open sesame", b"\x01" * 16), b"open sesame"),
+    (identity.make_passphrase_credential("open sesame", b"\x01" * 16), None),
+    (identity.make_passphrase_credential("open sesame", b"\x01" * 16), "\ud800"),
     (None, "open sesame"),
     ("salt and digest", "open sesame"),
     (bytearray(b"\x01" * 48), "open sesame"),
     ([b"\x01"], "open sesame"),
+    (b"\x01" * 48, "open sesame"),
+    (identity.PassphraseCredential(None, b"other"), "open sesame"),
 ], ids=["bytes-attempt", "no-attempt", "lone-surrogate", "no-stored", "str-stored",
-        "bytearray-stored", "list-stored"])
+        "bytearray-stored", "list-stored", "stored-form-not-a-credential", "salt-not-bytes"])
 def test_malformed_passphrase_checks_return_false_not_raise(stored, attempt):
     assert identity.check_passphrase(stored, attempt) is False

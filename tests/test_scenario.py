@@ -178,6 +178,12 @@ def full_custody(doc):
     (lambda d: d["batches"][0]["hops"][0].update(
         accept={"method": "signature", "passphrase": ""}), "hops[0].accept.passphrase"),
     (lambda d: d.update(seed=2**63), "scenario.seed"),
+    (lambda d: d.update(name="\ud800"), "scenario.name: lone surrogate"),
+    (lambda d: d["batches"][0].update(batch_id="7\udc00"), "batches[0].batch_id: lone surrogate"),
+    (lambda d: d["batches"][0].update(oil_name="\udbff crude"), "oil_name: lone surrogate"),
+    (lambda d: d["batches"][0]["hops"][0].update(
+        accept={"method": "passphrase", "passphrase": "gate \ud800"}),
+     "hops[0].accept.passphrase: lone surrogate"),
 ])
 def test_validation_errors_name_the_field(mutate, needle):
     with pytest.raises(ValidationError) as err:

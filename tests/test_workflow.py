@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-from unittest import mock
-
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
@@ -319,7 +316,7 @@ def test_passphrase_acceptance(supply, setpoints):
         supply.accept_shipment(hop, "wholesale-gate-8")
     supply.accept_shipment(hop, "wholesale-gate-7")
     assert hop.status is HopStatus.ACCEPTED
-    assert "stored_passphrase" not in repr(hop)
+    assert "passphrase" not in repr(hop)
     assert "wholesale-gate-7" not in repr(hop)
 
 
@@ -327,17 +324,19 @@ def test_passphrase_acceptance(supply, setpoints):
 
 @pytest.fixture
 def empty_memos(monkeypatch):
-    """Nothing signed or derived earlier in this process is remembered."""
+    """Nothing signed earlier in this process is remembered."""
     monkeypatch.setattr(identity, "_signed", {})
-    monkeypatch.setattr(identity, "_derived", {})
 
 
 def test_a_wrong_passphrase_is_derived_and_refused(supply, setpoints):
     _batch, hop = proposed_hop(supply, setpoints, passphrase="wholesale-gate-7")
     with pbkdf2_derivations() as derivations, pytest.raises(BadCredential):
         supply.accept_shipment(hop, "wholesale-gate-8")
-    assert derivations.call_count == 1
+    assert derivations.call_count == 2      # the credential's stored form, then the attempt
     assert hop.status is HopStatus.PROPOSED
+    with pbkdf2_derivations() as derivations, pytest.raises(BadCredential):
+        supply.accept_shipment(hop, "wholesale-gate-9")
+    assert derivations.call_count == 1      # the stored form is kept on the credential
 
 
 def test_the_passphrase_of_a_credential_made_here_is_not_derived_again(supply, setpoints):
@@ -348,27 +347,14 @@ def test_the_passphrase_of_a_credential_made_here_is_not_derived_again(supply, s
     assert hop.status is HopStatus.ACCEPTED
 
 
-def test_a_passphrase_pushed_out_of_the_memo_is_derived_and_accepted(supply, setpoints):
+def test_a_passphrase_credential_made_elsewhere_is_derived_and_accepted(supply, setpoints):
     _batch, hop = proposed_hop(supply, setpoints, passphrase="wholesale-gate-7")
-    with mock.patch.object(identity, "_PBKDF2_ITERATIONS", 1):     # cheap later credentials
-        for i in range(identity.SIGNATURE_MEMO_SIZE + 1):
-            identity.make_passphrase_credential(f"later {i}", b"\x00" * 16)
-    assert hop.stored_passphrase not in identity._derived
+    hop.passphrase = identity.make_passphrase_credential("wholesale-gate-7", b"\x05" * 16)
+    # byte-unequal, so derived; HMAC zero-pads the short key, so it derives as
+    # the passphrase does and the stored form accepts it, as it always has
     with pbkdf2_derivations() as derivations:
-        supply.accept_shipment(hop, "wholesale-gate-7")
-    assert derivations.call_count == 1
-    assert hop.status is HopStatus.ACCEPTED
-
-
-def test_a_passphrase_credential_made_elsewhere_is_derived_and_accepted(
-        supply, setpoints, empty_memos):
-    _batch, hop = proposed_hop(supply, setpoints, passphrase="wholesale-gate-7")
-    salt = b"\x05" * 16
-    hop.stored_passphrase = salt + hashlib.pbkdf2_hmac("sha256", b"wholesale-gate-7", salt,
-                                                      identity._PBKDF2_ITERATIONS)
-    with pbkdf2_derivations() as derivations:
-        supply.accept_shipment(hop, "wholesale-gate-7")
-    assert derivations.call_count == 1
+        supply.accept_shipment(hop, "wholesale-gate-7\x00")
+    assert derivations.call_count == 2      # the credential's stored form, then the attempt
     assert hop.status is HopStatus.ACCEPTED
 
 
